@@ -109,6 +109,11 @@ def run(cfg: JobConfig) -> ExitReport:
             report.failed += 1
             report.failures.append((ident, str(exc)))
             continue
+        except (MemoryError, RecursionError) as exc:
+            # one sentence exhausting memory or the stack fails alone
+            report.failed += 1
+            report.failures.append((ident, f"{type(exc).__name__}: {exc}"))
+            continue
         report.converted += 1
         report.outputs.update(outputs)
         if stats is not None:

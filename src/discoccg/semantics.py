@@ -1,10 +1,22 @@
 # -*- coding: utf-8 -*-
 """Tensor-network evaluation of string diagrams over finite vector spaces.
 
-Word boxes look their tensors up in a lexicon, cups contract adjacent legs
-against the identity matrix, caps inject identity-matrix states, swaps
-transpose legs.  Layers are contracted in layer order; no contraction-order
-optimization, determinism over speed.
+Word boxes look their tensors up in a lexicon; every other generator is
+wiring.  A cup identifies the two indices it joins, a cap is one index shared
+by both of its legs and a swap relabels two indices, so one walk over the
+layers (a union-find over wire ids) turns a state diagram into an index
+network over its word tensors alone.  A cap closed by a cup is a closed loop
+and scales the result by its dimension; a codomain leg with no word behind
+it gets an explicit identity matrix.
+
+The network is contracted pairwise in a greedy order: among tensors that
+share an index, the pair whose result has the fewest legs goes first, ties
+to the earliest pair; disconnected parts are then joined by outer products
+in word order.  The plan counts legs, not dimensions, so validation and
+planning run once per diagram and every lexicon and dimension assignment
+reuses them.  Greedy is a heuristic, not an optimal order: a network in
+which every order keeps many legs open still needs memory exponential in
+that number.
 
 Random lexicons are generated by a SplitMix64 stream (documented constants
 below) so that stored test vectors pin the generator across implementations:
@@ -15,7 +27,9 @@ and a user seed.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,70 +135,217 @@ class Lexicon:
 
     def tensor_for(self, label: str, cod: RObject) -> Tensor:
         key = (label, tuple(cod))
-        if key in self.entries:
-            t = self.entries[key]
-            if t.dims != tuple(self.dims.of(w) for w in cod):
-                raise SemanticsError(f"stored tensor for {label!r} has wrong shape")
-            return t
         shape = tuple(self.dims.of(w) for w in cod)
-        count = int(np.prod(shape)) if shape else 1
-        state = (self.seed ^ fnv1a64(f"{label}|{_signature(cod)}".encode())) & _MASK
-        if self.complex_field:
-            data = np.empty(2 * count)
-            for i in range(2 * count):
-                value, state = splitmix64(state)
-                data[i] = unit_interval(value)
-            arr = (data[:count] + 1j * data[count:]).reshape(shape)
-        else:
-            data = np.empty(count)
-            for i in range(count):
-                value, state = splitmix64(state)
-                data[i] = unit_interval(value)
-            arr = data.reshape(shape)
-        t = Tensor(tuple(cod), shape, arr)
-        self.entries[key] = t
+        t = self.entries.get(key)
+        if t is None:
+            data = _draw(self.seed, f"{label}|{_signature(cod)}", shape, self.complex_field)
+            t = self.entries[key] = Tensor(key[1], shape, data)
+        elif t.dims != shape:
+            raise SemanticsError(f"stored tensor for {label!r} has wrong shape")
         return t
 
 
-def evaluate(d: Diagram, dims: DimAssignment, lex: Lexicon) -> Tensor:
-    """Contract a state diagram (empty dom) to the tensor on its codomain."""
+@lru_cache(maxsize=4096)
+def _draw(seed: int, text: str, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
+    """The SplitMix64 draw behind :meth:`Lexicon.tensor_for`, read-only
+    because every lexicon with the same seed shares it."""
+    count = int(np.prod(shape))
+    state = (seed ^ fnv1a64(text.encode())) & _MASK
+    data = np.empty(2 * count if complex_field else count)
+    for i in range(data.size):
+        value, state = splitmix64(state)
+        data[i] = unit_interval(value)
+    if complex_field:
+        data = data[:count] + 1j * data[count:]
+    data.flags.writeable = False
+    return data.reshape(shape)
+
+
+# einsum accepts only these subscript letters, so each step relabels locally.
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+_Step = tuple[tuple[int, ...], str]   # (operand slots, einsum subscripts)
+
+
+@dataclass(frozen=True)
+class _Network:
+    """A state diagram compiled to a contraction plan over its word tensors.
+
+    Slot ``i`` holds the tensor of ``words[i]``, then one identity matrix per
+    wire of ``eyes``.  Each step einsums the slots it names with its
+    subscripts and stores the result in the first of them; the last step
+    leaves the codomain tensor.  Each wire of ``loops`` is a closed loop.
+    """
+
+    words: tuple[WordBox, ...]
+    eyes: tuple[Wire, ...]
+    loops: tuple[Wire, ...]
+    steps: tuple[_Step, ...]
+
+
+def _compile(d: Diagram) -> _Network:
     problems = well_formed(d)
     if problems:
         raise SemanticsError("diagram is not well-formed: " + "; ".join(problems))
     if len(d.dom) != 0:
         raise SemanticsError("evaluate expects a state (empty domain)")
-    dtype = complex if lex.complex_field else float
-    frontier = np.array(1.0, dtype=dtype)
+    parent: list[int] = []   # union-find over wire ids
+
+    def fresh() -> int:
+        parent.append(len(parent))
+        return parent[-1]
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    boundary: list[int] = []
+    words: list[WordBox] = []
+    legs: list[list[int]] = []
+    loops: list[Wire] = []
     for offset, gen in d.layers:
         if isinstance(gen, WordBox):
-            t = lex.tensor_for(gen.label, gen.wires)
-            frontier = _insert(frontier, t.array.astype(dtype, copy=False), offset)
+            ids = [fresh() for _ in gen.wires]
+            words.append(gen)
+            legs.append(ids)
+            boundary[offset:offset] = ids
         elif isinstance(gen, Cup):
-            frontier = np.trace(frontier, axis1=offset, axis2=offset + 1)
+            a, b = find(boundary[offset]), find(boundary[offset + 1])
+            if a == b:
+                loops.append(Wire(gen.base, gen.z))
+            else:
+                parent[a] = b
+            del boundary[offset:offset + 2]
         elif isinstance(gen, Cap):
-            dim = dims.of(Wire(gen.base, gen.z))
-            frontier = _insert(frontier, np.eye(dim, dtype=dtype), offset)
+            x = fresh()
+            boundary[offset:offset] = [x, x]
         elif isinstance(gen, Swap):
-            frontier = np.swapaxes(frontier, offset, offset + 1)
+            boundary[offset:offset + 2] = boundary[offset + 1], boundary[offset]
         else:  # pragma: no cover
             raise SemanticsError(f"unknown generator {gen!r}")
+
+    factors = [[find(i) for i in ids] for ids in legs]
+    output = [find(i) for i in boundary]
+    # An index that reaches the codomain twice has no word behind it: both
+    # ends of a cap survive, joined by an identity matrix.
+    eyes: list[Wire] = []
+    seen: set[int] = set()
+    for pos, index in enumerate(output):
+        if index in seen:
+            output[pos] = fresh()
+            factors.append([index, output[pos]])
+            eyes.append(d.cod[pos])
+        seen.add(index)
+    return _Network(tuple(words), tuple(eyes), tuple(loops), _plan(factors, output))
+
+
+def _plan(factors: list[list[int]], output: list[int]) -> tuple[_Step, ...]:
+    """Greedy pairwise contraction order; see the module docstring.
+
+    Every index sits on at most two factors and an index of ``output`` on
+    one, so the indices two tensors share are exactly those their
+    contraction sums over, and an index twice on one factor is a trace.
+    """
+    live: dict[int, list[int]] = {}
+    where: dict[int, list[int]] = {}   # index -> the slots it sits on
+    steps: list[_Step] = []
+
+    def contract(slots, result) -> None:
+        steps.append((slots, _subscripts([live[s] for s in slots], result)))
+        for s in slots[1:]:
+            del live[s]
+        live[slots[0]] = result
+        for i in result:
+            where[i] = [slots[0] if t in slots else t for t in where[i]]
+
+    def merged(a, b) -> list[int]:
+        shared = set(live[a]).intersection(live[b])
+        return [i for i in live[a] + live[b] if i not in shared]
+
+    def neighbours(slot) -> set[int]:
+        return {t for i in live[slot] for t in where[i] if t != slot}
+
+    for slot, ids in enumerate(factors):
+        live[slot] = ids
+        for i in ids:
+            where.setdefault(i, []).append(slot)
+    for slot, ids in enumerate(factors):
+        once = [i for i in ids if ids.count(i) == 1]
+        if len(once) < len(ids):   # a word whose own legs are joined
+            contract((slot,), once)
+    # Legs of each candidate pair's result; ``queue`` holds (legs, a, b) in
+    # ascending order, with entries whose score has changed skipped on pop.
+    legs = {(a, b): len(merged(a, b)) for a in live for b in neighbours(a) if a < b}
+    queue = sorted((n, a, b) for (a, b), n in legs.items())
+    while queue:
+        n, a, b = queue.pop(0)
+        if legs.get((a, b)) != n:
+            continue
+        for s in (a, b):
+            for c in neighbours(s):
+                legs.pop((min(s, c), max(s, c)), None)
+        contract((a, b), merged(a, b))
+        for c in neighbours(a):
+            pair = (min(a, c), max(a, c))
+            legs[pair] = len(merged(*pair))
+            insort(queue, (legs[pair], *pair))
+    rest = sorted(live)
+    for slot in rest[1:]:
+        contract((rest[0], slot), merged(rest[0], slot))
+    if rest:
+        contract((rest[0],), output)
+    return tuple(steps)
+
+
+def _subscripts(operands: list[list[int]], result: list[int]) -> str:
+    order = dict.fromkeys(i for ids in operands for i in ids)
+    if len(order) > len(_LETTERS):
+        raise SemanticsError(f"a contraction step needs {len(order)} indices, "
+                             f"more than einsum's {len(_LETTERS)}")
+    letters = dict(zip(order, _LETTERS))
+    return (",".join("".join(letters[i] for i in ids) for ids in operands)
+            + "->" + "".join(letters[i] for i in result))
+
+
+# Compiled networks of the last few diagrams, keyed by identity.  Each entry
+# holds its diagram, so no other object can take over the id while it lives.
+_COMPILED: dict[int, tuple[Diagram, _Network]] = {}
+_COMPILED_SIZE = 8
+
+
+def _network(d: Diagram) -> _Network:
+    hit = _COMPILED.get(id(d))
+    if hit is not None:
+        return hit[1]
+    net = _compile(d)
+    if len(_COMPILED) >= _COMPILED_SIZE:
+        del _COMPILED[next(iter(_COMPILED))]
+    _COMPILED[id(d)] = (d, net)
+    return net
+
+
+def evaluate(d: Diagram, dims: DimAssignment, lex: Lexicon) -> Tensor:
+    """Contract a state diagram (empty dom) to the tensor on its codomain."""
+    net = _network(d)
+    dtype = complex if lex.complex_field else float
+    slots: list[np.ndarray | None] = [
+        lex.tensor_for(w.label, w.wires).array.astype(dtype, copy=False) for w in net.words]
+    slots += [np.eye(dims.of(w), dtype=dtype) for w in net.eyes]
+    out = np.array(1.0, dtype=dtype)
+    for operands, subscripts in net.steps:
+        out = np.einsum(subscripts, *(slots[i] for i in operands))
+        for i in operands:
+            slots[i] = None
+        slots[operands[0]] = out
+    out = np.array(out, dtype=dtype)   # a fresh array, never a lexicon view
+    for w in net.loops:
+        out *= dims.of(w)
     shape = tuple(dims.of(w) for w in d.cod)
-    if frontier.shape != shape:
+    if out.shape != shape:
         raise SemanticsError(
-            f"evaluation produced shape {frontier.shape}, cod expects {shape}")
-    return Tensor(tuple(d.cod), shape, frontier)
-
-
-def _insert(frontier: np.ndarray, block: np.ndarray, offset: int) -> np.ndarray:
-    """Tensor ``block``'s axes into ``frontier`` starting at axis ``offset``."""
-    out = np.tensordot(frontier, block, axes=0)
-    k = block.ndim
-    n = frontier.ndim
-    if k == 0 or offset == n:
-        return out
-    src = list(range(n, n + k))
-    dst = list(range(offset, offset + k))
-    return np.moveaxis(out, src, dst)
+            f"evaluation produced shape {out.shape}, cod expects {shape}")
+    return Tensor(tuple(d.cod), shape, out)
 
 
 def semantically_equal(d1: Diagram, d2: Diagram, dims: DimAssignment,

@@ -1,0 +1,52 @@
+"""Derivation trees of long sentences, built by shape for the scaling tests.
+
+- ``right_branching(k)``: ``the a0 ... a(k-1) wolf likes Bob``, the adjectives
+  applied one by one (an FA chain, so every word box of the raw diagram comes
+  before any cup);
+- ``cross_serial(k)``: a Dutch cross-serial clause with ``k >= 2`` verbs, a
+  ``GFCX:2`` chain closed by ``FCX``, and ``k + 1`` NP arguments.
+"""
+
+from __future__ import annotations
+
+import json
+
+from discoccg import biclosed as bc
+from discoccg.functor import lower
+from discoccg.ingest import ingest_tree, read_json
+
+
+def leaf(word: str, cat: str) -> dict:
+    return {"word": word, "type": cat}
+
+
+def node(rule: str, cat: str, *children: dict) -> dict:
+    return {"rule": rule, "type": cat, "children": list(children)}
+
+
+def right_branching(k: int) -> dict:
+    noun = leaf("wolf", "N")
+    for i in reversed(range(k)):
+        noun = node("FA", "N", leaf(f"a{i}", "N/N"), noun)
+    subject = node("FA", "NP", leaf("the", "NP/N"), noun)
+    verb_phrase = node("FA", "S\\NP", leaf("likes", "(S\\NP)/NP"), leaf("Bob", "NP"))
+    return node("BA", "S", subject, verb_phrase)
+
+
+def cross_serial(k: int) -> dict:
+    # takes[i] is S followed by i backslash-NP arguments
+    takes = ["S"]
+    for _ in range(k + 1):
+        takes.append(f"({takes[-1]})\\NP")
+    chain = leaf("v0", f"({takes[2]})/VP")
+    for i in range(1, k - 1):
+        chain = node("GFCX:2", f"({takes[2 + i]})/VP", chain, leaf(f"v{i}", "(VP\\NP)/VP"))
+    clause = node("FCX", takes[k + 1], chain, leaf(f"v{k - 1}", "VP\\NP"))
+    for i in reversed(range(k + 1)):
+        clause = node("BA", takes[i], leaf(f"n{i}", "NP"), clause)
+    return clause
+
+
+def raw_diagram(tree: dict):
+    """The functor's diagram of a derivation tree, before any rewrite."""
+    return lower(bc.lower_derivation(ingest_tree(read_json(json.dumps(tree)))))

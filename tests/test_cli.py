@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from discoccg import cli
 from discoccg.cli import JobConfig, STATS_COLUMNS, build_parser, main, run
 from discoccg.corpus import corpus_text
+from tests.sentences import right_branching
 
 ALICE = {"rule": "BA", "type": "S", "children": [
     {"word": "Alice", "type": "NP"},
@@ -72,6 +74,31 @@ def test_check_semantics_flag(corpus_file):
                     check_semantics="n=2,s=2,*=2", seed=17)
     report = run(cfg)
     assert report.failed == 0
+
+
+def test_check_semantics_on_long_right_branching_sentence(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps([right_branching(36)]))   # 40 words
+    report = run(JobConfig(inputs=[str(path)], emit=("diagram",),
+                           planarize=True, normalize=True, check_semantics="*=2"))
+    assert (report.converted, report.failed) == (1, 0)
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_exhaustion_fails_one_sentence(tmp_path, monkeypatch, error):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    convert = cli._convert_one
+
+    def exhausting(ident, *args):
+        if ident == "s1":
+            raise error("out of resources")
+        return convert(ident, *args)
+
+    monkeypatch.setattr(cli, "_convert_one", exhausting)
+    report = run(JobConfig(inputs=[str(path)], emit=("diagram",)))
+    assert (report.converted, report.failed) == (2, 1)
+    assert report.failures == [("s1", f"{error.__name__}: out of resources")]
 
 
 def test_main_strict_exit_code(tmp_path, capsys):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from discoccg.diagram import (
     Cap, Cup, Diagram, EMPTY, RObject, Swap, Wire, WordBox,
 )
+from discoccg.rewrite import normalize, planarize
 from discoccg.semantics import (
     DimAssignment, Lexicon, SemanticsError, Tensor, evaluate, fnv1a64,
     semantically_equal, splitmix64, unit_interval,
 )
+from tests.sentences import cross_serial, raw_diagram, right_branching
 
 DIMS = DimAssignment({}, 2)
 
@@ -262,3 +264,75 @@ def test_tensor_json_roundtrip():
 def test_semantic_equality_tolerance(corpus_diagrams):
     d = corpus_diagrams["big-bad-wolf-left"]
     assert semantically_equal(d, d, DimAssignment({"N": 3}, 3), [1, 2, 3, 4, 5])
+
+
+# --- index network edge cases -------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+def test_closed_loop_is_its_dimension(dim):
+    n, nr = Wire("n", 0), Wire("n", 1)
+    d = Diagram.build(EMPTY, [(0, Cap("n", 0)), (0, Swap(nr, n)), (0, Cup("n", 0))])
+    dims = DimAssignment({"n": dim})
+    out = evaluate(d, dims, Lexicon(dims)).array
+    assert out.shape == () and out == dim
+    assert out == _brute_force(d, dims, Lexicon(dims))
+
+
+def test_bare_cap_is_identity_matrix():
+    dims = DimAssignment({"n": 3})
+    d = Diagram.build(EMPTY, [(0, Cap("n", 0))])
+    assert np.array_equal(evaluate(d, dims, Lexicon(dims)).array, np.eye(3))
+
+
+def test_word_with_joined_legs_is_its_trace():
+    dims = DimAssignment({"n": 3, "s": 2})
+    lex = Lexicon(dims, seed=11)
+    square = Diagram.build(EMPTY, [_word("M", "n n.r"), (0, Cup("n", 0))])
+    m = lex.tensor_for("M", RObject.parse("n n.r")).array
+    assert np.allclose(evaluate(square, dims, lex).array, np.trace(m), rtol=0, atol=1e-12)
+    partial = Diagram.build(EMPTY, [_word("T", "s n n.r"), (1, Cup("n", 0))])
+    t = lex.tensor_for("T", RObject.parse("s n n.r")).array
+    out = evaluate(partial, dims, lex).array
+    assert np.allclose(out, np.einsum("sii->s", t), rtol=0, atol=1e-12)
+    assert np.allclose(out, _brute_force(partial, dims, lex), rtol=0, atol=1e-12)
+
+
+def test_complex_field_through_a_cap():
+    lex = Lexicon(DIMS, seed=5, complex_field=True)
+    d = Diagram.build(EMPTY, [_word("v", "n"), (1, Cap("n", 0))])
+    out = evaluate(d, DIMS, lex).array
+    v = lex.tensor_for("v", RObject.parse("n")).array
+    assert np.iscomplexobj(out)
+    assert np.array_equal(out, np.multiply.outer(v, np.eye(2)))
+    snake = Diagram.build(EMPTY, [_word("v", "n"), (1, Cap("n", 0)), (0, Cup("n", 0))])
+    assert np.array_equal(evaluate(snake, DIMS, lex).array, v)
+
+
+def test_mixed_dims_match_brute_force(corpus_diagrams):
+    dims = DimAssignment({"n": 2, "s": 3}, 4)
+    for ident in ["alice-likes-bob-raised", "object-raised", "np-shift"]:
+        d = corpus_diagrams[ident]
+        fast = evaluate(d, dims, Lexicon(dims, seed=12)).array
+        slow = _brute_force(d, dims, Lexicon(dims, seed=12))
+        assert fast.shape == tuple(dims.of(w) for w in d.cod)
+        assert np.allclose(fast, slow, rtol=0, atol=1e-12), ident
+
+
+def test_lexicon_draws_are_shared_and_read_only():
+    cod = RObject.parse("n s")
+    t1 = Lexicon(DIMS, seed=3).tensor_for("w", cod)
+    t2 = Lexicon(DIMS, seed=3).tensor_for("w", cod)
+    assert np.array_equal(t1.array, t2.array)
+    with pytest.raises(ValueError):
+        t1.array[0, 0] = 0.0
+
+
+# --- long sentences -----------------------------------------------------------
+
+@pytest.mark.parametrize("tree", [right_branching(128), cross_serial(24)],
+                         ids=["rb128", "cross24"])
+def test_long_sentences_evaluate(tree):
+    raw = raw_diagram(tree)
+    out = evaluate(raw, DIMS, Lexicon(DIMS, seed=1)).array
+    assert out.shape == (2,) and np.isfinite(out).all()
+    assert semantically_equal(raw, normalize(planarize(raw)), DIMS, [1, 2, 3, 4, 5])
