@@ -8,8 +8,10 @@ every nested type.
 
 >>> parse_type("(S\\\\NP)/NP")
 Forward(result=Backward(argument=Atom(name='NP'), result=Atom(name='S')), argument=Atom(name='NP'))
->>> print(parse_type("S\\\\NP/NP").to_slash())
-(S\\NP)/NP
+>>> print(parse_type("(S\\\\NP)/NP").to_slash())
+S\\NP/NP
+>>> parse_type("S\\\\NP/NP") == parse_type("(S\\\\NP)/NP")
+True
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 """Batch conversion tool: derivations in, diagrams and statistics out.
 
 Sentences are processed independently; one malformed entry is recorded as a
-failure and never aborts the batch.  Identical input and configuration give
-byte-identical outputs.
+failure and never aborts the batch.  Ids are unique per batch: a repeated id
+fails, so no sentence overwrites another's files.  Identical input and
+configuration give byte-identical outputs.
 
 When both rewrites are requested, planarization runs before normalization
 (planarization recognizes the raw crossed-composition images)."""
@@ -99,9 +100,13 @@ def run(cfg: JobConfig) -> ExitReport:
         data = Path(path).read_bytes()
         entries.extend(read_derivations(data, cfg.fmt, collect_errors=True))
 
+    seen: set[str] = set()
     for ident, raw in entries:
         report.total += 1
         try:
+            if ident in seen:
+                raise ValueError(f"duplicate id {ident!r}: ids name output files")
+            seen.add(ident)
             if isinstance(raw, IngestError):
                 raise raw
             outputs, stats = _convert_one(ident, raw, cfg, ctx, dims)

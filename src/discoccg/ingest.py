@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type, strip_features
@@ -538,14 +539,37 @@ def ingest_tree(raw: RawTree) -> Derivation:
     return d
 
 
+# A wrapper id names output files: a path component of at most 200 safe
+# characters that is not hidden.
+_SAFE_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]{0,199}")
+
+
+def _safe_id(ident) -> bool:
+    return isinstance(ident, str) and _SAFE_ID.fullmatch(ident) is not None
+
+
+def _wrapped_tree(item: dict, ptr: str) -> RawTree:
+    extra = set(item) - {"id", "tree"}
+    if extra:
+        raise IngestError(f"unknown field {sorted(extra)[0]!r} at {ptr or '/'}")
+    if "id" in item and not _safe_id(item["id"]):
+        raise IngestError(
+            f"bad id at {ptr}/id: ids are strings of at most 200 characters from "
+            "[A-Za-z0-9._-] that do not start with '.'")
+    return _raw_node(item["tree"], f"{ptr}/tree")
+
+
 def read_derivations(data: str | bytes, fmt: str = "json", *,
                      collect_errors: bool = False) -> list[tuple[str, RawTree | IngestError]]:
     """Read a whole input file: returns (id, raw tree) pairs in input order.
 
     JSON files hold a node, an ``{"id", "tree"}`` wrapper, or a list of
     either; text files hold one bracketed derivation per non-empty line.
-    With ``collect_errors`` a malformed entry becomes an ``IngestError``
-    payload instead of aborting the batch (per-sentence isolation).
+    A wrapper's id must be a string of ``[A-Za-z0-9._-]`` not starting with
+    ``.``; entries without one are named ``s<index>``.  With
+    ``collect_errors`` a malformed entry (a bad id, an unknown wrapper field,
+    a malformed tree) becomes an ``IngestError`` payload instead of aborting
+    the batch (per-sentence isolation).
     """
     out: list[tuple[str, RawTree | IngestError]] = []
 
@@ -575,11 +599,10 @@ def read_derivations(data: str | bytes, fmt: str = "json", *,
     for i, item in enumerate(items):
         ptr = f"/{i}" if isinstance(obj, list) else ""
         if isinstance(item, dict) and "tree" in item:
-            extra = set(item) - {"id", "tree"}
-            if extra:
-                raise IngestError(f"unknown field {sorted(extra)[0]!r} at {ptr or '/'}")
-            ident = str(item.get("id", f"s{i}"))
-            push(ident, lambda it=item, p=ptr: _raw_node(it["tree"], f"{p}/tree"))
+            ident = item.get("id", f"s{i}")
+            # an unsafe id is reported under its JSON spelling, on one line
+            push(ident if _safe_id(ident) else json.dumps(ident),
+                 lambda it=item, p=ptr: _wrapped_tree(it, p))
         else:
             push(f"s{i}", lambda it=item, p=ptr: _raw_node(it, p))
     return out

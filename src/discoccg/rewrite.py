@@ -110,28 +110,50 @@ def _remove_snake(layers: list[Layer], cap: int, cup: int, chirality: str) -> li
 _KIND_ORDER = {"WordBox": 0, "Cap": 1, "Cup": 2, "Swap": 3}
 
 
-def _sort_key(layer: Layer) -> tuple:
-    o, g = layer
-    return (o, _KIND_ORDER[type(g).__name__], str(g))
+def _sort_layers(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
+    """One insertion sweep ordering interchangeable neighbours by (offset, kind, label).
 
-
-def _canonical_pass(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
-    """One bubble pass ordering interchangeable neighbours by (offset, kind, label).
-
-    Word boxes never reorder among themselves: their sequence is the word
-    order of the sentence."""
+    Each layer is carried left while it is interchangeable with its left
+    neighbour, the two are not both word boxes (their sequence is the word
+    order of the sentence) and its key after the interchange is strictly
+    smaller.  The sweep runs over integer lists built once per call: the
+    (kind, label) part of the key becomes one rank per generator, so a
+    comparison never formats a generator.  O(n log n + moves)."""
+    gens = [g for _, g in layers]
+    labels = [(_KIND_ORDER[type(g).__name__], str(g)) for g in gens]
+    rank_of = {key: r for r, key in enumerate(sorted(set(labels)))}
+    rank = [rank_of[key] for key in labels]
+    dom_w = [len(g.dom) for g in gens]
+    cod_w = [len(g.cod) for g in gens]
+    word = [isinstance(g, WordBox) for g in gens]
+    offs = [o for o, _ in layers]
+    order = list(range(len(layers)))
     changed = False
-    for i in range(len(layers) - 1):
-        if isinstance(layers[i][1], WordBox) and isinstance(layers[i + 1][1], WordBox):
-            continue
-        swapped = _try_interchange(layers, i)
-        if swapped is None:
-            continue
-        if _sort_key(swapped[0]) < _sort_key(layers[i]):
-            layers[i], layers[i + 1] = swapped
-            changed = True
+    for i in range(1, len(layers)):
+        x, ox = order[i], offs[i]
+        j = i
+        while j:
+            y, oy = order[j - 1], offs[j - 1]
+            if word[x] and word[y]:
+                break
+            if ox >= oy + cod_w[y]:       # x lies right of y's outputs
+                new_ox, new_oy = ox - cod_w[y] + dom_w[y], oy
+            elif oy >= ox + dom_w[x]:     # y's outputs lie right of x's inputs
+                new_ox, new_oy = ox, oy - dom_w[x] + cod_w[x]
+            else:
+                break
+            if new_ox > oy or (new_ox == oy and rank[x] >= rank[y]):
+                break
+            order[j], offs[j] = y, new_oy
+            ox = new_ox
+            j -= 1
             if trace is not None:
-                trace.append(RewriteStep("CupSlide", i, layers[i][0]))
+                trace.append(RewriteStep("CupSlide", j, ox))
+        if j != i:
+            order[j], offs[j] = x, ox
+            changed = True
+    if changed:
+        layers[:] = [(o, gens[k]) for o, k in zip(offs, order)]
     return changed
 
 
@@ -173,7 +195,7 @@ def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
             continue
         if _cancel_swaps(layers, trace):
             continue
-        if _canonical_pass(layers, trace):
+        if _sort_layers(layers, trace):
             steps += 1
             if steps > budget:
                 raise RewriteError("normalize exceeded its step budget")

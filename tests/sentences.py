@@ -3,6 +3,9 @@
 - ``right_branching(k)``: ``the a0 ... a(k-1) wolf likes Bob``, the adjectives
   applied one by one (an FA chain, so every word box of the raw diagram comes
   before any cup);
+- ``left_fc_chain(k)``: the same sentence with the adjectives combined by a
+  left-branching FC chain, ``k >= 2`` (the same noun phrase, derived the
+  other way round);
 - ``cross_serial(k)``: a Dutch cross-serial clause with ``k >= 2`` verbs, a
   ``GFCX:2`` chain closed by ``FCX``, and ``k + 1`` NP arguments.
 """
@@ -29,6 +32,15 @@ def right_branching(k: int) -> dict:
     for i in reversed(range(k)):
         noun = node("FA", "N", leaf(f"a{i}", "N/N"), noun)
     subject = node("FA", "NP", leaf("the", "NP/N"), noun)
+    verb_phrase = node("FA", "S\\NP", leaf("likes", "(S\\NP)/NP"), leaf("Bob", "NP"))
+    return node("BA", "S", subject, verb_phrase)
+
+
+def left_fc_chain(k: int) -> dict:
+    chain = leaf("a0", "N/N")
+    for i in range(1, k):
+        chain = node("FC", "N/N", chain, leaf(f"a{i}", "N/N"))
+    subject = node("FA", "NP", leaf("the", "NP/N"), node("FA", "N", chain, leaf("wolf", "N")))
     verb_phrase = node("FA", "S\\NP", leaf("likes", "(S\\NP)/NP"), leaf("Bob", "NP"))
     return node("BA", "S", subject, verb_phrase)
 

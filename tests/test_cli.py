@@ -156,3 +156,57 @@ def test_parser_round(capsys):
     parser = build_parser()
     args = parser.parse_args(["--in", "x.json", "--emit", "diagram,stats"])
     assert args.inputs == ["x.json"]
+
+
+def _batch(tmp_path, capsys, entries):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(entries))
+    out = tmp_path / "a" / "b" / "out"
+    code = main(["--in", str(path), "--out-dir", str(out), "--emit", "diagram,stats"])
+    lines = capsys.readouterr().out.splitlines()
+    return code, out, lines
+
+
+def test_path_like_id_cannot_escape_out_dir(tmp_path, capsys):
+    code, out, lines = _batch(tmp_path, capsys, [
+        {"id": "../../escape", "tree": ALICE}, {"id": "ok", "tree": ALICE}])
+    assert code == 0
+    written = sorted(p.relative_to(tmp_path).as_posix()
+                     for p in tmp_path.rglob("*") if p.is_file())
+    assert written == ["a/b/out/ok.diagram.json", "a/b/out/stats.tsv", "batch.json"]
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        'FAIL "../../escape": bad id at /0/id: ids are strings of at most 200 '
+        "characters from [A-Za-z0-9._-] that do not start with '.'"]
+    assert lines[-1] == "total 2 converted 1 failed 1"
+
+
+def test_non_string_id_fails_alone(tmp_path, capsys):
+    code, out, lines = _batch(tmp_path, capsys, [
+        {"id": {"a": 1}, "tree": ALICE}, {"id": 7, "tree": ALICE}, ALICE])
+    assert code == 0
+    assert sorted(p.name for p in out.iterdir()) == ["s2.diagram.json", "stats.tsv"]
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in fails] == ['FAIL {"a"', "FAIL 7"]
+    assert lines[-1] == "total 3 converted 1 failed 2"
+
+
+def test_duplicate_id_fails_instead_of_overwriting(tmp_path, capsys):
+    bob = {"rule": "BA", "type": "S", "children": [
+        {"word": "Bob", "type": "NP"}, {"word": "sleeps", "type": "S\\NP"}]}
+    code, out, lines = _batch(tmp_path, capsys, [
+        {"id": "same", "tree": ALICE}, {"id": "same", "tree": bob}])
+    assert code == 0
+    assert "Alice" in (out / "same.diagram.json").read_text()
+    assert (out / "stats.tsv").read_text().count("\nsame\t") == 1
+    assert "FAIL same: duplicate id 'same': ids name output files" in lines
+    assert lines[-1] == "total 2 converted 1 failed 1"
+
+
+def test_unknown_wrapper_field_fails_its_entry_only(tmp_path, capsys):
+    code, out, lines = _batch(tmp_path, capsys, [
+        {"id": "noted", "tree": ALICE, "note": "x"}, {"id": "plain", "tree": ALICE}])
+    assert code == 0
+    assert "FAIL noted: unknown field 'note' at /0" in lines
+    assert (out / "plain.diagram.json").exists()
+    assert not (out / "noted.diagram.json").exists()
+    assert lines[-1] == "total 2 converted 1 failed 1"

@@ -282,6 +282,21 @@ def test_read_derivations_list_and_wrappers():
     assert [ident for ident, _ in entries] == ["s1", "s3"]
 
 
+def test_read_derivations_collects_wrapper_errors_per_entry():
+    data = json.dumps([
+        {"id": "noted", "tree": FIG1, "note": "x"},
+        {"id": ".hidden", "tree": FIG1},
+        {"id": "fine", "tree": FIG1},
+    ])
+    entries = read_derivations(data, "json", collect_errors=True)
+    assert [ident for ident, _ in entries] == ["noted", '".hidden"', "fine"]
+    assert "unknown field 'note' at /0" in str(entries[0][1])
+    assert "bad id at /1/id" in str(entries[1][1])
+    assert not isinstance(entries[2][1], IngestError)
+    with pytest.raises(IngestError, match="unknown field 'note'"):
+        read_derivations(data, "json")
+
+
 # --- generated valid trees round-trip through ingestion -------------------------
 
 from tests.test_types import types  # noqa: E402

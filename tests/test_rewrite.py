@@ -9,8 +9,12 @@ from discoccg.diagram import (
 )
 from discoccg.functor import lower
 from discoccg.ingest import ingest_tree, read_json
-from discoccg.rewrite import RewriteStep, diagrams_equal, normalize, planarize
+from discoccg.rewrite import (
+    _KIND_ORDER, RewriteStep, _cancel_swaps, _find_snakes, _remove_snake,
+    _try_interchange, diagrams_equal, normalize, planarize,
+)
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
+from tests.sentences import left_fc_chain, raw_diagram, right_branching
 
 n = RObject.parse("n")
 DIMS = DimAssignment({}, 2)
@@ -187,6 +191,18 @@ def test_diagrams_equal_sound_on_samples(corpus_diagrams):
                 assert semantically_equal(da, db, DIMS, SEEDS[:2]), (a, b)
 
 
+def _scrambled(d: Diagram, rng, moves: int = 60) -> Diagram:
+    """The same diagram presented differently: random interchanges of
+    neighbouring layers with disjoint supports."""
+    layers = list(d.layers)
+    for _ in range(moves):
+        i = rng.randrange(max(1, len(layers) - 1))
+        swapped = _try_interchange(layers, i)
+        if swapped is not None:
+            layers[i], layers[i + 1] = swapped
+    return Diagram.build(d.dom, layers)
+
+
 def test_equality_is_sound_not_complete_on_scrambled_presentations():
     """Interchange-scrambled presentations of one diagram may normalize
     differently (the strategy fixes normal forms by fiat, keeping word boxes
@@ -195,18 +211,11 @@ def test_equality_is_sound_not_complete_on_scrambled_presentations():
     import random
 
     from discoccg.corpus import load_corpus
-    from discoccg.rewrite import _try_interchange
 
     rng = random.Random(7)
     for ident, derivation in load_corpus()[:6]:
         d = lower(bc.lower_derivation(derivation))
-        layers = list(d.layers)
-        for _ in range(60):
-            i = rng.randrange(max(1, len(layers) - 1))
-            swapped = _try_interchange(layers, i)
-            if swapped is not None:
-                layers[i], layers[i + 1] = swapped
-        scrambled = Diagram.build(d.dom, layers)
+        scrambled = _scrambled(d, rng)
         assert semantically_equal(d, scrambled, DIMS, SEEDS[:2]), ident
         if diagrams_equal(d, scrambled):
             continue  # equality is allowed, just not guaranteed
@@ -231,3 +240,112 @@ def test_rewrites_preserve_evaluation_on_random_derivations(derivation):
     assert (rewritten.dom, rewritten.cod) == (d.dom, d.cod)
     out = evaluate(rewritten, DIMS, lex).array
     assert np.allclose(reference, out, rtol=0, atol=1e-12)
+
+
+# --- the canonical order against the bubble-pass reference ----------------------
+
+def _bubble_pass(layers, trace) -> bool:
+    """The original canonical-order pass, kept as the reference: one bubble
+    pass ordering interchangeable neighbours by (offset, kind, label), never
+    reordering two word boxes."""
+    def key(layer):
+        o, g = layer
+        return (o, _KIND_ORDER[type(g).__name__], str(g))
+
+    changed = False
+    for i in range(len(layers) - 1):
+        if isinstance(layers[i][1], WordBox) and isinstance(layers[i + 1][1], WordBox):
+            continue
+        swapped = _try_interchange(layers, i)
+        if swapped is None:
+            continue
+        if key(swapped[0]) < key(layers[i]):
+            layers[i], layers[i + 1] = swapped
+            changed = True
+            trace.append(RewriteStep("CupSlide", i, layers[i][0]))
+    return changed
+
+
+def _reference_normalize(d: Diagram, trace=None) -> Diagram:
+    """``normalize`` with bubble passes repeated to the fixed point."""
+    trace = [] if trace is None else trace
+    layers = list(d.layers)
+    while True:
+        snake = next((s for s in _find_snakes(layers)
+                      if _remove_snake(layers, *s) is not None), None)
+        if snake is not None:
+            trace.append(RewriteStep(snake[2], snake[0], layers[snake[0]][0]))
+            layers = _remove_snake(layers, *snake)
+            continue
+        if _cancel_swaps(layers, trace) or _bubble_pass(layers, trace):
+            continue
+        return Diagram.build(d.dom, layers)
+
+
+def _assert_matches_reference(d: Diagram, ident):
+    from collections import Counter
+
+    got, expected = [], []
+    assert normalize(d, trace=got) == _reference_normalize(d, trace=expected), ident
+    assert Counter(s.kind for s in got) == Counter(s.kind for s in expected), ident
+
+
+def test_normalize_matches_bubble_reference_on_corpus(corpus_diagrams):
+    for ident, d in corpus_diagrams.items():
+        _assert_matches_reference(d, ident)
+        _assert_matches_reference(planarize(d), ident)
+
+
+def test_normalize_matches_bubble_reference_on_scrambled_corpus(corpus_diagrams):
+    import random
+
+    rng = random.Random(13)
+    for ident, d in corpus_diagrams.items():
+        for form in (d, planarize(d)):
+            for _ in range(10):
+                _assert_matches_reference(_scrambled(form, rng, 4 * len(form.layers)), ident)
+
+
+def test_normalize_never_swaps_equal_keys():
+    # the second cap slides under the first to the same offset and label:
+    # equal keys stay put instead of trading places forever
+    caps = Diagram.build(EMPTY, [(0, Cap("n", 0)), (0, Cap("n", 0))])
+    _assert_matches_reference(caps, "caps")
+    assert normalize(caps) == caps
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(derivations())
+def test_normalize_matches_bubble_reference_on_random_derivations(derivation):
+    d = lower(bc.lower_derivation(derivation))
+    for form in (d, planarize(d)):
+        assert normalize(form) == _reference_normalize(form)
+
+
+# --- long sentences ---------------------------------------------------------------
+
+@pytest.fixture
+def deep_recursion():
+    """Ingest, lowering and JSON encoding recurse once per tree level."""
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_spurious_ambiguity_collapses_on_long_chains():
+    # an FA chain and an FC chain over the same words share one normal form
+    k = 128
+    rb = normalize(raw_diagram(right_branching(k)))
+    assert rb == normalize(raw_diagram(left_fc_chain(k)))
+    assert len(rb.layers) == 2 * k + 7
+
+
+def test_normalize_scales_to_512_adjectives(deep_recursion):
+    d = normalize(raw_diagram(right_branching(512)))
+    assert (d.cod, well_formed(d)) == (RObject.parse("s"), [])
+    assert normalize(d) == d
+    assert d == normalize(raw_diagram(left_fc_chain(512)))
