@@ -20,7 +20,7 @@ from . import biclosed as bc
 from .diagram import DEFAULT_ATOM_MAP, Cap, Cup, Swap, diagram_to_json
 from .functor import LoweringContext, lower
 from .ingest import IngestError, ingest_tree, read_derivations
-from .render import render_svg, render_tikz
+from .render import Layout, render_svg, render_tikz
 from .rewrite import normalize as normalize_diagram
 from .rewrite import planarize as planarize_diagram
 from .rules import leaves, rule_histogram
@@ -148,10 +148,11 @@ def _convert_one(ident, raw, cfg: JobConfig, ctx, dims):
         outputs[f"{ident}.biclosed"] = bc.to_sexpr(term) + "\n"
     if "diagram" in cfg.emit:
         outputs[f"{ident}.diagram.json"] = diagram_to_json(diagram) + "\n"
+    drawing = Layout(diagram) if "tikz" in cfg.emit or "svg" in cfg.emit else None
     if "tikz" in cfg.emit:
-        outputs[f"{ident}.tikz"] = render_tikz(diagram)
+        outputs[f"{ident}.tikz"] = render_tikz(drawing)
     if "svg" in cfg.emit:
-        outputs[f"{ident}.svg"] = render_svg(diagram)
+        outputs[f"{ident}.svg"] = render_svg(drawing)
 
     stats = None
     if "stats" in cfg.emit:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ccgtypes import Atom, Backward, CcgType, Forward
 
@@ -123,7 +124,7 @@ class Cup:
     base: str
     z: int
 
-    @property
+    @cached_property
     def dom(self) -> RObject:
         return RObject((Wire(self.base, self.z), Wire(self.base, self.z + 1)))
 
@@ -146,7 +147,7 @@ class Cap:
     def dom(self) -> RObject:
         return EMPTY
 
-    @property
+    @cached_property
     def cod(self) -> RObject:
         return RObject((Wire(self.base, self.z + 1), Wire(self.base, self.z)))
 
@@ -159,11 +160,11 @@ class Swap:
     w1: Wire
     w2: Wire
 
-    @property
+    @cached_property
     def dom(self) -> RObject:
         return RObject((self.w1, self.w2))
 
-    @property
+    @cached_property
     def cod(self) -> RObject:
         return RObject((self.w2, self.w1))
 
@@ -184,12 +185,8 @@ class Diagram:
     @staticmethod
     def build(dom: RObject, layers) -> "Diagram":
         """Validating constructor: simulates the layers and derives the codomain."""
-        boundary = dom
-        out: list[Layer] = []
-        for i, (offset, gen) in enumerate(layers):
-            boundary = _apply_layer(boundary, offset, gen, i)
-            out.append((offset, gen))
-        return Diagram(dom, boundary, tuple(out))
+        layers = tuple((offset, gen) for offset, gen in layers)
+        return Diagram(dom, RObject(tuple(_walk(dom, layers))), layers)
 
     @staticmethod
     def id(obj: RObject) -> "Diagram":
@@ -204,10 +201,7 @@ class Diagram:
     def boundaries(self) -> list[RObject]:
         """The run of boundaries: entry ``i`` is the object before layer ``i``."""
         out = [self.dom]
-        boundary = self.dom
-        for i, (offset, gen) in enumerate(self.layers):
-            boundary = _apply_layer(boundary, offset, gen, i)
-            out.append(boundary)
+        _walk(self.dom, self.layers, lambda wires: out.append(RObject(tuple(wires))))
         return out
 
     def count(self, kind) -> int:
@@ -219,16 +213,24 @@ class Diagram:
         return " >> ".join(f"{g}@{o}" for o, g in self.layers)
 
 
-def _apply_layer(boundary: RObject, offset: int, gen: Generator, index: int) -> RObject:
-    d = gen.dom
-    if offset < 0 or offset + len(d) > len(boundary):
-        raise DiagramError(
-            f"layer {index}: {gen} at offset {offset} does not fit boundary {boundary}")
-    actual = boundary[offset:offset + len(d)]
-    if actual != d:
-        raise DiagramError(
-            f"layer {index}: {gen} expects {d}, boundary has {actual} at offset {offset}")
-    return boundary[:offset] @ gen.cod @ boundary[offset + len(d):]
+def _walk(dom: RObject, layers, visit=None) -> list[Wire]:
+    """Simulate ``layers`` on a list of wires and return the final boundary;
+    ``visit`` sees the list after each layer.  Raises on the first layer whose
+    domain is not on the boundary at its offset."""
+    boundary = list(dom.wires)
+    for i, (offset, gen) in enumerate(layers):
+        wires = gen.dom.wires
+        end = offset + len(wires)
+        if offset < 0 or end > len(boundary):
+            raise DiagramError(f"layer {i}: {gen} at offset {offset} does not fit "
+                               f"boundary {RObject(tuple(boundary))}")
+        if wires and tuple(boundary[offset:end]) != wires:
+            raise DiagramError(f"layer {i}: {gen} expects {gen.dom}, boundary has "
+                               f"{RObject(tuple(boundary[offset:end]))} at offset {offset}")
+        boundary[offset:end] = gen.cod.wires
+        if visit is not None:
+            visit(boundary)
+    return boundary
 
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
@@ -246,16 +248,13 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
 
 def well_formed(d: Diagram) -> list[str]:
     """Total check of the layered typing invariant; empty list when valid."""
-    problems: list[str] = []
-    boundary = d.dom
-    for i, (offset, gen) in enumerate(d.layers):
-        try:
-            boundary = _apply_layer(boundary, offset, gen, i)
-        except DiagramError as exc:
-            return problems + [str(exc)]
-    if boundary != d.cod:
-        problems.append(f"final boundary {boundary} does not match cod {d.cod}")
-    return problems
+    try:
+        boundary = _walk(d.dom, d.layers)
+    except DiagramError as exc:
+        return [str(exc)]
+    if tuple(boundary) != d.cod.wires:
+        return [f"final boundary {RObject(tuple(boundary))} does not match cod {d.cod}"]
+    return []
 
 
 def f_object(t: CcgType, atom_map: dict[str, str] | None = None) -> RObject:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
 from dataclasses import dataclass
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type, strip_features
@@ -52,11 +53,18 @@ RawTree = RawLeaf | RawNode
 def read_json(data: bytes | str) -> RawTree:
     """Read one derivation from JSON; unknown fields are rejected with a
     JSON-pointer path."""
+    return _raw_node(_loads(data), "")
+
+
+def _loads(data: bytes | str):
+    """Decode JSON; malformed or too deeply nested input is an ``IngestError``."""
     try:
-        obj = json.loads(data)
+        return json.loads(data)
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc}") from None
-    return _raw_node(obj, "")
+    except RecursionError:
+        raise IngestError("JSON nested too deeply to decode (more levels than the "
+                          f"recursion limit of {sys.getrecursionlimit()})") from None
 
 
 def _raw_node(obj, ptr: str) -> RawTree:
@@ -591,10 +599,7 @@ def read_derivations(data: str | bytes, fmt: str = "json", *,
         return out
     if fmt != "json":
         raise IngestError(f"unknown input format {fmt!r}")
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"invalid JSON: {exc}") from None
+    obj = _loads(data)
     items = obj if isinstance(obj, list) else [obj]
     for i, item in enumerate(items):
         ptr = f"/{i}" if isinstance(obj, list) else ""

@@ -19,8 +19,12 @@ BOX_H = 16.0
 PAD = 30.0
 
 
-class _Layout:
-    """Shared geometry: boxes, wire segments, arcs and crossings."""
+class Layout:
+    """Shared geometry: boxes, wire segments, arcs and crossings.
+
+    Both renderers draw from it, so a caller that draws one diagram in both
+    formats lays it out once and passes the layout to each.
+    """
 
     def __init__(self, d: Diagram):
         self.boxes: list[tuple[float, float, float, float, str]] = []  # x1,x2,y,t,label
@@ -31,23 +35,24 @@ class _Layout:
         self._build(d)
 
     def _build(self, d: Diagram):
-        # boundary entries: [column, segment-start-y]
-        cols: list[Fraction] = [Fraction(i) for i in range(len(d.dom))]
+        # boundary entries: [column, segment-start-y]; columns are exact,
+        # ints until a wire is placed between two others
+        cols: list[int | Fraction] = list(range(len(d.dom)))
         starts: list[float] = [0.0] * len(d.dom)
         self.height = VS * (len(d.layers) + 1)
 
-        def fresh_columns(o: int, k: int) -> list[Fraction]:
+        def fresh_columns(o: int, k: int) -> list[int | Fraction]:
             if k == 0:
                 return []
             left = cols[o - 1] if o > 0 else None
             right = cols[o] if o < len(cols) else None
             if left is None and right is None:
-                return [Fraction(j) for j in range(k)]
+                return list(range(k))
             if left is None:
                 return [right - k + j for j in range(k)]
             if right is None:
                 return [left + 1 + j for j in range(k)]
-            step = (right - left) / (k + 1)
+            step = Fraction(right - left, k + 1)
             return [left + step * (j + 1) for j in range(k)]
 
         def end_wire(idx: int, y: float):
@@ -100,9 +105,9 @@ def _f(x: float) -> str:
     return f"{x:.1f}"
 
 
-def render_svg(d: Diagram) -> bytes:
+def render_svg(d: Diagram | Layout) -> bytes:
     """Self-contained SVG; crossing lines carry class="swap"."""
-    lay = _Layout(d)
+    lay = d if isinstance(d, Layout) else Layout(d)
     ox = PAD - lay.min_x
     width = lay.max_x - lay.min_x + 2 * PAD
     height = lay.height + 2 * PAD
@@ -146,10 +151,10 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_tikz(d: Diagram) -> str:
+def render_tikz(d: Diagram | Layout) -> str:
     """TikZ code targeting the plain preamble documented in the README
     (no libraries beyond core \\draw and \\node)."""
-    lay = _Layout(d)
+    lay = d if isinstance(d, Layout) else Layout(d)
     s = 0.02  # scale points to TikZ units
     out = ["\\begin{tikzpicture}"]
     for x, y1, y2 in lay.wires:

@@ -12,11 +12,14 @@ it gets an explicit identity matrix.
 The network is contracted pairwise in a greedy order: among tensors that
 share an index, the pair whose result has the fewest legs goes first, ties
 to the earliest pair; disconnected parts are then joined by outer products
-in word order.  The plan counts legs, not dimensions, so validation and
-planning run once per diagram and every lexicon and dimension assignment
-reuses them.  Greedy is a heuristic, not an optimal order: a network in
+in word order.  Greedy is a heuristic, not an optimal order: a network in
 which every order keeps many legs open still needs memory exponential in
 that number.
+
+Several lexicons are evaluated in one pass: every operand carries a leading
+seed axis (the einsum letter ``Z``), so a diagram is validated, planned and
+contracted once however many seeds are checked, and each word's tensors are
+drawn and stacked once for both sides of a :func:`semantically_equal` check.
 
 Random lexicons are generated by a SplitMix64 stream (documented constants
 below) so that stored test vectors pin the generator across implementations:
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 from bisect import insort
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -135,7 +139,7 @@ class Lexicon:
 
     def tensor_for(self, label: str, cod: RObject) -> Tensor:
         key = (label, tuple(cod))
-        shape = tuple(self.dims.of(w) for w in cod)
+        shape = tuple(map(self.dims.of, key[1]))
         t = self.entries.get(key)
         if t is None:
             data = _draw(self.seed, f"{label}|{_signature(cod)}", shape, self.complex_field)
@@ -161,8 +165,10 @@ def _draw(seed: int, text: str, shape: tuple[int, ...], complex_field: bool) -> 
     return data.reshape(shape)
 
 
-# einsum accepts only these subscript letters, so each step relabels locally.
-_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# einsum accepts only these subscript letters, so each step relabels locally;
+# ``Z`` is kept for the leading seed axis that every operand carries.
+_SEED_AXIS = "Z"
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXY"
 
 _Step = tuple[tuple[int, ...], str]   # (operand slots, einsum subscripts)
 
@@ -245,10 +251,11 @@ def _plan(factors: list[list[int]], output: list[int]) -> tuple[_Step, ...]:
 
     Every index sits on at most two factors and an index of ``output`` on
     one, so the indices two tensors share are exactly those their
-    contraction sums over, and an index twice on one factor is a trace.
+    contraction sums over, an index twice on one factor is a trace, and
+    contracting ``a`` with ``b`` leaves ``len(a) + len(b) - 2 * shared``
+    legs.
     """
     live: dict[int, list[int]] = {}
-    where: dict[int, list[int]] = {}   # index -> the slots it sits on
     steps: list[_Step] = []
 
     def contract(slots, result) -> None:
@@ -256,108 +263,143 @@ def _plan(factors: list[list[int]], output: list[int]) -> tuple[_Step, ...]:
         for s in slots[1:]:
             del live[s]
         live[slots[0]] = result
-        for i in result:
-            where[i] = [slots[0] if t in slots else t for t in where[i]]
-
-    def merged(a, b) -> list[int]:
-        shared = set(live[a]).intersection(live[b])
-        return [i for i in live[a] + live[b] if i not in shared]
-
-    def neighbours(slot) -> set[int]:
-        return {t for i in live[slot] for t in where[i] if t != slot}
 
     for slot, ids in enumerate(factors):
         live[slot] = ids
-        for i in ids:
-            where.setdefault(i, []).append(slot)
-    for slot, ids in enumerate(factors):
         once = [i for i in ids if ids.count(i) == 1]
         if len(once) < len(ids):   # a word whose own legs are joined
             contract((slot,), once)
+    # shared[s][t]: how many indices slots s and t have in common
+    shared: dict[int, dict[int, int]] = {s: {} for s in live}
+    first: dict[int, int] = {}   # index -> the first slot it was seen on
+    for s, ids in live.items():
+        for i in ids:
+            t = first.setdefault(i, s)
+            if t != s:
+                shared[s][t] = shared[t][s] = shared[s].get(t, 0) + 1
+
+    def width(a, b) -> int:
+        return len(live[a]) + len(live[b]) - 2 * shared[a][b]
+
     # Legs of each candidate pair's result; ``queue`` holds (legs, a, b) in
     # ascending order, with entries whose score has changed skipped on pop.
-    legs = {(a, b): len(merged(a, b)) for a in live for b in neighbours(a) if a < b}
+    legs = {(a, b): width(a, b) for a in shared for b in shared[a] if a < b}
     queue = sorted((n, a, b) for (a, b), n in legs.items())
     while queue:
         n, a, b = queue.pop(0)
         if legs.get((a, b)) != n:
             continue
         for s in (a, b):
-            for c in neighbours(s):
-                legs.pop((min(s, c), max(s, c)), None)
-        contract((a, b), merged(a, b))
-        for c in neighbours(a):
-            pair = (min(a, c), max(a, c))
-            legs[pair] = len(merged(*pair))
-            insort(queue, (legs[pair], *pair))
+            for c in shared[s]:
+                legs.pop((s, c) if s < c else (c, s), None)
+        common = set(live[a]).intersection(live[b])
+        contract((a, b), [i for i in live[a] + live[b] if i not in common])
+        del shared[a][b]
+        for c, k in shared.pop(b).items():
+            if c != a:
+                del shared[c][b]
+                shared[a][c] = shared[c][a] = shared[a].get(c, 0) + k
+        for c in shared[a]:
+            pair = (a, c) if a < c else (c, a)
+            legs[pair] = n = width(a, c)
+            insort(queue, (n, *pair))
     rest = sorted(live)
     for slot in rest[1:]:
-        contract((rest[0], slot), merged(rest[0], slot))
+        contract((rest[0], slot), live[rest[0]] + live[slot])
     if rest:
         contract((rest[0],), output)
     return tuple(steps)
 
 
 def _subscripts(operands: list[list[int]], result: list[int]) -> str:
-    order = dict.fromkeys(i for ids in operands for i in ids)
-    if len(order) > len(_LETTERS):
-        raise SemanticsError(f"a contraction step needs {len(order)} indices, "
-                             f"more than einsum's {len(_LETTERS)}")
-    letters = dict(zip(order, _LETTERS))
-    return (",".join("".join(letters[i] for i in ids) for ids in operands)
-            + "->" + "".join(letters[i] for i in result))
+    letters: dict[int, str] = {}
+    for ids in operands:
+        for i in ids:
+            if i not in letters:
+                if len(letters) == len(_LETTERS):
+                    count = len({i for ids in operands for i in ids})
+                    raise SemanticsError(f"a contraction step needs {count} indices, "
+                                         f"more than the {len(_LETTERS)} einsum letters "
+                                         f"beside the seed axis")
+                letters[i] = _LETTERS[len(letters)]
+    return (",".join(["".join([letters[i] for i in ids]) for ids in operands])
+            + "->" + "".join([letters[i] for i in result]))
 
 
-# Compiled networks of the last few diagrams, keyed by identity.  Each entry
-# holds its diagram, so no other object can take over the id while it lives.
-_COMPILED: dict[int, tuple[Diagram, _Network]] = {}
-_COMPILED_SIZE = 8
+class _Batch(tuple):
+    """Lexicons contracted together along a leading seed axis.
+
+    Each word's tensors are stacked once, on first use, and shared by every
+    diagram evaluated under the batch.
+    """
+
+    def __new__(cls, lexicons):
+        batch = super().__new__(cls, lexicons)
+        batch.stacks = {}
+        batch.dtype = complex if any(lex.complex_field for lex in batch) else float
+        return batch
+
+    def stack(self, word: WordBox) -> np.ndarray:
+        out = self.stacks.get(word)
+        if out is None:
+            arrays = [lex.tensor_for(word.label, word.wires).array for lex in self]
+            out = arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+            out = self.stacks[word] = out.astype(self.dtype, copy=False)
+        return out
 
 
-def _network(d: Diagram) -> _Network:
-    hit = _COMPILED.get(id(d))
-    if hit is not None:
-        return hit[1]
+def evaluate(d: Diagram, dims: DimAssignment,
+             lex: Lexicon | Sequence[Lexicon]) -> Tensor | list[Tensor]:
+    """Contract a state diagram (empty dom) to the tensor on its codomain.
+
+    Given a sequence of lexicons instead of one, the diagram is validated,
+    planned and contracted once for all of them, along a leading seed axis,
+    and one tensor per lexicon is returned (all complex if any lexicon has
+    ``complex_field`` set).
+    """
+    if isinstance(lex, Lexicon):
+        batch = _Batch((lex,))
+    else:
+        batch = lex if isinstance(lex, _Batch) else _Batch(lex)
     net = _compile(d)
-    if len(_COMPILED) >= _COMPILED_SIZE:
-        del _COMPILED[next(iter(_COMPILED))]
-    _COMPILED[id(d)] = (d, net)
-    return net
-
-
-def evaluate(d: Diagram, dims: DimAssignment, lex: Lexicon) -> Tensor:
-    """Contract a state diagram (empty dom) to the tensor on its codomain."""
-    net = _network(d)
-    dtype = complex if lex.complex_field else float
-    slots: list[np.ndarray | None] = [
-        lex.tensor_for(w.label, w.wires).array.astype(dtype, copy=False) for w in net.words]
-    slots += [np.eye(dims.of(w), dtype=dtype) for w in net.eyes]
-    out = np.array(1.0, dtype=dtype)
+    size = len(batch)
+    if not size:
+        return []
+    slots: list[np.ndarray | None] = [batch.stack(w) for w in net.words]
+    for w in net.eyes:
+        eye = np.eye(dims.of(w), dtype=batch.dtype)
+        slots.append(np.broadcast_to(eye, (size, *eye.shape)))
+    out = np.ones(size, dtype=batch.dtype)
     for operands, subscripts in net.steps:
-        out = np.einsum(subscripts, *(slots[i] for i in operands))
+        batched = _SEED_AXIS + subscripts.replace(",", "," + _SEED_AXIS).replace(
+            "->", "->" + _SEED_AXIS)
+        out = np.einsum(batched, *(slots[i] for i in operands))
         for i in operands:
             slots[i] = None
         slots[operands[0]] = out
-    out = np.array(out, dtype=dtype)   # a fresh array, never a lexicon view
+    out = np.array(out, dtype=batch.dtype)   # a fresh array, never a lexicon view
     for w in net.loops:
         out *= dims.of(w)
     shape = tuple(dims.of(w) for w in d.cod)
-    if out.shape != shape:
+    if out.shape != (size, *shape):
         raise SemanticsError(
-            f"evaluation produced shape {out.shape}, cod expects {shape}")
-    return Tensor(tuple(d.cod), shape, out)
+            f"evaluation produced shape {out.shape[1:]}, cod expects {shape}")
+    wires = tuple(d.cod)
+    tensors = [Tensor(wires, shape, array) for array in out]
+    return tensors[0] if isinstance(lex, Lexicon) else tensors
 
 
 def semantically_equal(d1: Diagram, d2: Diagram, dims: DimAssignment,
                        seeds: list[int], rtol: float = 1e-9,
                        atol: float = 1e-12) -> bool:
-    """Evaluate both diagrams under shared random lexicons for every seed."""
+    """Evaluate both diagrams under shared random lexicons, one per seed,
+    each in one contraction over all seeds."""
     if d1.cod != d2.cod:
         raise SemanticsError(f"codomain mismatch: {d1.cod} vs {d2.cod}")
-    for seed in seeds:
-        lex = Lexicon(dims, seed=seed)
-        t1 = evaluate(d1, dims, lex)
-        t2 = evaluate(d2, dims, lex)
-        if not np.allclose(t1.array, t2.array, rtol=rtol, atol=atol):
-            return False
-    return True
+    if not seeds:
+        return True
+    batch = _Batch(Lexicon(dims, seed=seed) for seed in seeds)
+    t1 = evaluate(d1, dims, batch)
+    t2 = evaluate(d2, dims, batch)
+    return np.allclose(np.array([t.array for t in t1]), np.array([t.array for t in t2]),
+                       rtol=rtol, atol=atol)

@@ -8,11 +8,14 @@
   other way round);
 - ``cross_serial(k)``: a Dutch cross-serial clause with ``k >= 2`` verbs, a
   ``GFCX:2`` chain closed by ``FCX``, and ``k + 1`` NP arguments.
+
+``deep_json(k)`` is a JSON batch holding ``right_branching(k)``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 from discoccg import biclosed as bc
 from discoccg.functor import lower
@@ -34,6 +37,17 @@ def right_branching(k: int) -> dict:
     subject = node("FA", "NP", leaf("the", "NP/N"), noun)
     verb_phrase = node("FA", "S\\NP", leaf("likes", "(S\\NP)/NP"), leaf("Bob", "NP"))
     return node("BA", "S", subject, verb_phrase)
+
+
+def deep_json(k: int) -> str:
+    """A batch of one ``right_branching(k)`` tree; encoding it needs a raised
+    recursion limit, and at ``k = 600`` decoding it exceeds the default one."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * k))
+    try:
+        return json.dumps([right_branching(k)])
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def left_fc_chain(k: int) -> dict:

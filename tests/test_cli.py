@@ -1,11 +1,12 @@
 import json
+import sys
 
 import pytest
 
 from discoccg import cli
 from discoccg.cli import JobConfig, STATS_COLUMNS, build_parser, main, run
 from discoccg.corpus import corpus_text
-from tests.sentences import right_branching
+from tests.sentences import deep_json, right_branching
 
 ALICE = {"rule": "BA", "type": "S", "children": [
     {"word": "Alice", "type": "NP"},
@@ -210,3 +211,14 @@ def test_unknown_wrapper_field_fails_its_entry_only(tmp_path, capsys):
     assert (out / "plain.diagram.json").exists()
     assert not (out / "noted.diagram.json").exists()
     assert lines[-1] == "total 2 converted 1 failed 1"
+
+
+def test_too_deep_json_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_json(600))
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: JSON nested too deeply to decode (more levels than "
+                            f"the recursion limit of {sys.getrecursionlimit()})\n")
+    assert not (tmp_path / "o").exists()

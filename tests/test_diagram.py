@@ -193,3 +193,52 @@ def test_json_detects_cod_mismatch(corpus_diagrams):
     payload["cod"] = [{"base": "n", "z": 0}]
     with pytest.raises(DiagramError):
         diagram_from_json(j.dumps(payload))
+
+
+# --- boundary walk error messages ---------------------------------------------
+
+_BAD_LAYERS = {
+    "negative-offset": (
+        RObject.parse("n"),
+        [(0, WordBox("a", RObject.parse("s"))), (-1, Cup("n", 0))],
+        "layer 1: cup(n, n.r) at offset -1 does not fit boundary s n"),
+    "overhang": (
+        RObject.parse("n n.r"),
+        [(1, Cup("n", 0))],
+        "layer 0: cup(n, n.r) at offset 1 does not fit boundary n n.r"),
+    "type-mismatch": (
+        RObject.parse("s n.l"),
+        [(0, WordBox("b", n)), (1, Cup("n", 0))],
+        "layer 1: cup(n, n.r) expects n n.r, boundary has s n.l at offset 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LAYERS))
+def test_boundary_walk_error_messages(case):
+    dom, layers, message = _BAD_LAYERS[case]
+    with pytest.raises(DiagramError) as exc:
+        Diagram.build(dom, layers)
+    assert str(exc.value) == message
+    assert well_formed(Diagram(dom, dom, tuple(layers))) == [message]
+
+
+def test_well_formed_final_boundary_message():
+    d = Diagram(EMPTY, RObject.parse("s"), (
+        (0, WordBox("a", RObject.parse("n s.l"))), (2, WordBox("b", RObject.parse("s")))))
+    assert well_formed(d) == ["final boundary n s.l s does not match cod s"]
+
+
+def test_json_stored_cod_mismatch_message():
+    import json as j
+    d = Diagram.build(EMPTY, [(0, WordBox("a", n)), (1, WordBox("b", RObject.parse("n.r s"))),
+                              (0, Cup("n", 0))])
+    payload = j.loads(diagram_to_json(d))
+    payload["cod"] = [{"base": "n", "z": 0}]
+    with pytest.raises(DiagramError) as exc:
+        diagram_from_json(j.dumps(payload))
+    assert str(exc.value) == "stored cod n does not match layers (computed s)"
+
+
+def test_boundaries_follow_the_layers():
+    d = Diagram.build(n, [(1, Cap("n", 0)), (0, Cup("n", 0))])
+    assert [str(b) for b in d.boundaries()] == ["n", "n n.r n", "n"]

@@ -10,6 +10,7 @@ from discoccg.ingest import (
     ingest_tree, read_ccgbank, read_derivations, read_json, resolve_unary,
 )
 from discoccg.rules import Binary, Leaf, Unary, leaves, validate
+from tests.sentences import deep_json
 
 t = parse_type
 
@@ -295,6 +296,14 @@ def test_read_derivations_collects_wrapper_errors_per_entry():
     assert not isinstance(entries[2][1], IngestError)
     with pytest.raises(IngestError, match="unknown field 'note'"):
         read_derivations(data, "json")
+
+
+def test_too_deep_json_is_an_ingest_error():
+    data = deep_json(600)
+    with pytest.raises(IngestError, match="JSON nested too deeply to decode"):
+        read_derivations(data, "json", collect_errors=True)
+    with pytest.raises(IngestError, match="JSON nested too deeply to decode"):
+        read_json(data)
 
 
 # --- generated valid trees round-trip through ingestion -------------------------

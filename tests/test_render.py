@@ -1,7 +1,7 @@
 import re
 
 from discoccg.diagram import Diagram, EMPTY
-from discoccg.render import render_svg, render_tikz
+from discoccg.render import Layout, render_svg, render_tikz
 from discoccg.rewrite import planarize
 
 
@@ -9,6 +9,14 @@ def test_rendering_deterministic(corpus_diagrams):
     for ident, d in corpus_diagrams.items():
         assert render_svg(d) == render_svg(d), ident
         assert render_tikz(d) == render_tikz(d), ident
+
+
+def test_one_layout_draws_both_formats(corpus_diagrams):
+    for ident, d in corpus_diagrams.items():
+        for diagram in (d, planarize(d)):
+            layout = Layout(diagram)
+            assert render_tikz(layout) == render_tikz(diagram), ident
+            assert render_svg(layout) == render_svg(diagram), ident
 
 
 def test_empty_diagram():

@@ -336,3 +336,118 @@ def test_long_sentences_evaluate(tree):
     out = evaluate(raw, DIMS, Lexicon(DIMS, seed=1)).array
     assert out.shape == (2,) and np.isfinite(out).all()
     assert semantically_equal(raw, normalize(planarize(raw)), DIMS, [1, 2, 3, 4, 5])
+
+
+# --- one contraction for all seeds --------------------------------------------
+
+SEEDS = [1, 2, 3, 4, 5]
+
+
+def _per_seed(d, dims, seeds):
+    """The reference for a batched contraction: one lexicon at a time."""
+    return np.stack([evaluate(d, dims, Lexicon(dims, seed=s)).array for s in seeds])
+
+
+def _per_seed_equal(d1, d2, dims, seeds):
+    return all(np.allclose(evaluate(d1, dims, lex).array, evaluate(d2, dims, lex).array,
+                           rtol=1e-9, atol=1e-12)
+               for lex in (Lexicon(dims, seed=s) for s in seeds))
+
+
+def _batched(d, dims, seeds):
+    tensors = evaluate(d, dims, [Lexicon(dims, seed=s) for s in seeds])
+    assert len(tensors) == len(seeds)
+    assert all(t.wires == tuple(d.cod) for t in tensors)
+    return np.stack([t.array for t in tensors])
+
+
+def test_batched_check_agrees_with_per_seed_loop_on_corpus(corpus_diagrams):
+    dims = DimAssignment({"n": 2, "s": 3}, 2)
+    for ident, raw in corpus_diagrams.items():
+        rewritten = normalize(planarize(raw))
+        for d in (raw, rewritten):
+            assert np.allclose(_batched(d, dims, SEEDS), _per_seed(d, dims, SEEDS),
+                               rtol=1e-12, atol=1e-14), ident
+        assert semantically_equal(raw, rewritten, dims, SEEDS), ident
+        assert _per_seed_equal(raw, rewritten, dims, SEEDS), ident
+
+
+@pytest.mark.parametrize("tree", [right_branching(128), cross_serial(24)],
+                         ids=["rb128", "cross24"])
+def test_batched_check_agrees_with_per_seed_loop_on_long_sentences(tree):
+    raw = raw_diagram(tree)
+    rewritten = normalize(planarize(raw))
+    for d in (raw, rewritten):
+        assert np.allclose(_batched(d, DIMS, SEEDS), _per_seed(d, DIMS, SEEDS),
+                           rtol=1e-12, atol=1e-14)
+    assert semantically_equal(raw, rewritten, DIMS, SEEDS)
+    assert _per_seed_equal(raw, rewritten, DIMS, SEEDS)
+
+
+def test_semantic_check_with_no_seeds_is_true():
+    malformed = Diagram(EMPTY, RObject.parse("s"), ((0, WordBox("a", RObject.parse("n"))),))
+    assert semantically_equal(malformed, malformed, DIMS, [])
+
+
+def test_codomain_mismatch_raises_before_contracting(monkeypatch):
+    import discoccg.semantics as semantics
+
+    def fail(*args):
+        raise AssertionError("evaluate was called")
+
+    monkeypatch.setattr(semantics, "evaluate", fail)
+    d1 = Diagram.build(EMPTY, [_word("u", "n")])
+    d2 = Diagram.build(EMPTY, [_word("u", "s")])
+    with pytest.raises(SemanticsError, match="codomain mismatch"):
+        semantically_equal(d1, d2, DIMS, SEEDS)
+
+
+def test_repeated_seeds(corpus_diagrams):
+    d = corpus_diagrams["alice-likes-bob"]
+    seeds = [3, 3, 8, 3]
+    out = _batched(d, DIMS, seeds)
+    assert np.array_equal(out[0], out[1]) and np.array_equal(out[0], out[3])
+    assert np.allclose(out, _per_seed(d, DIMS, seeds), rtol=1e-12, atol=1e-14)
+    assert semantically_equal(d, normalize(d), DIMS, seeds)
+
+
+def test_different_diagrams_compare_unequal():
+    swapped = Diagram.build(EMPTY, [_word("M", "n n"), (0, Swap(Wire("n"), Wire("n")))])
+    plain = Diagram.build(EMPTY, [_word("M", "n n")])
+    assert not semantically_equal(plain, swapped, DIMS, SEEDS)
+    other = Diagram.build(EMPTY, [_word("N", "n n")])
+    assert not semantically_equal(plain, other, DIMS, SEEDS)
+    # one differing seed is enough
+    assert not _per_seed_equal(plain, swapped, DIMS, [0])
+    assert not semantically_equal(plain, swapped, DIMS, [0])
+
+
+def test_single_lexicon_is_the_one_seed_batch(corpus_diagrams):
+    d = corpus_diagrams["big-bad-wolf-left"]
+    lex = Lexicon(DIMS, seed=9)
+    one = evaluate(d, DIMS, lex)
+    (batched,) = evaluate(d, DIMS, [Lexicon(DIMS, seed=9)])
+    assert isinstance(one, Tensor) and one.wires == batched.wires
+    assert np.array_equal(one.array, batched.array)
+    one.array[...] = 0.0   # a fresh array, never a lexicon view
+    assert np.array_equal(evaluate(d, DIMS, lex).array, batched.array)
+
+
+def test_contraction_plans_are_pinned(corpus_diagrams):
+    """The greedy order and its tie-breaks: every corpus diagram, raw,
+    planarized and normalized, compiles to the same steps as before seed
+    batching."""
+    import hashlib
+
+    from discoccg.semantics import _compile
+
+    plans = []
+    for ident in sorted(corpus_diagrams):
+        planar = planarize(corpus_diagrams[ident])
+        for d in (corpus_diagrams[ident], planar, normalize(planar)):
+            plans.append((ident, _compile(d).steps))
+    assert _compile(corpus_diagrams["dutch-cross-serial"]).steps == (
+        ((2, 4), "a,ab->b"), ((0, 3), "a,bacd->bcd"), ((0, 1), "abc,a->bc"),
+        ((0, 2), "ab,b->a"), ((0,), "a->a"))
+    digest = hashlib.sha256(repr(plans).encode()).hexdigest()
+    assert digest == "ec3720592aad576a85d1c733e66bfb7f91e2afc23c7cf0697e9c0fd54109fb7f"
