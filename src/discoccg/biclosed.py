@@ -16,6 +16,7 @@ generator (:class:`CrossBox`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .ccgtypes import Atom, Backward, CcgType, Forward
 from .rules import (
@@ -102,8 +103,9 @@ def tensor_obj(*objs: BObject) -> BObject:
     return TensorObj(flat)
 
 
+@lru_cache(maxsize=4096)
 def to_bobject(t: CcgType) -> BObject:
-    """Embed a categorial type as a biclosed object."""
+    """Embed a categorial type as a biclosed object (memoized by value)."""
     if isinstance(t, Atom):
         return Base(t)
     if isinstance(t, Forward):

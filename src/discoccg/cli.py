@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import biclosed as bc
 from .diagram import DEFAULT_ATOM_MAP, Cap, Cup, Swap, diagram_to_json
-from .functor import LoweringContext, lower
+from .functor import DEFAULT_CONTEXT, LoweringContext, lower
 from .ingest import IngestError, ingest_tree, read_derivations
 from .render import Layout, render_svg, render_tikz
 from .rewrite import normalize as normalize_diagram
@@ -92,13 +92,16 @@ def run(cfg: JobConfig) -> ExitReport:
     if problems:
         raise ValueError("; ".join(problems))
     ctx = LoweringContext({**DEFAULT_ATOM_MAP, **cfg.atom_map}) if cfg.atom_map \
-        else LoweringContext()
+        else DEFAULT_CONTEXT
     dims = _parse_dims(cfg.check_semantics) if cfg.check_semantics else None
 
     entries: list[tuple[str, object]] = []
     for path in cfg.inputs:
         data = Path(path).read_bytes()
         entries.extend(read_derivations(data, cfg.fmt, collect_errors=True))
+    if cfg.out_dir:
+        # a bad output directory fails before any sentence is converted
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
 
     seen: set[str] = set()
     for ident, raw in entries:
@@ -169,8 +172,7 @@ def write_report(report: ExitReport, cfg: JobConfig, out=None) -> None:
     if out is None:
         out = sys.stdout
     if cfg.out_dir:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = Path(cfg.out_dir)   # created by ``run``
         for name, payload in sorted(report.outputs.items()):
             target = out_dir / name
             if isinstance(payload, bytes):
@@ -235,10 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         strict=args.strict, atom_map=atom_map)
     try:
         report = run(cfg)
+        write_report(report, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    write_report(report, cfg)
     if cfg.strict and report.failed:
         return 1
     return 0

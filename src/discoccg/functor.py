@@ -16,6 +16,7 @@ composition; the order-preserving rule images are swap-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import biclosed as bc
 from .biclosed import BObject, BTerm
@@ -42,11 +43,15 @@ class LoweringContext:
             if base in used.values():
                 raise ValueError(f"atom map is not injective: duplicate base {base!r}")
             used[atom] = base
+        # Each context memoizes its own object map, so one context's results
+        # never answer for another atom map.
+        object.__setattr__(self, "f_obj", lru_cache(maxsize=4096)(self._f_obj))
 
     def f(self, t) -> RObject:
         return f_object(t, self.atom_map)
 
-    def f_obj(self, o: BObject) -> RObject:
+    def _f_obj(self, o: BObject) -> RObject:
+        """The functor on biclosed objects; call it as ``f_obj``."""
         if isinstance(o, bc.Unit):
             return EMPTY
         if isinstance(o, bc.Base):

@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type, strip_features
 from .rules import (
@@ -56,15 +57,67 @@ def read_json(data: bytes | str) -> RawTree:
     return _raw_node(_loads(data), "")
 
 
-def _loads(data: bytes | str):
-    """Decode JSON; malformed or too deeply nested input is an ``IngestError``."""
+def _loads(data: bytes | str, *, entrywise: bool = False):
+    """Decode JSON; malformed or too deeply nested input is an ``IngestError``.
+
+    With ``entrywise``, a top-level list too deeply nested to decode at once
+    is decoded entry by entry: the result is the list of its entries, each
+    one too deep to decode replaced by an ``IngestError``.
+    """
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc}") from None
     except RecursionError:
-        raise IngestError("JSON nested too deeply to decode (more levels than the "
-                          f"recursion limit of {sys.getrecursionlimit()})") from None
+        if isinstance(data, bytes):
+            data = data.decode(json.detect_encoding(data), "surrogatepass")
+        entries = _list_entries(data) if entrywise else None
+        if entries is None:
+            raise IngestError(_too_deep()) from None
+    items: list = []
+    for i, text in enumerate(entries):
+        try:
+            items.append(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"invalid JSON in entry /{i}: {exc}") from None
+        except RecursionError:
+            items.append(IngestError(f"{_too_deep()} at /{i}"))
+    return items
+
+
+def _too_deep() -> str:
+    return ("JSON nested too deeply to decode (more levels than the "
+            f"recursion limit of {sys.getrecursionlimit()})")
+
+
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{},]')
+
+
+def _list_entries(text: str) -> list[str] | None:
+    """The texts of the entries of a top-level JSON list, found without
+    recursion (strings are skipped whole, brackets counted); ``None`` when
+    ``text`` is not one bracket-balanced list."""
+    opened: list[str] = []
+    entries: list[str] = []
+    start = 0
+    for token in _JSON_TOKEN.finditer(text):
+        c = token.group()
+        if not opened and (c != "[" or text[:token.start()].strip()):
+            return None
+        if c in "[{":
+            opened.append(c)
+            if len(opened) == 1:
+                start = token.end()
+        elif c in "]}":
+            if "[{".index(opened.pop()) != "]}".index(c):
+                return None
+            if not opened:
+                entries.append(text[start:token.start()])
+                return entries if not text[token.end():].strip() else None
+        elif c == "," and len(opened) == 1:
+            entries.append(text[start:token.start()])
+            start = token.end()
+    return None
 
 
 def _raw_node(obj, ptr: str) -> RawTree:
@@ -170,9 +223,17 @@ def _ccgbank_node(text: str, i: int) -> tuple[RawTree, int]:
 
 def _parse_type(text: str, path: tuple[int, ...]) -> CcgType:
     try:
-        return strip_features(parse_type(text))
+        return _stripped_type(text)
     except TypeParseError as exc:
         raise IngestError(f"bad type {text!r} at node {_fmt(path)}: {exc}") from None
+
+
+@lru_cache(maxsize=4096)
+def _stripped_type(text: str) -> CcgType:
+    """A type string's stripped type, memoized across sentences because a
+    corpus reuses few categories; a parse error is raised, never cached, so
+    each bad occurrence is reported at its own node."""
+    return strip_features(parse_type(text))
 
 
 def _fmt(path: tuple[int, ...]) -> str:
@@ -599,11 +660,15 @@ def read_derivations(data: str | bytes, fmt: str = "json", *,
         return out
     if fmt != "json":
         raise IngestError(f"unknown input format {fmt!r}")
-    obj = _loads(data)
+    obj = _loads(data, entrywise=True)
     items = obj if isinstance(obj, list) else [obj]
     for i, item in enumerate(items):
         ptr = f"/{i}" if isinstance(obj, list) else ""
-        if isinstance(item, dict) and "tree" in item:
+        if isinstance(item, IngestError):   # an entry too deep to decode
+            if not collect_errors:
+                raise item
+            out.append((f"s{i}", item))
+        elif isinstance(item, dict) and "tree" in item:
             ident = item.get("id", f"s{i}")
             # an unsafe id is reported under its JSON spelling, on one line
             push(ident if _safe_id(ident) else json.dumps(ident),

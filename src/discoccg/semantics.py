@@ -18,8 +18,10 @@ that number.
 
 Several lexicons are evaluated in one pass: every operand carries a leading
 seed axis (the einsum letter ``Z``), so a diagram is validated, planned and
-contracted once however many seeds are checked, and each word's tensors are
-drawn and stacked once for both sides of a :func:`semantically_equal` check.
+contracted once however many seeds are checked.  Across the sentences of a
+process, a word's tensors under a check's seeds are drawn and stacked once
+(keyed by the seeds, the dimensions and the word box), and networks of one
+structure share one plan.
 
 Random lexicons are generated by a SplitMix64 stream (documented constants
 below) so that stored test vectors pin the generator across implementations:
@@ -243,17 +245,24 @@ def _compile(d: Diagram) -> _Network:
             factors.append([index, output[pos]])
             eyes.append(d.cod[pos])
         seen.add(index)
-    return _Network(tuple(words), tuple(eyes), tuple(loops), _plan(factors, output))
+    # The plan depends only on which legs share an index, so it is looked up
+    # by the network's structure: its indices renumbered in order of first use.
+    number: dict[int, int] = {}
+    return _Network(tuple(words), tuple(eyes), tuple(loops), _plan(
+        tuple(tuple(number.setdefault(i, len(number)) for i in ids) for ids in factors),
+        tuple(number.setdefault(i, len(number)) for i in output)))
 
 
-def _plan(factors: list[list[int]], output: list[int]) -> tuple[_Step, ...]:
+@lru_cache(maxsize=4096)
+def _plan(factors: tuple[tuple[int, ...], ...],
+          output: tuple[int, ...]) -> tuple[_Step, ...]:
     """Greedy pairwise contraction order; see the module docstring.
 
     Every index sits on at most two factors and an index of ``output`` on
     one, so the indices two tensors share are exactly those their
     contraction sums over, an index twice on one factor is a trace, and
     contracting ``a`` with ``b`` leaves ``len(a) + len(b) - 2 * shared``
-    legs.
+    legs.  Memoized: networks of one structure share their plan.
     """
     live: dict[int, list[int]] = {}
     steps: list[_Step] = []
@@ -265,7 +274,7 @@ def _plan(factors: list[list[int]], output: list[int]) -> tuple[_Step, ...]:
         live[slots[0]] = result
 
     for slot, ids in enumerate(factors):
-        live[slot] = ids
+        live[slot] = ids = list(ids)
         once = [i for i in ids if ids.count(i) == 1]
         if len(once) < len(ids):   # a word whose own legs are joined
             contract((slot,), once)
@@ -330,22 +339,46 @@ class _Batch(tuple):
     """Lexicons contracted together along a leading seed axis.
 
     Each word's tensors are stacked once, on first use, and shared by every
-    diagram evaluated under the batch.
+    diagram evaluated under the batch.  A batch of fresh seeded lexicons
+    carries ``key``, the values its stacks depend on, and takes them from
+    :func:`_seeded_stack`, which shares them across batches.
     """
 
-    def __new__(cls, lexicons):
+    def __new__(cls, lexicons, key=None):
         batch = super().__new__(cls, lexicons)
+        batch.key = key
         batch.stacks = {}
         batch.dtype = complex if any(lex.complex_field for lex in batch) else float
         return batch
 
     def stack(self, word: WordBox) -> np.ndarray:
+        if self.key is not None:
+            return _seeded_stack(*self.key, word)
         out = self.stacks.get(word)
         if out is None:
-            arrays = [lex.tensor_for(word.label, word.wires).array for lex in self]
-            out = arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-            out = self.stacks[word] = out.astype(self.dtype, copy=False)
+            out = self.stacks[word] = _stack(self, word, self.dtype)
         return out
+
+
+def _stack(lexicons, word: WordBox, dtype) -> np.ndarray:
+    arrays = [lex.tensor_for(word.label, word.wires).array for lex in lexicons]
+    out = arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+    return out.astype(dtype, copy=False)
+
+
+@lru_cache(maxsize=1024)
+def _seeded_stack(seeds: tuple[int, ...], dims: tuple[tuple[tuple[str, int], ...], int],
+                  complex_field: bool, word: WordBox) -> np.ndarray:
+    """The stacked tensors of ``word`` under fresh lexicons with ``seeds``
+    and the dimensions ``dims`` (sorted ``(base, dim)`` pairs and the
+    default), drawn through :meth:`Lexicon.tensor_for`; read-only because
+    every check with the same values shares it."""
+    table, default = dims
+    assignment = DimAssignment(dict(table), default)
+    lexicons = [Lexicon(assignment, seed, complex_field=complex_field) for seed in seeds]
+    out = _stack(lexicons, word, complex if complex_field else float)
+    out.flags.writeable = False
+    return out
 
 
 def evaluate(d: Diagram, dims: DimAssignment,
@@ -398,7 +431,8 @@ def semantically_equal(d1: Diagram, d2: Diagram, dims: DimAssignment,
         raise SemanticsError(f"codomain mismatch: {d1.cod} vs {d2.cod}")
     if not seeds:
         return True
-    batch = _Batch(Lexicon(dims, seed=seed) for seed in seeds)
+    key = (tuple(seeds), (tuple(sorted(dims.dims.items())), dims.default), False)
+    batch = _Batch((Lexicon(dims, seed=seed) for seed in seeds), key)
     t1 = evaluate(d1, dims, batch)
     t2 = evaluate(d2, dims, batch)
     return np.allclose(np.array([t.array for t in t1]), np.array([t.array for t in t2]),

@@ -9,7 +9,8 @@
 - ``cross_serial(k)``: a Dutch cross-serial clause with ``k >= 2`` verbs, a
   ``GFCX:2`` chain closed by ``FCX``, and ``k + 1`` NP arguments.
 
-``deep_json(k)`` is a JSON batch holding ``right_branching(k)``.
+``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
+``right_branching(k)``.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ def right_branching(k: int) -> dict:
     return node("BA", "S", subject, verb_phrase)
 
 
-def deep_json(k: int) -> str:
-    """A batch of one ``right_branching(k)`` tree; encoding it needs a raised
-    recursion limit, and at ``k = 600`` decoding it exceeds the default one."""
+def deep_json(k: int, *before: dict) -> str:
+    """A batch of the trees ``before`` and one ``right_branching(k)`` tree;
+    encoding it needs a raised recursion limit, and at ``k = 600`` decoding
+    it exceeds the default one."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * k))
     try:
-        return json.dumps([right_branching(k)])
+        return json.dumps([*before, right_branching(k)])
     finally:
         sys.setrecursionlimit(limit)
 

@@ -1,0 +1,153 @@
+"""The memoized sub-computations shared across the sentences of a process
+must answer exactly as a cold computation does."""
+
+import json
+
+import numpy as np
+import pytest
+
+from discoccg import biclosed as bc
+from discoccg import ingest, semantics
+from discoccg.cli import JobConfig, run
+from discoccg.corpus import corpus_text
+from discoccg.ccgtypes import Atom, TypeParseError
+from discoccg.diagram import DEFAULT_ATOM_MAP, RObject, WordBox
+from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower
+from discoccg.ingest import IngestError, ingest_tree, read_json
+from discoccg.rewrite import normalize
+from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
+from tests.sentences import cross_serial, left_fc_chain, right_branching
+
+
+def _clear_caches():
+    for cached in (ingest._stripped_type, bc.to_bobject, DEFAULT_CONTEXT.f_obj,
+                   semantics._plan, semantics._seeded_stack, semantics._draw):
+        cached.cache_clear()
+
+
+def _svo(subject: str, verb: str, obj: str) -> dict:
+    return {"rule": "BA", "type": "S", "children": [
+        {"word": subject, "type": "NP"},
+        {"rule": "FA", "type": "S\\NP", "children": [
+            {"word": verb, "type": "(S\\NP)/NP"}, {"word": obj, "type": "NP"}]}]}
+
+
+def test_warm_run_emits_what_a_cold_run_does(tmp_path):
+    entries = json.loads(corpus_text())
+    shapes = [right_branching(3), left_fc_chain(4), cross_serial(3),
+              _svo("Carol", "sees", "Dave"), _svo("Alice", "likes", "Bob")]
+    entries += [{"id": f"rep{i}", "tree": shapes[i % len(shapes)]} for i in range(15)]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(entries))
+    cfg = JobConfig(inputs=[str(path)], emit=("biclosed", "diagram", "tikz", "svg", "stats"),
+                    planarize=True, normalize=True, check_semantics="n=2,s=3,*=2", seed=4)
+    _clear_caches()
+    cold = run(cfg)
+    warm = run(cfg)
+    assert (cold.converted, cold.failed) == (len(entries), 0)
+    assert warm.outputs == cold.outputs
+    assert warm.stats_rows == cold.stats_rows
+    assert warm.failures == cold.failures
+    assert semantics._plan.cache_info().hits > 0
+    assert semantics._seeded_stack.cache_info().hits > 0
+
+
+def test_bad_type_string_names_each_node():
+    bad = "(S\\NP"
+    first = {"rule": "BA", "type": "S", "children": [
+        {"word": "Alice", "type": "NP"}, {"word": "sleeps", "type": bad}]}
+    second = _svo("Alice", "likes", "Bob")
+    second["children"][1]["children"][0]["type"] = bad
+    for tree, node in ((first, "1"), (second, "1/0"), (first, "1")):
+        with pytest.raises(IngestError, match=f"bad type .* at node {node}:"):
+            ingest_tree(read_json(json.dumps(tree)))
+    # a parse error is never cached: each occurrence is parsed anew
+    before = ingest._stripped_type.cache_info()
+    for _ in range(2):
+        with pytest.raises(TypeParseError):
+            ingest._stripped_type(bad)
+    after = ingest._stripped_type.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+
+
+def test_contexts_never_see_each_others_objects(corpus):
+    terms = [bc.lower_derivation(d) for d in corpus.values()]
+    custom_map = {**DEFAULT_ATOM_MAP, "NP": "np", "S": "sent"}
+    cold_default = [lower(t, LoweringContext()) for t in terms]
+    cold_custom = [lower(t, LoweringContext(dict(custom_map))) for t in terms]
+    assert cold_default != cold_custom
+    for custom_first in (False, True):
+        default, custom = LoweringContext(), LoweringContext(dict(custom_map))
+        order = [custom, default] if custom_first else [default, custom]
+        lowered = {id(ctx): [lower(t, ctx) for t in terms] for ctx in order}
+        assert lowered[id(default)] == cold_default
+        assert lowered[id(custom)] == cold_custom
+    assert LoweringContext().f_obj(bc.Base(Atom("NP"))) == RObject.parse("n")
+    assert LoweringContext(dict(custom_map)).f_obj(bc.Base(Atom("NP"))) \
+        == RObject.parse("np")
+
+
+def test_stacks_are_keyed_by_every_value_and_read_only():
+    word = WordBox("likes", RObject.parse("n.r s n.l"))
+    dims = ((), 2)
+    base = semantics._seeded_stack((1, 2), dims, False, word)
+    assert semantics._seeded_stack((1, 2), ((), 2), False, word) is base
+    others = [
+        semantics._seeded_stack((1, 3), dims, False, word),
+        semantics._seeded_stack((2, 1), dims, False, word),
+        semantics._seeded_stack((1, 2), ((("s", 3),), 2), False, word),
+        semantics._seeded_stack((1, 2), ((), 3), False, word),
+        semantics._seeded_stack((1, 2), dims, True, word),
+    ]
+    for other in others:
+        assert other is not base
+        assert other.shape != base.shape or not np.array_equal(other, base)
+    assert others[4].dtype == complex and base.dtype == float
+    for stack in [base, *others]:
+        with pytest.raises(ValueError):
+            stack[...] = 0.0
+    # each seed's slice is that seed's lexicon tensor
+    for i, seed in enumerate((1, 2)):
+        lex = Lexicon(DimAssignment({}, 2), seed=seed)
+        assert np.array_equal(base[i], lex.tensor_for("likes", word.wires).array)
+
+
+def test_semantic_check_keys_dims_by_value():
+    d = lower(bc.lower_derivation(ingest_tree(read_json(json.dumps(
+        _svo("Alice", "likes", "Bob"))))))
+    semantics._seeded_stack.cache_clear()
+    assert semantically_equal(d, d, DimAssignment({"s": 2}, 2), [5, 6])
+    misses = semantics._seeded_stack.cache_info().misses
+    assert semantically_equal(d, d, DimAssignment({"s": 2}, 2), [5, 6])
+    assert semantics._seeded_stack.cache_info().misses == misses
+    assert semantically_equal(d, d, DimAssignment({"s": 3}, 2), [5, 6])
+    assert semantics._seeded_stack.cache_info().misses == 2 * misses
+
+
+def test_one_structure_shares_a_plan_but_not_tensors(corpus_diagrams):
+    d1, d2 = (lower(bc.lower_derivation(ingest_tree(read_json(json.dumps(tree)))))
+              for tree in (_svo("Alice", "likes", "Bob"), _svo("Carol", "sees", "Dave")))
+    assert d1 != d2
+    assert semantics._compile(d1).steps is semantics._compile(d2).steps
+    # other layers, other wire ids, one network structure
+    raised = corpus_diagrams["alice-likes-bob-raised"]
+    assert semantics._compile(raised).steps is semantics._compile(normalize(raised)).steps
+    dims = DimAssignment({}, 2)
+    lexicons = [Lexicon(dims, seed=seed) for seed in (3, 4)]
+    for d in (d1, d2):
+        subject, verb, obj = [g for _, g in d.layers if isinstance(g, WordBox)]
+        for lex, tensor in zip(lexicons, evaluate(d, dims, lexicons)):
+            expected = np.einsum("a,asc,c->s", *(lex.tensor_for(w.label, w.wires).array
+                                                  for w in (subject, verb, obj)))
+            assert np.allclose(tensor.array, expected)
+    assert not np.allclose(evaluate(d1, dims, lexicons[0]).array,
+                           evaluate(d2, dims, lexicons[0]).array)
+    assert not semantically_equal(d1, d2, dims, [3, 4])
+
+
+def test_plan_cache_miss_and_hit_agree(corpus_diagrams):
+    semantics._plan.cache_clear()
+    cold = {ident: semantics._compile(d).steps for ident, d in corpus_diagrams.items()}
+    assert semantics._plan.cache_info().hits > 0   # the corpus repeats structures
+    warm = {ident: semantics._compile(d).steps for ident, d in corpus_diagrams.items()}
+    assert warm == cold

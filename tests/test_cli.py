@@ -214,11 +214,61 @@ def test_unknown_wrapper_field_fails_its_entry_only(tmp_path, capsys):
 
 
 def test_too_deep_json_is_one_error_line(tmp_path, capsys):
+    # an entry too deep to decode fails alone; the others still convert
     path = tmp_path / "deep.json"
-    path.write_text(deep_json(600))
-    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    path.write_text(deep_json(600, ALICE))
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL s1: JSON nested too deeply to decode (more levels than the recursion "
+        f"limit of {sys.getrecursionlimit()}) at /1",
+        "total 2 converted 1 failed 1"]
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["s0.diagram.json"]
+    # a file that is one tree too deep to decode is rejected before any output
+    path.write_text(deep_json(600)[1:-1])
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o2")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: JSON nested too deeply to decode (more levels than "
                             f"the recursion limit of {sys.getrecursionlimit()})\n")
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o2").exists()
+
+
+def _no_conversion(monkeypatch):
+    def convert(*args):
+        raise AssertionError("a sentence was converted")
+
+    monkeypatch.setattr(cli, "_convert_one", convert)
+
+
+def test_out_dir_that_is_a_file_is_one_error_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([ALICE]))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    _no_conversion(monkeypatch)
+    assert main(["--in", str(path), "--out-dir", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(taken) in captured.err
+
+
+def test_out_dir_under_a_file_is_one_error_line(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([ALICE]))
+    (tmp_path / "taken").write_text("")
+    _no_conversion(monkeypatch)
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "taken" / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_failed_output_write_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([ALICE]))
+    (tmp_path / "out" / "s0.diagram.json").mkdir(parents=True)   # blocks the file
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

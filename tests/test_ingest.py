@@ -299,11 +299,33 @@ def test_read_derivations_collects_wrapper_errors_per_entry():
 
 
 def test_too_deep_json_is_an_ingest_error():
-    data = deep_json(600)
+    data = deep_json(600, FIG1, {"id": "named", "tree": FIG1})
+    entries = read_derivations(data.encode(), "json", collect_errors=True)
+    assert [ident for ident, _ in entries] == ["s0", "named", "s2"]
+    assert [isinstance(raw, IngestError) for _, raw in entries] == [False, False, True]
+    assert str(entries[2][1]).startswith("JSON nested too deeply to decode")
+    assert str(entries[2][1]).endswith(" at /2")
     with pytest.raises(IngestError, match="JSON nested too deeply to decode"):
-        read_derivations(data, "json", collect_errors=True)
+        read_derivations(data, "json")
     with pytest.raises(IngestError, match="JSON nested too deeply to decode"):
         read_json(data)
+    # not a list: nothing to isolate, the file is rejected
+    with pytest.raises(IngestError, match="JSON nested too deeply to decode"):
+        read_derivations(deep_json(600)[1:-1], "json", collect_errors=True)
+
+
+def test_too_deep_list_is_split_outside_strings():
+    deep = deep_json(600)[1:-1]
+    tricky = {"word": "a,]}[{\\\"", "type": "NP"}
+    entries = read_derivations(f"[{json.dumps(tricky)}, {deep}, 7]", "json",
+                               collect_errors=True)
+    assert entries[0] == ("s0", RawLeaf("a,]}[{\\\"", "NP"))
+    assert "nested too deeply" in str(entries[1][1])
+    assert "expected an object at /2" in str(entries[2][1])
+    # a malformed list still rejects the whole file
+    for text in (f"[{deep}, ]", f"[{deep}, {{]", f"[{deep}] 1", f"[{deep}"):
+        with pytest.raises(IngestError):
+            read_derivations(text, "json", collect_errors=True)
 
 
 # --- generated valid trees round-trip through ingestion -------------------------
