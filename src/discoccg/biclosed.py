@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .ccgtypes import Atom, Backward, CcgType, Forward
-from .rules import (
-    Derivation, Leaf, RuleError, RuleLabel, Unary, peel_backward,
-    peel_forward, validate,
-)
+from .ccgtypes import Atom, CcgType, Forward
+# ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 4's tracer change
+from .rules import Derivation, Leaf, RuleError, RuleLabel, Unary, peel, validate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -277,86 +275,39 @@ def rule_term(rule: RuleLabel, inputs: list[CcgType]) -> BTerm:
 
     Order-preserving rules arise by currying/uncurrying identities; crossed
     rules are generator boxes.  The returned term is annotated with the rule.
+    The inputs must match the rule's schema (a validated derivation's do);
+    they are not checked again.
     """
-    if len(inputs) != rule.arity:
-        raise RuleError(f"{rule}: expected {rule.arity} inputs, got {len(inputs)}")
-    objs = [to_bobject(t) for t in inputs]
-
-    if rule.kind == "FA":
-        fn = inputs[0]
-        if not isinstance(fn, Forward):
-            raise RuleError(f"FA: primary must be a forward type, got {fn.to_slash()}")
-        term = fa_term(to_bobject(fn.result), to_bobject(fn.argument))
-    elif rule.kind == "BA":
-        fn = inputs[1]
-        if not isinstance(fn, Backward):
-            raise RuleError(f"BA: primary must be a backward type, got {fn.to_slash()}")
-        term = ba_term(to_bobject(fn.argument), to_bobject(fn.result))
-    elif rule.kind in ("FC", "GFC"):
-        term = _gfc_term(inputs, 1 if rule.kind == "FC" else rule.degree)
-    elif rule.kind in ("BC", "GBC"):
-        term = _gbc_term(inputs, 1 if rule.kind == "BC" else rule.degree)
-    elif rule.kind == "FTR":
+    schema = rule.schema
+    if schema.raising:
         x, t = to_bobject(inputs[0]), to_bobject(rule.target)
-        term = curry_r(uncurry_l(id_term(LeftHom(x, t))))
-    elif rule.kind == "BTR":
-        x, t = to_bobject(inputs[0]), to_bobject(rule.target)
-        term = curry_l(uncurry_r(id_term(RightHom(t, x))))
-    elif rule.kind in ("FCX", "GFCX"):
-        n = 1 if rule.kind == "FCX" else rule.degree
-        fn, secondary = inputs
-        try:
-            crossed, trailing = peel_forward(secondary, n - 1)
-        except ValueError:
-            raise RuleError(f"{rule}: secondary lacks {n - 1} trailing forward arguments") from None
-        if not (isinstance(fn, Forward) and isinstance(crossed, Backward)
-                and crossed.result == fn.argument):
-            raise RuleError(f"{rule}: inputs do not match (X ⤙ Y, Z ⤚ Y)")
+        if schema.forward:
+            term = curry_r(uncurry_l(id_term(LeftHom(x, t))))
+        else:
+            term = curry_l(uncurry_r(id_term(RightHom(t, x))))
+    elif schema.crossed:
+        fn, secondary = inputs if schema.forward else inputs[::-1]
+        _, args = peel(secondary, rule.composition_degree)
         term = cross_box(
-            "FCX", to_bobject(fn.result), to_bobject(fn.argument),
-            to_bobject(crossed.argument),
-            tuple(to_bobject(w) for w in trailing))
-    elif rule.kind in ("BCX", "GBCX"):
-        n = 1 if rule.kind == "BCX" else rule.degree
-        secondary, fn = inputs
-        try:
-            crossed, trailing = peel_backward(secondary, n - 1)
-        except ValueError:
-            raise RuleError(f"{rule}: secondary lacks {n - 1} trailing backward arguments") from None
-        if not (isinstance(fn, Backward) and isinstance(crossed, Forward)
-                and crossed.result == fn.argument):
-            raise RuleError(f"{rule}: inputs do not match (Y ⤙ Z, Y ⤚ X)")
-        term = cross_box(
-            "BCX", to_bobject(fn.result), to_bobject(fn.argument),
-            to_bobject(crossed.argument),
-            tuple(to_bobject(w) for w in trailing))
+            "FCX" if schema.forward else "BCX", to_bobject(fn.result),
+            to_bobject(fn.argument), to_bobject(args[-1]),
+            tuple(to_bobject(w) for w in args[:-1]))
+    elif schema.forward:
+        term = _gfc_term(inputs, rule.composition_degree)
     else:
-        raise RuleError(f"{rule.kind} has no biclosed image")
-
-    expected_dom = tensor_obj(*objs)
-    if term.dom != expected_dom:
-        raise RuleError(
-            f"{rule}: inputs {expected_dom.to_str()} do not match schema dom {term.dom.to_str()}")
+        term = _gbc_term(inputs, rule.composition_degree)
     return annotate(term, rule)
 
 
 def _gfc_term(inputs: list[CcgType], n: int) -> BTerm:
+    """Forward composition of degree ``n``; degree 0 is application."""
     fn, secondary = inputs
-    if not isinstance(fn, Forward):
-        raise RuleError(f"FC/GFC: primary must be a forward type, got {fn.to_slash()}")
     x, y = to_bobject(fn.result), to_bobject(fn.argument)
-    try:
-        inner, args = peel_forward(secondary, n)
-    except ValueError:
-        raise RuleError(f"GFC:{n}: secondary lacks {n} forward arguments") from None
-    if to_bobject(inner) != y:
-        raise RuleError("GFC: secondary innermost result does not match Y")
-    arg_objs = [to_bobject(a) for a in args]
+    arg_objs = [to_bobject(a) for a in peel(secondary, n)[1]]
     # Uncurried chain (X⤙Y) ⊗ R ⊗ A1 ⊗ ... ⊗ An → X, evaluated outermost-first.
     spine = to_bobject(secondary)
     chain: BTerm | None = None
     for j, a in enumerate(arg_objs):
-        assert isinstance(spine, RightHom)
         step: BTerm = tensor_term(id_term(RightHom(x, y)), fa_term(spine.res, a))
         for rest in arg_objs[j + 1:]:
             step = tensor_term(step, id_term(rest))
@@ -369,22 +320,14 @@ def _gfc_term(inputs: list[CcgType], n: int) -> BTerm:
 
 
 def _gbc_term(inputs: list[CcgType], n: int) -> BTerm:
+    """Backward composition of degree ``n``; degree 0 is application."""
     secondary, fn = inputs
-    if not isinstance(fn, Backward):
-        raise RuleError(f"BC/GBC: primary must be a backward type, got {fn.to_slash()}")
     y, x = to_bobject(fn.argument), to_bobject(fn.result)
-    try:
-        inner, args = peel_backward(secondary, n)
-    except ValueError:
-        raise RuleError(f"GBC:{n}: secondary lacks {n} backward arguments") from None
-    if to_bobject(inner) != y:
-        raise RuleError("GBC: secondary innermost result does not match Y")
-    arg_objs = [to_bobject(a) for a in args]
+    arg_objs = [to_bobject(a) for a in peel(secondary, n)[1]]
     # Chain An ⊗ ... ⊗ A1 ⊗ L ⊗ (Y⤚X) → X.
     spine = to_bobject(secondary)
     chain: BTerm | None = None
     for j, a in enumerate(arg_objs):
-        assert isinstance(spine, LeftHom)
         step = tensor_term(ba_term(a, spine.res), id_term(LeftHom(y, x)))
         for rest in arg_objs[j + 1:]:
             step = tensor_term(id_term(rest), step)
@@ -399,25 +342,25 @@ def _gbc_term(inputs: list[CcgType], n: int) -> BTerm:
 def lower_derivation(d: Derivation) -> BTerm:
     """Lower a validated derivation to its biclosed term.
 
+    Precondition: ``d`` validates (``rules.validate(d) == []``), as every
+    derivation that ``ingest.ingest_tree`` returns does.  Rule applications
+    are not re-checked here; an unresolved UNARY or CONJ node raises
+    :class:`RuleError`, and other violations give an undefined term.
+
     Leaves become word states ``I → X``; binary nodes compose the rule image
     with the tensor of their children's images.  The result of a sentence
     derivation has dom ``I``.
     """
-    problems = validate(d)
-    if problems:
-        raise RuleError("derivation does not validate: " + "; ".join(map(str, problems)))
     return _lower(d)
 
 
 def _lower(d: Derivation) -> BTerm:
     if isinstance(d, Leaf):
         return word(d.word, to_bobject(d.cat))
-    if isinstance(d, Unary):
-        if d.rule.kind not in ("FTR", "BTR"):
-            raise RuleError(f"{d.rule.kind} node has no biclosed image; run the ingest passes")
-        return compose(rule_term(d.rule, [d.child.cat]), _lower(d.child))
-    if d.rule.kind in ("UNARY", "CONJ"):
+    if d.rule.schema.forward is None:
         raise RuleError(f"{d.rule.kind} node has no biclosed image; run the ingest passes")
+    if isinstance(d, Unary):
+        return compose(rule_term(d.rule, [d.child.cat]), _lower(d.child))
     return compose(
         rule_term(d.rule, [d.left.cat, d.right.cat]),
         tensor_term(_lower(d.left), _lower(d.right)))
@@ -433,7 +376,8 @@ def to_sexpr(term: BTerm) -> str:
 
 def _sexpr(term: BTerm) -> str:
     if isinstance(term, Word):
-        return f'(word "{term.label}" {term.cod.to_str()})'
+        label = term.label.replace("\\", "\\\\").replace('"', '\\"')
+        return f'(word "{label}" {term.cod.to_str()})'
     if isinstance(term, IdTerm):
         return f"(id {term.dom.to_str()})"
     if isinstance(term, ComposeTerm):

@@ -68,8 +68,11 @@ class LoweringContext:
 
 DEFAULT_CONTEXT = LoweringContext()
 
-_RULE_IMAGE_KINDS = frozenset(
-    {"FA", "BA", "FC", "BC", "GFC", "GBC", "FTR", "BTR"})
+
+def _has_rule_image(term: BTerm) -> bool:
+    """Order-preserving rule applications have a direct image; crossed ones
+    are generator boxes."""
+    return term.rule is not None and not term.rule.schema.crossed
 
 
 def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
@@ -79,7 +82,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
     ``use_rule_images=False`` forces the generic curry/uncurry construction
     even on rule-annotated terms (used by the law checker).
     """
-    if use_rule_images and term.rule is not None and term.rule.kind in _RULE_IMAGE_KINDS:
+    if use_rule_images and _has_rule_image(term):
         return _rule_image(term.rule, list(bc.factors(term.dom)), term, ctx)
     if isinstance(term, bc.Word):
         wires = ctx.f_obj(term.cod)
@@ -157,64 +160,30 @@ def diagram_uncurry_l(d: Diagram, a: RObject) -> Diagram:
 
 # --- direct rule images ------------------------------------------------------
 
-def _peel_right(o: BObject, n: int) -> tuple[BObject, list[BObject]]:
-    args = []
-    for _ in range(n):
-        if not isinstance(o, bc.RightHom):
-            raise LoweringError("expected a right-hom spine")
-        args.append(o.arg)
-        o = o.res
-    return o, args
-
-
-def _peel_left(o: BObject, n: int) -> tuple[BObject, list[BObject]]:
-    args = []
-    for _ in range(n):
-        if not isinstance(o, bc.LeftHom):
-            raise LoweringError("expected a left-hom spine")
-        args.append(o.arg)
-        o = o.res
-    return o, args
-
-
 def _rule_image(rule: RuleLabel, inputs: list[BObject], term: BTerm,
                 ctx: LoweringContext) -> Diagram:
-    kind = rule.kind
+    """Type-raising is a cap block; order-preserving composition of any degree
+    (application is degree 0) is one cup block between the primary's
+    argument and the secondary's innermost result."""
+    schema = rule.schema
     dom = ctx.f_obj(term.dom)
 
-    if kind == "FA":
+    if schema.raising:
+        t = ctx.f_obj(term.cod.res)
+        if schema.forward:
+            return Diagram.build(dom, cap_block(t, 0))
+        return Diagram.build(dom, cap_block_r(t, len(dom)))
+
+    if schema.forward:
         h = inputs[0]
         x, y = ctx.f_obj(h.res), ctx.f_obj(h.arg)
         return Diagram.build(dom, cup_block(y, len(x)))
 
-    if kind == "BA":
-        h = inputs[1]
-        y, x = ctx.f_obj(h.arg), ctx.f_obj(h.res)
-        return Diagram.build(dom, cup_block_r(y, 0))
-
-    if kind in ("FC", "GFC"):
-        h = inputs[0]
-        x, y = ctx.f_obj(h.res), ctx.f_obj(h.arg)
-        return Diagram.build(dom, cup_block(y, len(x)))
-
-    if kind in ("BC", "GBC"):
-        n = 1 if kind == "BC" else rule.degree
-        h = inputs[1]
-        y = ctx.f_obj(h.arg)
-        _, args = _peel_left(inputs[0], n)
-        lead = sum(len(ctx.f_obj(a)) for a in args)
-        return Diagram.build(dom, cup_block_r(y, lead))
-
-    if kind == "FTR":
-        t = ctx.f_obj(term.cod.res)
-        return Diagram.build(dom, cap_block(t, 0))
-
-    if kind == "BTR":
-        t = ctx.f_obj(term.cod.res)
-        x = ctx.f_obj(term.dom)
-        return Diagram.build(dom, cap_block_r(t, len(x)))
-
-    raise LoweringError(f"no direct image for rule {rule}")  # pragma: no cover
+    # dom = A_1.r ... A_n.r  Y  Y.r  X: the secondary's arguments lead
+    h = inputs[1]
+    y, x = ctx.f_obj(h.arg), ctx.f_obj(h.res)
+    lead = len(dom) - 2 * len(y) - len(x)
+    return Diagram.build(dom, cup_block_r(y, lead))
 
 
 def _crossed_image(term: bc.CrossBox, ctx: LoweringContext) -> Diagram:
@@ -285,7 +254,7 @@ def verify_functor_laws(samples: list[BTerm],
                 bent = diagram_uncurry_l(inner, ctx.f_obj(term.inner.cod.arg))
             ok = diagrams_equal(d, bent)
             check(i, "curry-square", ok)
-        if term.rule is not None and term.rule.kind in _RULE_IMAGE_KINDS:
+        if _has_rule_image(term):
             generic = lower(term, ctx, use_rule_images=False)
             check(i, "rule-image-vs-generic", diagrams_equal(d, generic))
     return out

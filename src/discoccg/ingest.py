@@ -24,8 +24,8 @@ from functools import lru_cache
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type, strip_features
 from .rules import (
-    Binary, Derivation, Leaf, RuleError, RuleLabel, Unary, apply_rule,
-    validate,
+    SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
+    apply_rule, combine, validate,
 )
 
 
@@ -243,20 +243,22 @@ def _fmt(path: tuple[int, ...]) -> str:
 def _parse_rule(text: str, path: tuple[int, ...]) -> tuple[str, int | None, CcgType | None]:
     head, _, param = text.strip().partition(":")
     kind = head.upper()
-    if kind in ("GFC", "GBC", "GFCX", "GBCX"):
+    schema = SCHEMAS.get(kind)
+    if schema is None:
+        raise IngestError(f"unknown rule {text!r} at node {_fmt(path)}")
+    if schema.param == "degree":
         try:
             return kind, int(param), None
         except ValueError:
             raise IngestError(f"{kind} needs an integer degree at node {_fmt(path)}") from None
-    if kind in ("FTR", "BTR"):
+    if schema.raising:
         if not param:
             raise IngestError(f"{kind} needs a target type at node {_fmt(path)}")
         return kind, None, _parse_type(param, path)
-    if kind in ("LEX", "FA", "BA", "FC", "BC", "FCX", "BCX", "UNARY", "CONJ"):
-        if param:
-            raise IngestError(f"{kind} takes no parameter at node {_fmt(path)}")
-        return kind, None, None
-    raise IngestError(f"unknown rule {text!r} at node {_fmt(path)}")
+    # a UNARY node's target is its declared type, not a parameter
+    if param:
+        raise IngestError(f"{kind} takes no parameter at node {_fmt(path)}")
+    return kind, None, None
 
 
 # --- indexed types for unary resolution ----------------------------------------
@@ -340,84 +342,28 @@ def _substitute(it: IType, target: int, repl: IType, uf: _UnionFind) -> IType:
                 _substitute(it.result, target, repl, uf))
 
 
-def _peel_ifwd(it: IType, n: int) -> tuple[IType, list[IType]]:
-    args = []
-    for _ in range(n):
-        if not isinstance(it, IFwd):
-            raise RuleError("not enough forward arguments")
-        args.append(it.argument)
-        it = it.result
-    return it, args
+class _IndexedOps(TypeOps):
+    """The rule schema on indexed types: matching unifies the slots an
+    argument flows into, so later unary substitutions reach back through the
+    tree, and every built node gets a fresh index.  Shapes are checked by
+    ``apply_rule`` on the erased types first, so matching always succeeds."""
 
+    slashes = (IFwd, IBwd)
 
-def _peel_ibwd(it: IType, n: int) -> tuple[IType, list[IType]]:
-    args = []
-    for _ in range(n):
-        if not isinstance(it, IBwd):
-            raise RuleError("not enough backward arguments")
-        args.append(it.argument)
-        it = it.result
-    return it, args
+    def __init__(self, uf: _UnionFind, ctr):
+        self.uf, self.ctr = uf, ctr
 
+    def make(self, forward: bool, result: IType, argument: IType) -> IType:
+        if forward:
+            return IFwd(next(self.ctr), result, argument)
+        return IBwd(next(self.ctr), argument, result)
 
-def _apply_rule_indexed(rule: RuleLabel, inputs: list[IType], uf: _UnionFind, ctr) -> IType:
-    """Indexed mirror of ``apply_rule``: unifies the slots the arguments flow
-    into, so later unary substitutions reach back through the tree.  Shape
-    checking is delegated to ``apply_rule`` on the erased types."""
-    kind = rule.kind
-    if kind == "FA":
-        fn, arg = inputs
-        _unify(fn.argument, arg, uf)
-        return fn.result
-    if kind == "BA":
-        arg, fn = inputs
-        _unify(arg, fn.argument, uf)
-        return fn.result
-    if kind in ("FC", "GFC"):
-        n = 1 if kind == "FC" else rule.degree
-        fn, secondary = inputs
-        inner, args = _peel_ifwd(secondary, n)
-        _unify(fn.argument, inner, uf)
-        out = fn.result
-        for a in reversed(args):
-            out = IFwd(next(ctr), out, a)
-        return out
-    if kind in ("BC", "GBC"):
-        n = 1 if kind == "BC" else rule.degree
-        secondary, fn = inputs
-        inner, args = _peel_ibwd(secondary, n)
-        _unify(inner, fn.argument, uf)
-        out = fn.result
-        for a in reversed(args):
-            out = IBwd(next(ctr), a, out)
-        return out
-    if kind == "FTR":
-        (x,) = inputs
-        t = _fresh(rule.target, ctr)
-        return IFwd(next(ctr), t, IBwd(next(ctr), x, t))
-    if kind == "BTR":
-        (x,) = inputs
-        t = _fresh(rule.target, ctr)
-        return IBwd(next(ctr), IFwd(next(ctr), t, x), t)
-    if kind in ("FCX", "GFCX"):
-        n = 1 if kind == "FCX" else rule.degree
-        fn, secondary = inputs
-        crossed, trailing = _peel_ifwd(secondary, n - 1)
-        _unify(fn.argument, crossed.result, uf)
-        out: IType = IBwd(next(ctr), crossed.argument, fn.result)
-        for w in reversed(trailing):
-            out = IFwd(next(ctr), out, w)
-        return out
-    if kind in ("BCX", "GBCX"):
-        n = 1 if kind == "BCX" else rule.degree
-        secondary, fn = inputs
-        crossed, trailing = _peel_ibwd(secondary, n - 1)
-        _unify(crossed.result, fn.argument, uf)
-        out = IFwd(next(ctr), fn.result, crossed.argument)
-        for w in reversed(trailing):
-            out = IBwd(next(ctr), w, out)
-        return out
-    raise RuleError(f"{kind} has no indexed application")  # pragma: no cover
+    def match(self, a: IType, b: IType) -> bool:
+        _unify(a, b, self.uf)
+        return True
+
+    def target(self, t: CcgType) -> IType:
+        return _fresh(t, self.ctr)
 
 
 # --- the resolution pass --------------------------------------------------------
@@ -429,10 +375,7 @@ class _RNode:
     children: list["_RNode"]
     itype: IType
     path: tuple[int, ...]
-
-    @property
-    def cat(self) -> CcgType:
-        return _erase(self.itype)
+    cat: CcgType   # the erased ``itype``, kept in step by ``_substitute_tree``
 
 
 def resolve_unary(raw: RawTree) -> Derivation:
@@ -441,18 +384,17 @@ def resolve_unary(raw: RawTree) -> Derivation:
     CONJ junction nodes are carried through untouched (see ``expand_conj``).
     On trees without unary nodes this is the plain reader.
     """
-    uf = _UnionFind()
-    ctr = itertools.count(1)
-    root = _resolve(raw, (), uf, ctr)
+    root = _resolve(raw, (), _IndexedOps(_UnionFind(), itertools.count(1)))
     return _to_derivation(root)
 
 
-def _resolve(raw: RawTree, path: tuple[int, ...], uf: _UnionFind, ctr) -> _RNode:
+def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
+    uf, ctr = ops.uf, ops.ctr
     if isinstance(raw, RawLeaf):
         t = _parse_type(raw.type_str, path)
         if not raw.word:
             raise IngestError(f"empty word at node {_fmt(path)}")
-        return _RNode(raw.word, None, [], _fresh(t, ctr), path)
+        return _RNode(raw.word, None, [], _fresh(t, ctr), path, t)
 
     kind, degree, target = _parse_rule(raw.rule_str, path)
     declared = _parse_type(raw.type_str, path)
@@ -463,7 +405,7 @@ def _resolve(raw: RawTree, path: tuple[int, ...], uf: _UnionFind, ctr) -> _RNode
     if kind == "UNARY":
         if len(raw.children) != 1:
             raise IngestError(f"UNARY needs exactly one child at node {_fmt(path)}")
-        child = _resolve(raw.children[0], path + (0,), uf, ctr)
+        child = _resolve(raw.children[0], path + (0,), ops)
         target_id = uf.find(child.itype.idx)
         repl = _fresh(declared, ctr)
         _substitute_tree(child, target_id, repl, uf)
@@ -473,14 +415,14 @@ def _resolve(raw: RawTree, path: tuple[int, ...], uf: _UnionFind, ctr) -> _RNode
     if kind == "CONJ":
         if len(raw.children) != 2:
             raise IngestError(f"CONJ needs exactly two children at node {_fmt(path)}")
-        kids = [_resolve(k, path + (i,), uf, ctr) for i, k in enumerate(raw.children)]
-        return _RNode(None, RuleLabel("CONJ"), kids, _fresh(declared, ctr), path)
+        kids = [_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
+        return _RNode(None, RuleLabel("CONJ"), kids, _fresh(declared, ctr), path, declared)
 
     try:
         rule = RuleLabel(kind, degree=degree, target=target)
     except ValueError as exc:
         raise IngestError(f"{exc} at node {_fmt(path)}") from None
-    kids = [_resolve(k, path + (i,), uf, ctr) for i, k in enumerate(raw.children)]
+    kids = [_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
     if len(kids) != rule.arity:
         raise IngestError(f"{rule} needs {rule.arity} children at node {_fmt(path)}")
     try:
@@ -491,12 +433,13 @@ def _resolve(raw: RawTree, path: tuple[int, ...], uf: _UnionFind, ctr) -> _RNode
         raise IngestError(
             f"{rule} produces {computed.to_slash()} but node declares "
             f"{declared.to_slash()} at node {_fmt(path)}")
-    itype = _apply_rule_indexed(rule, [k.itype for k in kids], uf, ctr)
-    return _RNode(None, rule, kids, itype, path)
+    itype = combine(rule, [k.itype for k in kids], ops)
+    return _RNode(None, rule, kids, itype, path, computed)
 
 
 def _substitute_tree(node: _RNode, target: int, repl: IType, uf: _UnionFind):
     node.itype = _substitute(node.itype, target, repl, uf)
+    node.cat = _erase(node.itype)
     for kid in node.children:
         _substitute_tree(kid, target, repl, uf)
 

@@ -178,8 +178,14 @@ def render_tikz(d: Diagram | Layout) -> str:
     return "\n".join(out) + "\n"
 
 
+# LaTeX's special characters, translated in one pass so that no replacement
+# is escaped again.
+_TEX_ESCAPES = str.maketrans({
+    "\\": r"\textbackslash{}", "&": r"\&", "%": r"\%", "$": r"\$", "#": r"\#",
+    "_": r"\_", "{": r"\{", "}": r"\}", "^": r"\textasciicircum{}",
+    "~": r"\textasciitilde{}",
+})
+
+
 def _tex_escape(text: str) -> str:
-    for a, b in [("\\", "\\textbackslash{}"), ("&", "\\&"), ("%", "\\%"),
-                 ("$", "\\$"), ("#", "\\#"), ("_", "\\_"), ("{", "\\{"), ("}", "\\}")]:
-        text = text.replace(a, b)
-    return text
+    return text.translate(_TEX_ESCAPES)

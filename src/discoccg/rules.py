@@ -7,17 +7,49 @@ from dataclasses import dataclass
 
 from .ccgtypes import Backward, CcgType, Forward
 
-# Rule kinds.  FA/BA: application; FC/BC: harmonic composition; GFC/GBC their
-# generalized forms of degree n (n = 1 coincides with FC/BC); FTR/BTR:
-# type-raising towards a target type; FCX/BCX: crossed composition, with
-# GFCX/GBCX generalized variants; UNARY and CONJ are parser artifacts that the
-# ingest passes eliminate before lowering.
-KINDS = (
-    "LEX", "FA", "BA", "FC", "BC", "GFC", "GBC", "FTR", "BTR",
-    "FCX", "BCX", "GFCX", "GBCX", "UNARY", "CONJ",
-)
-
 MAX_COMPOSITION_DEGREE = 4
+
+
+@dataclass(frozen=True)
+class Schema:
+    """How one rule kind combines types.
+
+    A combinatory rule's primary functor is ``forward`` (X ⤙ Y, on the left)
+    or backward (Y ⤚ X, on the right).  Composition of degree n peels n
+    arguments off the secondary, outermost first, matches the innermost
+    result against Y and hands the arguments on to X: application is degree
+    0 and harmonic composition degree 1.  ``degree`` is that fixed degree, or
+    None when the label carries it.  Crossed composition is composition whose
+    innermost peeled argument has the other slash.  Type-raising builds its
+    output around the label's target type.  ``param`` names what a label of
+    the kind carries.  Kinds whose ``forward`` is None are not combinatory:
+    LEX marks leaves, and UNARY and CONJ are eliminated by the ingest passes.
+    """
+
+    forward: bool | None = None
+    degree: int | None = None
+    crossed: bool = False
+    raising: bool = False
+    param: str | None = None   # "degree" or "target"
+
+
+SCHEMAS: dict[str, Schema] = {
+    "LEX": Schema(),
+    "FA": Schema(True, 0),
+    "BA": Schema(False, 0),
+    "FC": Schema(True, 1),
+    "BC": Schema(False, 1),
+    "GFC": Schema(True, param="degree"),
+    "GBC": Schema(False, param="degree"),
+    "FTR": Schema(True, raising=True, param="target"),
+    "BTR": Schema(False, raising=True, param="target"),
+    "FCX": Schema(True, 1, crossed=True),
+    "BCX": Schema(False, 1, crossed=True),
+    "GFCX": Schema(True, crossed=True, param="degree"),
+    "GBCX": Schema(False, crossed=True, param="degree"),
+    "UNARY": Schema(param="target"),
+    "CONJ": Schema(),
+}
 
 
 class RuleError(ValueError):
@@ -31,14 +63,15 @@ class RuleLabel:
     target: CcgType | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        schema = SCHEMAS.get(self.kind)
+        if schema is None:
             raise ValueError(f"unknown rule kind {self.kind!r}")
-        if self.kind in ("GFC", "GBC", "GFCX", "GBCX"):
+        if schema.param == "degree":
             if self.degree is None or self.degree < 1:
                 raise ValueError(f"{self.kind} requires a degree >= 1")
         elif self.degree is not None:
             raise ValueError(f"{self.kind} takes no degree")
-        if self.kind in ("FTR", "BTR", "UNARY"):
+        if schema.param == "target":
             if self.target is None:
                 raise ValueError(f"{self.kind} requires a target type")
         elif self.target is not None:
@@ -52,8 +85,19 @@ class RuleLabel:
         return self.kind
 
     @property
+    def schema(self) -> Schema:
+        return SCHEMAS[self.kind]
+
+    @property
     def arity(self) -> int:
-        return 1 if self.kind in ("FTR", "BTR", "UNARY") else 2
+        return 1 if self.schema.param == "target" else 2
+
+    @property
+    def composition_degree(self) -> int | None:
+        """How many arguments a composition peels: fixed by the kind, or the
+        label's degree."""
+        fixed = self.schema.degree
+        return self.degree if fixed is None else fixed
 
 
 FA = RuleLabel("FA")
@@ -89,140 +133,95 @@ def _fail(rule: RuleLabel, expected: str, inputs: list[CcgType]) -> RuleError:
     return RuleError(f"{rule}: expected {expected}, got [{actual}]")
 
 
-def peel_forward(t: CcgType, n: int) -> tuple[CcgType, list[CcgType]]:
-    """Strip ``n`` outermost forward arguments, returning (innermost result, args).
+def peel(t, n: int) -> tuple:
+    """Strip the ``n`` outermost arguments of a type already known to have
+    them, whatever their slashes: returns (innermost result, args) with args
+    outermost-first, so ``peel((Y/Z2)/Z1, 2) == (Y, [Z1, Z2])``."""
+    args = []
+    for _ in range(n):
+        args.append(t.argument)
+        t = t.result
+    return t, args
 
-    Args come back outermost-first; ``peel_forward((Y/Z2)/Z1, 2) == (Y, [Z1, Z2])``.
+
+class TypeOps:
+    """The type operations a rule schema needs.
+
+    This base works on plain :data:`CcgType` values and matches by equality;
+    the unary resolver substitutes indexed types, unification and fresh
+    indices.  ``slashes`` holds the forward and the backward class, both
+    with ``result`` and ``argument`` fields.
     """
-    args: list[CcgType] = []
-    for _ in range(n):
-        if not isinstance(t, Forward):
-            raise ValueError("not enough forward arguments")
-        args.append(t.argument)
-        t = t.result
-    return t, args
+
+    slashes = (Forward, Backward)
+
+    def make(self, forward: bool, result, argument):
+        return Forward(result, argument) if forward else Backward(argument, result)
+
+    def match(self, a, b) -> bool:
+        return a == b
+
+    def target(self, t: CcgType):
+        return t
 
 
-def rebuild_forward(result: CcgType, args: list[CcgType]) -> CcgType:
-    t = result
-    for a in reversed(args):
-        t = Forward(t, a)
-    return t
+PLAIN = TypeOps()
+
+_PRIMARY = {True: "X ⤙ Y", False: "Y ⤚ X"}
 
 
-def peel_backward(t: CcgType, n: int) -> tuple[CcgType, list[CcgType]]:
-    """Strip ``n`` outermost backward arguments; mirror of :func:`peel_forward`."""
-    args: list[CcgType] = []
-    for _ in range(n):
-        if not isinstance(t, Backward):
-            raise ValueError("not enough backward arguments")
-        args.append(t.argument)
-        t = t.result
-    return t, args
+def combine(rule: RuleLabel, inputs: list, ops: TypeOps = PLAIN):
+    """The one rule schema: combine ``inputs`` under ``rule`` and return the
+    output type, in the representation ``ops`` works on.
 
+    Raises :class:`RuleError` on arity or shape mismatch.  UNARY, CONJ and
+    LEX are not combinatory rules: they are resolved by the ingest passes
+    and rejected here.
+    """
+    schema = rule.schema
+    forward = schema.forward
+    if forward is None:
+        raise RuleError(f"{rule.kind} is not a combinatory rule")
+    if len(inputs) != rule.arity:
+        raise RuleError(f"{rule}: expected {rule.arity} inputs, got {len(inputs)}")
+    fwd, bwd = ops.slashes
+    if schema.raising:
+        # T ⤙ (X ⤚ T) forward, (T ⤙ X) ⤚ T backward
+        t = ops.target(rule.target)
+        return ops.make(forward, t, ops.make(not forward, t, inputs[0]))
 
-def rebuild_backward(result: CcgType, args: list[CcgType]) -> CcgType:
-    t = result
-    for a in reversed(args):
-        t = Backward(a, t)
-    return t
+    n = rule.composition_degree
+    if n > MAX_COMPOSITION_DEGREE:
+        raise RuleError(f"{rule}: degree exceeds the bound {MAX_COMPOSITION_DEGREE}")
+    fn, inner = inputs if forward else inputs[::-1]
+    slash, other = (fwd, bwd) if forward else (bwd, fwd)
+    if not isinstance(fn, slash):
+        raise _fail(rule, f"a primary of the form {_PRIMARY[forward]}", inputs)
+    wants = [slash] * n
+    if schema.crossed:
+        wants[-1] = other
+    peeled = []
+    for want in wants:
+        if not isinstance(inner, want):
+            marks = " ".join("⤙" if w is fwd else "⤚" for w in wants)
+            raise _fail(rule, f"a secondary whose outermost slashes are {marks}", inputs)
+        peeled.append((want is fwd, inner.argument))
+        inner = inner.result
+    if not ops.match(fn.argument, inner):
+        what = "the secondary's innermost result" if n else "the secondary"
+        raise _fail(rule, f"{what} to equal the primary's argument Y", inputs)
+    out = fn.result
+    for is_forward, arg in reversed(peeled):
+        out = ops.make(is_forward, out, arg)
+    return out
 
 
 def apply_rule(rule: RuleLabel, inputs: list[CcgType]) -> CcgType:
     """Apply a combinatory rule schema to input types and return the output type.
 
-    Raises :class:`RuleError` on arity or shape mismatch.  UNARY, CONJ and LEX
-    are not combinatory rules: they are resolved by the ingest passes and
-    rejected here.
+    Raises :class:`RuleError` on arity or shape mismatch (see :func:`combine`).
     """
-    if rule.kind in ("LEX", "UNARY", "CONJ"):
-        raise RuleError(f"{rule.kind} is not a combinatory rule")
-    if len(inputs) != rule.arity:
-        raise RuleError(f"{rule}: expected {rule.arity} inputs, got {len(inputs)}")
-
-    if rule.kind == "FA":
-        fn, arg = inputs
-        if not (isinstance(fn, Forward) and fn.argument == arg):
-            raise _fail(rule, "(X ⤙ Y, Y)", inputs)
-        return fn.result
-
-    if rule.kind == "BA":
-        arg, fn = inputs
-        if not (isinstance(fn, Backward) and fn.argument == arg):
-            raise _fail(rule, "(Y, Y ⤚ X)", inputs)
-        return fn.result
-
-    if rule.kind in ("FC", "GFC"):
-        n = 1 if rule.kind == "FC" else rule.degree
-        if n > MAX_COMPOSITION_DEGREE:
-            raise RuleError(f"{rule}: degree exceeds the bound {MAX_COMPOSITION_DEGREE}")
-        fn, secondary = inputs
-        if not isinstance(fn, Forward):
-            raise _fail(rule, "(X ⤙ Y, (Y ⤙ Z) ⤙ ...)", inputs)
-        try:
-            inner, args = peel_forward(secondary, n)
-        except ValueError:
-            raise _fail(rule, f"secondary with {n} forward arguments", inputs) from None
-        if inner != fn.argument:
-            raise _fail(rule, "secondary innermost result matching Y", inputs)
-        return rebuild_forward(fn.result, args)
-
-    if rule.kind in ("BC", "GBC"):
-        n = 1 if rule.kind == "BC" else rule.degree
-        if n > MAX_COMPOSITION_DEGREE:
-            raise RuleError(f"{rule}: degree exceeds the bound {MAX_COMPOSITION_DEGREE}")
-        secondary, fn = inputs
-        if not isinstance(fn, Backward):
-            raise _fail(rule, "(... ⤚ (Z ⤚ Y), Y ⤚ X)", inputs)
-        try:
-            inner, args = peel_backward(secondary, n)
-        except ValueError:
-            raise _fail(rule, f"secondary with {n} backward arguments", inputs) from None
-        if inner != fn.argument:
-            raise _fail(rule, "secondary innermost result matching Y", inputs)
-        return rebuild_backward(fn.result, args)
-
-    if rule.kind == "FTR":
-        (x,) = inputs
-        t = rule.target
-        return Forward(t, Backward(x, t))
-
-    if rule.kind == "BTR":
-        (x,) = inputs
-        t = rule.target
-        return Backward(Forward(t, x), t)
-
-    if rule.kind in ("FCX", "GFCX"):
-        n = 1 if rule.kind == "FCX" else rule.degree
-        if n > MAX_COMPOSITION_DEGREE:
-            raise RuleError(f"{rule}: degree exceeds the bound {MAX_COMPOSITION_DEGREE}")
-        fn, secondary = inputs
-        if not isinstance(fn, Forward):
-            raise _fail(rule, "(X ⤙ Y, Z ⤚ Y)", inputs)
-        try:
-            crossed, trailing = peel_forward(secondary, n - 1)
-        except ValueError:
-            raise _fail(rule, f"secondary with {n - 1} trailing forward arguments", inputs) from None
-        if not (isinstance(crossed, Backward) and crossed.result == fn.argument):
-            raise _fail(rule, "(X ⤙ Y, Z ⤚ Y)", inputs)
-        return rebuild_forward(Backward(crossed.argument, fn.result), trailing)
-
-    if rule.kind in ("BCX", "GBCX"):
-        n = 1 if rule.kind == "BCX" else rule.degree
-        if n > MAX_COMPOSITION_DEGREE:
-            raise RuleError(f"{rule}: degree exceeds the bound {MAX_COMPOSITION_DEGREE}")
-        secondary, fn = inputs
-        if not isinstance(fn, Backward):
-            raise _fail(rule, "(Y ⤙ Z, Y ⤚ X)", inputs)
-        try:
-            crossed, trailing = peel_backward(secondary, n - 1)
-        except ValueError:
-            raise _fail(rule, f"secondary with {n - 1} trailing backward arguments", inputs) from None
-        if not (isinstance(crossed, Forward) and crossed.result == fn.argument):
-            raise _fail(rule, "(Y ⤙ Z, Y ⤚ X)", inputs)
-        return rebuild_backward(Forward(fn.result, crossed.argument), trailing)
-
-    raise RuleError(f"unhandled rule {rule}")  # pragma: no cover
+    return combine(rule, inputs)
 
 
 @dataclass(frozen=True)

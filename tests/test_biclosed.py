@@ -155,3 +155,8 @@ def test_sexpr_fig1_golden(corpus_terms):
 def test_sexpr_stable_across_calls(corpus_terms):
     for term in corpus_terms.values():
         assert to_sexpr(term) == to_sexpr(term)
+
+
+def test_sexpr_escapes_word_labels():
+    assert to_sexpr(word('say"hi', nb)) == '(word "say\\"hi" NP)'
+    assert to_sexpr(word("a\\b", nb)) == '(word "a\\\\b" NP)'

@@ -74,3 +74,14 @@ def test_np_shift_crossings_before_and_after_planarize(corpus_diagrams):
     after = _proper_intersections(_segments(render_svg(planarize(d))))
     assert before > 0
     assert after == 0
+
+
+def test_tikz_escapes_special_characters_once():
+    from discoccg.diagram import RObject, WordBox
+
+    label = "a\\b {c} x^2~y 5% $ # & _"
+    d = Diagram.build(EMPTY, [(0, WordBox(label, RObject.parse("n")))])
+    tikz = render_tikz(d)
+    assert ("a\\textbackslash{}b \\{c\\} x\\textasciicircum{}2\\textasciitilde{}y "
+            "5\\% \\$ \\# \\& \\_") in tikz
+    assert "\\textbackslash\\{\\}" not in tikz
