@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Convert the bundled corpus end to end and print per-sentence statistics.
 
-Usage: python scripts/convert_corpus.py [--planarize] [--normalize]
+Usage: python scripts/convert_corpus.py [--planarize] [--normalize] [--check]
+
+With ``--check``, the exit status is 1 when the oracle rejects a rewrite.
 """
 
 import argparse
@@ -46,7 +48,7 @@ def main() -> int:
         print(f"{row[0]:26s} {row[1]:5d} {row[2]:5d} {row[3]:4d} {row[4]:4d} "
               f"{row[5]:6d} {row[6]:>4s}")
     print(f"\n{len(rows)} derivations in {elapsed * 1000:.1f} ms")
-    return 0
+    return 1 if any(row[6] == "NO" for row in rows) else 0
 
 
 if __name__ == "__main__":

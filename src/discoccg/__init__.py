@@ -2,7 +2,8 @@
 """discoccg: compile CCG derivations into DisCoCat string diagrams.
 
 Pipeline: serialized derivation -> validated derivation (``ingest``) ->
-biclosed term (``biclosed``) -> string diagram (``functor``), with rewriting
+biclosed term (``biclosed``, whose objects are the categorial types plus a
+unit and a tensor) -> string diagram (``functor``), with rewriting
 (``rewrite``) and a tensor-network oracle (``semantics``) on the diagram side.
 """
 
@@ -15,10 +16,10 @@ from .ingest import (
     IngestError, expand_conj, ingest_tree, read_ccgbank, read_derivations,
     read_json, resolve_unary,
 )
-from .biclosed import BTerm, lower_derivation, rule_term, to_bobject, to_sexpr
+from .biclosed import BObject, BTerm, lower_derivation, rule_term, to_sexpr
 from .diagram import (
     Cap, Cup, Diagram, DiagramError, RObject, Swap, Wire, WordBox,
-    diagram_from_json, diagram_to_json, f_object, well_formed,
+    diagram_from_json, diagram_to_json, well_formed,
 )
 from .functor import LoweringContext, lower, verify_functor_laws
 from .rewrite import RewriteStep, diagrams_equal, normalize, planarize
@@ -34,10 +35,9 @@ __all__ = [
     "gfc", "unary", "validate",
     "IngestError", "expand_conj", "ingest_tree", "read_ccgbank",
     "read_derivations", "read_json", "resolve_unary",
-    "BTerm", "lower_derivation", "rule_term", "to_bobject", "to_sexpr",
+    "BObject", "BTerm", "lower_derivation", "rule_term", "to_sexpr",
     "Cap", "Cup", "Diagram", "DiagramError", "RObject", "Swap", "Wire",
-    "WordBox", "diagram_from_json", "diagram_to_json", "f_object",
-    "well_formed",
+    "WordBox", "diagram_from_json", "diagram_to_json", "well_formed",
     "LoweringContext", "lower", "verify_functor_laws",
     "RewriteStep", "diagrams_equal", "normalize", "planarize",
     "DimAssignment", "Lexicon", "Tensor", "evaluate", "semantically_equal",

@@ -1,7 +1,9 @@
 # -*- coding: utf-8 -*-
 """Free biclosed category IR.
 
-Objects are categorial types plus a monoidal unit and tensor; morphisms are
+Objects are the categorial types themselves, plus a monoidal unit and an
+n-ary tensor: ``Forward(X, Y)`` (slash ``X/Y``) is the right hom ``X ⤙ Y``
+and ``Backward(Y, X)`` (slash ``X\\Y``) the left hom ``Y ⤚ X``.  Morphisms are
 syntax trees built from words, identities, composition, tensor, the four
 curry/uncurry operators and explicit crossed-composition generator boxes.
 Every term carries its derived dom/cod.  No biclosed equations are applied at
@@ -16,47 +18,15 @@ generator (:class:`CrossBox`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
-from .ccgtypes import Atom, CcgType, Forward
+from .ccgtypes import Atom, Backward, CcgType, Forward
 # ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 4's tracer change
 from .rules import Derivation, Leaf, RuleError, RuleLabel, Unary, peel, validate  # noqa: F401
 
 
 @dataclass(frozen=True)
 class Unit:
-    def to_str(self) -> str:
-        return "I"
-
-
-@dataclass(frozen=True)
-class Base:
-    atom: Atom
-
-    def to_str(self) -> str:
-        return self.atom.name
-
-
-@dataclass(frozen=True)
-class LeftHom:
-    """``arg ⤚ res``: the left internal hom."""
-
-    arg: "BObject"
-    res: "BObject"
-
-    def to_str(self) -> str:
-        return f"{_wrap(self.res)}\\{_wrap(self.arg)}"
-
-
-@dataclass(frozen=True)
-class RightHom:
-    """``res ⤙ arg``: the right internal hom."""
-
-    res: "BObject"
-    arg: "BObject"
-
-    def to_str(self) -> str:
-        return f"{_wrap(self.res)}/{_wrap(self.arg)}"
+    """The monoidal unit ``I``."""
 
 
 @dataclass(frozen=True)
@@ -65,21 +35,31 @@ class TensorObj:
 
     parts: tuple["BObject", ...]
 
-    def to_str(self) -> str:
-        return "(" + "@".join(_wrap(p) for p in self.parts) + ")"
 
-
-BObject = Unit | Base | LeftHom | RightHom | TensorObj
+BObject = Unit | Atom | Forward | Backward | TensorObj
 
 UNIT = Unit()
 
 
+def to_str(o: BObject) -> str:
+    """The object notation of ``.biclosed`` files: unlike ``to_slash``, both
+    sides of a hom are bracketed when they are homs, as in ``(S\\NP)/NP``;
+    ``I`` is the unit and ``(A@B)`` a tensor."""
+    cls = type(o)
+    if cls is Atom:
+        return o.name
+    if cls is Forward:
+        return f"{_wrap(o.result)}/{_wrap(o.argument)}"
+    if cls is Backward:
+        return f"{_wrap(o.result)}\\{_wrap(o.argument)}"
+    if cls is TensorObj:
+        return "(" + "@".join(map(_wrap, o.parts)) + ")"
+    return "I"
+
+
 def _wrap(o: BObject) -> str:
-    if isinstance(o, (Unit, Base)):
-        return o.to_str()
-    if isinstance(o, TensorObj):
-        return o.to_str()
-    return f"({o.to_str()})"
+    cls = type(o)
+    return f"({to_str(o)})" if cls is Forward or cls is Backward else to_str(o)
 
 
 def factors(o: BObject) -> tuple[BObject, ...]:
@@ -99,16 +79,6 @@ def tensor_obj(*objs: BObject) -> BObject:
     if len(flat) == 1:
         return flat[0]
     return TensorObj(flat)
-
-
-@lru_cache(maxsize=4096)
-def to_bobject(t: CcgType) -> BObject:
-    """Embed a categorial type as a biclosed object (memoized by value)."""
-    if isinstance(t, Atom):
-        return Base(t)
-    if isinstance(t, Forward):
-        return RightHom(to_bobject(t.result), to_bobject(t.argument))
-    return LeftHom(to_bobject(t.argument), to_bobject(t.result))
 
 
 class BTermError(TypeError):
@@ -195,7 +165,7 @@ def compose(g: BTerm, f: BTerm) -> ComposeTerm:
     """``g ∘ f``: apply ``f`` first."""
     if f.cod != g.dom:
         raise BTermError(
-            f"compose mismatch: f has cod {f.cod.to_str()}, g has dom {g.dom.to_str()}")
+            f"compose mismatch: f has cod {to_str(f.cod)}, g has dom {to_str(g.dom)}")
     return ComposeTerm(f.dom, g.cod, g=g, f=f)
 
 
@@ -211,7 +181,7 @@ def curry_l(f: BTerm) -> CurryL:
     if not parts:
         raise BTermError("curry_l needs a non-unit domain")
     a, rest = parts[0], tensor_obj(*parts[1:])
-    return CurryL(rest, LeftHom(a, f.cod), inner=f)
+    return CurryL(rest, Backward(a, f.cod), inner=f)
 
 
 def curry_r(f: BTerm) -> CurryR:
@@ -220,19 +190,19 @@ def curry_r(f: BTerm) -> CurryR:
     if not parts:
         raise BTermError("curry_r needs a non-unit domain")
     b, rest = parts[-1], tensor_obj(*parts[:-1])
-    return CurryR(rest, RightHom(f.cod, b), inner=f)
+    return CurryR(rest, Forward(f.cod, b), inner=f)
 
 
 def uncurry_l(g: BTerm) -> UncurryL:
-    if not isinstance(g.cod, LeftHom):
-        raise BTermError(f"uncurry_l needs a left-hom codomain, got {g.cod.to_str()}")
-    return UncurryL(tensor_obj(g.cod.arg, g.dom), g.cod.res, inner=g)
+    if not isinstance(g.cod, Backward):
+        raise BTermError(f"uncurry_l needs a left-hom codomain, got {to_str(g.cod)}")
+    return UncurryL(tensor_obj(g.cod.argument, g.dom), g.cod.result, inner=g)
 
 
 def uncurry_r(g: BTerm) -> UncurryR:
-    if not isinstance(g.cod, RightHom):
-        raise BTermError(f"uncurry_r needs a right-hom codomain, got {g.cod.to_str()}")
-    return UncurryR(tensor_obj(g.dom, g.cod.arg), g.cod.res, inner=g)
+    if not isinstance(g.cod, Forward):
+        raise BTermError(f"uncurry_r needs a right-hom codomain, got {to_str(g.cod)}")
+    return UncurryR(tensor_obj(g.dom, g.cod.argument), g.cod.result, inner=g)
 
 
 def cross_box(direction: str, x: BObject, y: BObject, z: BObject,
@@ -240,19 +210,19 @@ def cross_box(direction: str, x: BObject, y: BObject, z: BObject,
     if direction not in ("FCX", "BCX"):
         raise BTermError(f"direction must be FCX or BCX, got {direction!r}")
     if direction == "FCX":
-        secondary: BObject = LeftHom(z, y)
-        out: BObject = LeftHom(z, x)
+        secondary: BObject = Backward(z, y)
+        out: BObject = Backward(z, x)
         for w in trailing:
-            secondary = RightHom(secondary, w)
-            out = RightHom(out, w)
-        dom = tensor_obj(RightHom(x, y), secondary)
+            secondary = Forward(secondary, w)
+            out = Forward(out, w)
+        dom = tensor_obj(Forward(x, y), secondary)
     else:
-        secondary = RightHom(y, z)
-        out = RightHom(x, z)
+        secondary = Forward(y, z)
+        out = Forward(x, z)
         for w in trailing:
-            secondary = LeftHom(w, secondary)
-            out = LeftHom(w, out)
-        dom = tensor_obj(secondary, LeftHom(y, x))
+            secondary = Backward(w, secondary)
+            out = Backward(w, out)
+        dom = tensor_obj(secondary, Backward(y, x))
     return CrossBox(dom, out, direction=direction, x=x, y=y, z=z, trailing=trailing)
 
 
@@ -262,12 +232,12 @@ def annotate(term: BTerm, rule: RuleLabel) -> BTerm:
 
 def fa_term(x: BObject, y: BObject) -> BTerm:
     """Evaluation ``(X ⤙ Y) ⊗ Y → X`` as the right-uncurried identity."""
-    return uncurry_r(id_term(RightHom(x, y)))
+    return uncurry_r(id_term(Forward(x, y)))
 
 
 def ba_term(y: BObject, x: BObject) -> BTerm:
     """Evaluation ``Y ⊗ (Y ⤚ X) → X`` as the left-uncurried identity."""
-    return uncurry_l(id_term(LeftHom(y, x)))
+    return uncurry_l(id_term(Backward(y, x)))
 
 
 def rule_term(rule: RuleLabel, inputs: list[CcgType]) -> BTerm:
@@ -280,18 +250,16 @@ def rule_term(rule: RuleLabel, inputs: list[CcgType]) -> BTerm:
     """
     schema = rule.schema
     if schema.raising:
-        x, t = to_bobject(inputs[0]), to_bobject(rule.target)
+        x, t = inputs[0], rule.target
         if schema.forward:
-            term = curry_r(uncurry_l(id_term(LeftHom(x, t))))
+            term = curry_r(uncurry_l(id_term(Backward(x, t))))
         else:
-            term = curry_l(uncurry_r(id_term(RightHom(t, x))))
+            term = curry_l(uncurry_r(id_term(Forward(t, x))))
     elif schema.crossed:
         fn, secondary = inputs if schema.forward else inputs[::-1]
         _, args = peel(secondary, rule.composition_degree)
-        term = cross_box(
-            "FCX" if schema.forward else "BCX", to_bobject(fn.result),
-            to_bobject(fn.argument), to_bobject(args[-1]),
-            tuple(to_bobject(w) for w in args[:-1]))
+        term = cross_box("FCX" if schema.forward else "BCX", fn.result,
+                         fn.argument, args[-1], tuple(args[:-1]))
     elif schema.forward:
         term = _gfc_term(inputs, rule.composition_degree)
     else:
@@ -302,17 +270,17 @@ def rule_term(rule: RuleLabel, inputs: list[CcgType]) -> BTerm:
 def _gfc_term(inputs: list[CcgType], n: int) -> BTerm:
     """Forward composition of degree ``n``; degree 0 is application."""
     fn, secondary = inputs
-    x, y = to_bobject(fn.result), to_bobject(fn.argument)
-    arg_objs = [to_bobject(a) for a in peel(secondary, n)[1]]
+    x, y = fn.result, fn.argument
+    arg_objs = peel(secondary, n)[1]
     # Uncurried chain (X⤙Y) ⊗ R ⊗ A1 ⊗ ... ⊗ An → X, evaluated outermost-first.
-    spine = to_bobject(secondary)
+    spine = secondary
     chain: BTerm | None = None
     for j, a in enumerate(arg_objs):
-        step: BTerm = tensor_term(id_term(RightHom(x, y)), fa_term(spine.res, a))
+        step: BTerm = tensor_term(id_term(Forward(x, y)), fa_term(spine.result, a))
         for rest in arg_objs[j + 1:]:
             step = tensor_term(step, id_term(rest))
         chain = step if chain is None else compose(step, chain)
-        spine = spine.res
+        spine = spine.result
     chain = compose(fa_term(x, y), chain) if chain is not None else fa_term(x, y)
     for _ in range(n):
         chain = curry_r(chain)
@@ -322,17 +290,17 @@ def _gfc_term(inputs: list[CcgType], n: int) -> BTerm:
 def _gbc_term(inputs: list[CcgType], n: int) -> BTerm:
     """Backward composition of degree ``n``; degree 0 is application."""
     secondary, fn = inputs
-    y, x = to_bobject(fn.argument), to_bobject(fn.result)
-    arg_objs = [to_bobject(a) for a in peel(secondary, n)[1]]
+    y, x = fn.argument, fn.result
+    arg_objs = peel(secondary, n)[1]
     # Chain An ⊗ ... ⊗ A1 ⊗ L ⊗ (Y⤚X) → X.
-    spine = to_bobject(secondary)
+    spine = secondary
     chain: BTerm | None = None
     for j, a in enumerate(arg_objs):
-        step = tensor_term(ba_term(a, spine.res), id_term(LeftHom(y, x)))
+        step = tensor_term(ba_term(a, spine.result), id_term(Backward(y, x)))
         for rest in arg_objs[j + 1:]:
             step = tensor_term(id_term(rest), step)
         chain = step if chain is None else compose(step, chain)
-        spine = spine.res
+        spine = spine.result
     chain = compose(ba_term(y, x), chain) if chain is not None else ba_term(y, x)
     for _ in range(n):
         chain = curry_l(chain)
@@ -356,7 +324,7 @@ def lower_derivation(d: Derivation) -> BTerm:
 
 def _lower(d: Derivation) -> BTerm:
     if isinstance(d, Leaf):
-        return word(d.word, to_bobject(d.cat))
+        return word(d.word, d.cat)
     if d.rule.schema.forward is None:
         raise RuleError(f"{d.rule.kind} node has no biclosed image; run the ingest passes")
     if isinstance(d, Unary):
@@ -377,9 +345,9 @@ def to_sexpr(term: BTerm) -> str:
 def _sexpr(term: BTerm) -> str:
     if isinstance(term, Word):
         label = term.label.replace("\\", "\\\\").replace('"', '\\"')
-        return f'(word "{label}" {term.cod.to_str()})'
+        return f'(word "{label}" {to_str(term.cod)})'
     if isinstance(term, IdTerm):
-        return f"(id {term.dom.to_str()})"
+        return f"(id {to_str(term.dom)})"
     if isinstance(term, ComposeTerm):
         return f"(compose {to_sexpr(term.g)} {to_sexpr(term.f)})"
     if isinstance(term, TensorTerm):
@@ -393,7 +361,7 @@ def _sexpr(term: BTerm) -> str:
     if isinstance(term, UncurryR):
         return f"(uncurry-r {to_sexpr(term.inner)})"
     if isinstance(term, CrossBox):
-        parts = [term.direction.lower(), term.x.to_str(), term.y.to_str(), term.z.to_str()]
-        parts += [w.to_str() for w in term.trailing]
+        parts = [term.direction.lower(), to_str(term.x), to_str(term.y), to_str(term.z)]
+        parts += [to_str(w) for w in term.trailing]
         return "(cross " + " ".join(parts) + ")"
     raise BTermError(f"unknown term {term!r}")  # pragma: no cover

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ccgtypes import Atom, Backward, CcgType, Forward
 
 MAX_WINDING = 6
 
@@ -255,22 +254,6 @@ def well_formed(d: Diagram) -> list[str]:
     if tuple(boundary) != d.cod.wires:
         return [f"final boundary {RObject(tuple(boundary))} does not match cod {d.cod}"]
     return []
-
-
-def f_object(t: CcgType, atom_map: dict[str, str] | None = None) -> RObject:
-    """The functor on objects: atoms to single wires, homs to adjoint blocks.
-
-    ``X ⤚ Y`` maps to ``f(X).r @ f(Y)`` and ``X ⤙ Y`` to ``f(X) @ f(Y).l``.
-
-    >>> print(f_object(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP"))))
-    n.r s n.l
-    """
-    amap = DEFAULT_ATOM_MAP if atom_map is None else atom_map
-    if isinstance(t, Atom):
-        return RObject((Wire(amap.get(t.name, t.name), 0),))
-    if isinstance(t, Forward):
-        return f_object(t.result, amap) @ f_object(t.argument, amap).l
-    return f_object(t.argument, amap).r @ f_object(t.result, amap)
 
 
 def cup_block(block: RObject, start: int) -> list[Layer]:

@@ -20,11 +20,12 @@ from functools import lru_cache
 
 from . import biclosed as bc
 from .biclosed import BObject, BTerm
+from .ccgtypes import Atom, Backward, Forward
 from .diagram import (
     DEFAULT_ATOM_MAP, EMPTY, Diagram, DiagramError, RObject, WordBox,
-    cap_block, cap_block_r, cup_block, cup_block_r, f_object, swap_blocks,
+    Wire, cap_block, cap_block_r, cup_block, cup_block_r, swap_blocks,
 )
-from .rules import Derivation, RuleLabel
+from .rules import RuleLabel
 
 
 class LoweringError(DiagramError):
@@ -47,23 +48,23 @@ class LoweringContext:
         # never answer for another atom map.
         object.__setattr__(self, "f_obj", lru_cache(maxsize=4096)(self._f_obj))
 
-    def f(self, t) -> RObject:
-        return f_object(t, self.atom_map)
-
     def _f_obj(self, o: BObject) -> RObject:
-        """The functor on biclosed objects; call it as ``f_obj``."""
-        if isinstance(o, bc.Unit):
-            return EMPTY
-        if isinstance(o, bc.Base):
-            return self.f(o.atom)
-        if isinstance(o, bc.TensorObj):
-            out = EMPTY
-            for p in o.parts:
-                out = out @ self.f_obj(p)
-            return out
-        if isinstance(o, bc.LeftHom):
-            return self.f_obj(o.arg).r @ self.f_obj(o.res)
-        return self.f_obj(o.res) @ self.f_obj(o.arg).l
+        """The functor on objects, call it as ``f_obj``: atoms to single wires,
+        ``X ⤙ Y`` to ``f(X) @ f(Y).l`` and ``Y ⤚ X`` to ``f(Y).r @ f(X)``.
+
+        >>> print(DEFAULT_CONTEXT.f_obj(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP"))))
+        n.r s n.l
+        """
+        if isinstance(o, Atom):
+            return RObject((Wire(self.atom_map.get(o.name, o.name), 0),))
+        if isinstance(o, Forward):
+            return self.f_obj(o.result) @ self.f_obj(o.argument).l
+        if isinstance(o, Backward):
+            return self.f_obj(o.argument).r @ self.f_obj(o.result)
+        out = EMPTY
+        for p in bc.factors(o):
+            out = out @ self.f_obj(p)
+        return out
 
 
 DEFAULT_CONTEXT = LoweringContext()
@@ -104,21 +105,16 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
         return diagram_curry_l(
             lower(term.inner, ctx, use_rule_images=use_rule_images), ctx.f_obj(a))
     if isinstance(term, bc.UncurryR):
-        b = term.inner.cod.arg
+        b = term.inner.cod.argument
         return diagram_uncurry_r(
             lower(term.inner, ctx, use_rule_images=use_rule_images), ctx.f_obj(b))
     if isinstance(term, bc.UncurryL):
-        a = term.inner.cod.arg
+        a = term.inner.cod.argument
         return diagram_uncurry_l(
             lower(term.inner, ctx, use_rule_images=use_rule_images), ctx.f_obj(a))
     if isinstance(term, bc.CrossBox):
         return _crossed_image(term, ctx)
     raise LoweringError(f"cannot lower term {term!r}")
-
-
-def lower_derivation(d: Derivation, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
-    """Full pipeline step: derivation to diagram through the biclosed term."""
-    return lower(bc.lower_derivation(d), ctx)
 
 
 # --- diagram-level currying (the compact-closed k operations) ---------------
@@ -169,19 +165,19 @@ def _rule_image(rule: RuleLabel, inputs: list[BObject], term: BTerm,
     dom = ctx.f_obj(term.dom)
 
     if schema.raising:
-        t = ctx.f_obj(term.cod.res)
+        t = ctx.f_obj(term.cod.result)
         if schema.forward:
             return Diagram.build(dom, cap_block(t, 0))
         return Diagram.build(dom, cap_block_r(t, len(dom)))
 
     if schema.forward:
         h = inputs[0]
-        x, y = ctx.f_obj(h.res), ctx.f_obj(h.arg)
+        x, y = ctx.f_obj(h.result), ctx.f_obj(h.argument)
         return Diagram.build(dom, cup_block(y, len(x)))
 
     # dom = A_1.r ... A_n.r  Y  Y.r  X: the secondary's arguments lead
     h = inputs[1]
-    y, x = ctx.f_obj(h.arg), ctx.f_obj(h.res)
+    y, x = ctx.f_obj(h.argument), ctx.f_obj(h.result)
     lead = len(dom) - 2 * len(y) - len(x)
     return Diagram.build(dom, cup_block_r(y, lead))
 
@@ -249,9 +245,9 @@ def verify_functor_laws(samples: list[BTerm],
             elif isinstance(term, bc.CurryL):
                 bent = diagram_curry_l(inner, ctx.f_obj(bc.factors(term.inner.dom)[0]))
             elif isinstance(term, bc.UncurryR):
-                bent = diagram_uncurry_r(inner, ctx.f_obj(term.inner.cod.arg))
+                bent = diagram_uncurry_r(inner, ctx.f_obj(term.inner.cod.argument))
             else:
-                bent = diagram_uncurry_l(inner, ctx.f_obj(term.inner.cod.arg))
+                bent = diagram_uncurry_l(inner, ctx.f_obj(term.inner.cod.argument))
             ok = diagrams_equal(d, bent)
             check(i, "curry-square", ok)
         if _has_rule_image(term):

@@ -434,7 +434,8 @@ def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
             f"{rule} produces {computed.to_slash()} but node declares "
             f"{declared.to_slash()} at node {_fmt(path)}")
     itype = combine(rule, [k.itype for k in kids], ops)
-    return _RNode(None, rule, kids, itype, path, computed)
+    # the declared type equals ``computed`` and is the instance ``_stripped_type`` shares
+    return _RNode(None, rule, kids, itype, path, declared)
 
 
 def _substitute_tree(node: _RNode, target: int, repl: IType, uf: _UnionFind):

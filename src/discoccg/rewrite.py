@@ -333,7 +333,9 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch |
     if run1 is None:
         return None
     slices, consumed = _producers(dom, layers)
-    boundary = Diagram.build(dom, layers[:s]).cod if s else dom
+    # the boundary at slice s, read off its producer tags
+    boundary = RObject(tuple(dom[port] if src == "dom" else layers[src][1].cod[port]
+                             for src, port in slices[s]))
     m, k, o = run1.groups, run1.width, run1.first_offset
 
     cups_start = run1.end

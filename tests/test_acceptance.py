@@ -12,7 +12,7 @@ from discoccg import biclosed as bc
 from discoccg.ccgtypes import parse_type
 from discoccg.corpus import load_corpus
 from discoccg.diagram import (
-    Diagram, EMPTY, RObject, Swap, Wire, WordBox, f_object, well_formed,
+    Diagram, EMPTY, RObject, Swap, Wire, WordBox, well_formed,
 )
 from discoccg.functor import DEFAULT_CONTEXT, lower
 from discoccg.rewrite import diagrams_equal, normalize, planarize
@@ -78,7 +78,7 @@ def test_corpus_conversion_rate_and_coverage():
 
 
 def test_transitive_verb_image_is_order_three():
-    image = f_object(parse_type("(S\\NP)/NP"))
+    image = DEFAULT_CONTEXT.f_obj(parse_type("(S\\NP)/NP"))
     assert image == RObject((Wire("n", 1), Wire("s", 0), Wire("n", -1)))
     _passed("functor image of (S\\NP)/NP is n.r s n.l")
 

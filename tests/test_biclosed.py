@@ -1,79 +1,105 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discoccg import biclosed as bc
 from discoccg.biclosed import (
-    Base, LeftHom, RightHom, UNIT, curry_l, curry_r, id_term, lower_derivation,
-    rule_term, tensor_obj, to_bobject, to_sexpr, uncurry_l, uncurry_r, word,
+    UNIT, curry_l, curry_r, id_term, lower_derivation, rule_term, tensor_obj,
+    to_sexpr, to_str, uncurry_l, uncurry_r, word,
 )
-from discoccg.ccgtypes import Atom, parse_type
+from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.ingest import ingest_tree, read_json
-from discoccg.rules import BA, FA, apply_rule, ftr, gfc
+from discoccg.rules import BA, FA, Leaf, apply_rule, ftr, gfc, leaves
 from tests.test_types import types
 
 import json
 
 t = parse_type
 NP, S = Atom("NP"), Atom("S")
-nb, sb = Base(NP), Base(S)
 
 
-def test_to_bobject_transitive_verb():
-    assert to_bobject(t("(S\\NP)/NP")) == RightHom(LeftHom(nb, sb), nb)
+def _subterms(term):
+    """Every subterm, with the words in sentence order."""
+    yield term
+    for attr in ("f", "g", "left", "right", "inner"):
+        kid = getattr(term, attr, None)
+        if kid is not None:
+            yield from _subterms(kid)
 
 
-def test_to_bobject_atom():
-    assert to_bobject(NP) == nb
+def test_leaves_keep_their_categories(corpus):
+    # a word's codomain is its leaf's category itself, not a copy of it
+    for ident, d in corpus.items():
+        words = [s for s in _subterms(lower_derivation(d)) if isinstance(s, bc.Word)]
+        cats = [leaf.cat for leaf in leaves(d)]
+        assert [w.cod for w in words] == cats, ident
+        assert all(w.cod is c for w, c in zip(words, cats)), ident
 
 
-@settings(max_examples=200)
-@given(types())
-def test_to_bobject_structure(x):
-    # derived oracle: independent recursion over the type tree
-    def manual(ty):
-        from discoccg.ccgtypes import Backward, Forward
-        if isinstance(ty, Atom):
-            return Base(ty)
-        if isinstance(ty, Forward):
-            return RightHom(manual(ty.result), manual(ty.argument))
-        return LeftHom(manual(ty.argument), manual(ty.result))
-    assert to_bobject(x) == manual(x)
+def _old_to_str(o):
+    # the printer as it was before objects were the categorial types: one
+    # method per object class, a hom side bracketed unless unit, atom or tensor
+    if isinstance(o, bc.Unit):
+        return "I"
+    if isinstance(o, Atom):
+        return o.name
+    if isinstance(o, Backward):
+        return f"{_old_wrap(o.result)}\\{_old_wrap(o.argument)}"
+    if isinstance(o, Forward):
+        return f"{_old_wrap(o.result)}/{_old_wrap(o.argument)}"
+    return "(" + "@".join(_old_wrap(p) for p in o.parts) + ")"
+
+
+def _old_wrap(o):
+    if isinstance(o, (bc.Unit, Atom, bc.TensorObj)):
+        return _old_to_str(o)
+    return f"({_old_to_str(o)})"
+
+
+objects = st.one_of(
+    types(), st.just(UNIT),
+    st.lists(types(), min_size=2, max_size=4).map(lambda ps: tensor_obj(*ps)))
+
+
+@settings(max_examples=300)
+@given(objects)
+def test_to_str_matches_the_old_printer(o):
+    assert to_str(o) == _old_to_str(o)
 
 
 def test_fa_rule_term_shape():
     term = rule_term(FA, [t("(S\\NP)/NP"), NP])
     assert isinstance(term, bc.UncurryR)
-    assert term.dom == tensor_obj(to_bobject(t("(S\\NP)/NP")), nb)
-    assert term.cod == to_bobject(t("S\\NP"))
+    assert term.dom == tensor_obj(t("(S\\NP)/NP"), NP)
+    assert term.cod == t("S\\NP")
     assert term.rule == FA
 
 
 def test_ba_rule_term_shape():
     term = rule_term(BA, [NP, t("S\\NP")])
     assert isinstance(term, bc.UncurryL)
-    assert term.dom == tensor_obj(nb, LeftHom(nb, sb))
-    assert term.cod == sb
+    assert term.dom == tensor_obj(NP, Backward(NP, S))
+    assert term.cod == S
 
 
 @settings(max_examples=100)
 @given(types(), types())
 def test_rule_term_types_match_apply_rule(x, y):
     # type-check oracle: dom/cod computed independently via apply_rule
-    from discoccg.ccgtypes import Backward, Forward
     fn = Forward(x, y)
     term = rule_term(FA, [fn, y])
-    assert term.dom == tensor_obj(to_bobject(fn), to_bobject(y))
-    assert term.cod == to_bobject(apply_rule(FA, [fn, y]))
+    assert term.dom == tensor_obj(fn, y)
+    assert term.cod == apply_rule(FA, [fn, y])
     raised = rule_term(ftr(x), [y])
-    assert raised.dom == to_bobject(y)
-    assert raised.cod == to_bobject(apply_rule(ftr(x), [y]))
+    assert raised.dom == y
+    assert raised.cod == apply_rule(ftr(x), [y])
 
 
 def test_gfc_term_has_curried_spine():
     term = rule_term(gfc(2), [t("(S\\NP)/VP"), t("(VP/NP)/NP")])
     assert isinstance(term, bc.CurryR)
     assert isinstance(term.inner, bc.CurryR)
-    assert term.cod == to_bobject(t("((S\\NP)/NP)/NP"))
+    assert term.cod == t("((S\\NP)/NP)/NP")
 
 
 def test_lower_derivation_fig1():
@@ -85,32 +111,21 @@ def test_lower_derivation_fig1():
                 {"word": "Bob", "type": "NP"}]}]})))
     term = lower_derivation(d)
     assert term.dom == UNIT
-    assert term.cod == sb
+    assert term.cod == S
     assert isinstance(term, bc.ComposeTerm)
     assert term.g.rule == BA
     assert isinstance(term.f, bc.TensorTerm)
 
 
 def test_lower_single_leaf():
-    from discoccg.rules import Leaf
     term = lower_derivation(Leaf("Alice", NP))
-    assert term == word("Alice", nb)
+    assert term == word("Alice", NP)
 
 
 def test_lower_raised_tree_contains_ftr_and_fc(corpus_terms):
     term = corpus_terms["alice-likes-bob-raised"]
-    assert term.cod == sb and term.dom == UNIT
-    kinds = set()
-
-    def walk(node):
-        if node.rule is not None:
-            kinds.add(node.rule.kind)
-        for attr in ("f", "g", "left", "right", "inner"):
-            kid = getattr(node, attr, None)
-            if kid is not None:
-                walk(kid)
-
-    walk(term)
+    assert term.cod == S and term.dom == UNIT
+    kinds = {node.rule.kind for node in _subterms(term) if node.rule is not None}
     assert {"FTR", "FC", "FA"} <= kinds
 
 
@@ -122,7 +137,7 @@ def test_all_corpus_terms_start_from_unit(corpus_terms):
 @settings(max_examples=200)
 @given(types(), types())
 def test_curry_uncurry_roundtrip_types(a, c):
-    f = id_term(tensor_obj(to_bobject(a), to_bobject(c)))
+    f = id_term(tensor_obj(a, c))
     curried = curry_l(f)
     back = uncurry_l(curried)
     assert (back.dom, back.cod) == (f.dom, f.cod)
@@ -133,13 +148,13 @@ def test_curry_uncurry_roundtrip_types(a, c):
 
 def test_compose_type_mismatch():
     with pytest.raises(bc.BTermError):
-        bc.compose(id_term(nb), id_term(sb))
+        bc.compose(id_term(NP), id_term(S))
 
 
 def test_sexpr_golden():
     term = rule_term(FA, [t("(S\\NP)/NP"), NP])
     assert to_sexpr(term) == "(rule FA (uncurry-r (id (S\\NP)/NP)))"
-    w = word("Alice", nb)
+    w = word("Alice", NP)
     assert to_sexpr(w) == '(word "Alice" NP)'
 
 
@@ -158,5 +173,5 @@ def test_sexpr_stable_across_calls(corpus_terms):
 
 
 def test_sexpr_escapes_word_labels():
-    assert to_sexpr(word('say"hi', nb)) == '(word "say\\"hi" NP)'
-    assert to_sexpr(word("a\\b", nb)) == '(word "a\\\\b" NP)'
+    assert to_sexpr(word('say"hi', NP)) == '(word "say\\"hi" NP)'
+    assert to_sexpr(word("a\\b", NP)) == '(word "a\\\\b" NP)'

@@ -20,7 +20,7 @@ from tests.sentences import cross_serial, left_fc_chain, right_branching
 
 
 def _clear_caches():
-    for cached in (ingest._stripped_type, bc.to_bobject, DEFAULT_CONTEXT.f_obj,
+    for cached in (ingest._stripped_type, DEFAULT_CONTEXT.f_obj,
                    semantics._plan, semantics._seeded_stack, semantics._draw):
         cached.cache_clear()
 
@@ -82,8 +82,8 @@ def test_contexts_never_see_each_others_objects(corpus):
         lowered = {id(ctx): [lower(t, ctx) for t in terms] for ctx in order}
         assert lowered[id(default)] == cold_default
         assert lowered[id(custom)] == cold_custom
-    assert LoweringContext().f_obj(bc.Base(Atom("NP"))) == RObject.parse("n")
-    assert LoweringContext(dict(custom_map)).f_obj(bc.Base(Atom("NP"))) \
+    assert LoweringContext().f_obj(Atom("NP")) == RObject.parse("n")
+    assert LoweringContext(dict(custom_map)).f_obj(Atom("NP")) \
         == RObject.parse("np")
 
 

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from discoccg.ccgtypes import Atom, parse_type
 from discoccg.diagram import (
     Cap, Cup, Diagram, DiagramError, EMPTY, RObject, Wire, WordBox,
-    compose, diagram_from_json, diagram_to_json, f_object, tensor, well_formed,
+    compose, diagram_from_json, diagram_to_json, tensor, well_formed,
 )
+from discoccg.functor import DEFAULT_CONTEXT
 
 t = parse_type
 n = RObject.parse("n")
@@ -14,15 +15,15 @@ n = RObject.parse("n")
 
 def test_f_object_transitive_verb():
     # order-3 tensor: n.r s n.l
-    assert f_object(t("(S\\NP)/NP")) == RObject.parse("n.r s n.l")
+    assert DEFAULT_CONTEXT.f_obj(t("(S\\NP)/NP")) == RObject.parse("n.r s n.l")
 
 
 def test_f_object_atom():
-    assert f_object(Atom("NP")) == n
+    assert DEFAULT_CONTEXT.f_obj(Atom("NP")) == n
 
 
 def test_f_object_type_raised():
-    assert f_object(t("S/(S\\NP)")) == RObject.parse("s s.l n")
+    assert DEFAULT_CONTEXT.f_obj(t("S/(S\\NP)")) == RObject.parse("s s.l n")
 
 
 from tests.test_types import types  # noqa: E402
@@ -31,7 +32,7 @@ from tests.test_types import types  # noqa: E402
 @settings(max_examples=200)
 @given(types())
 def test_f_object_matches_independent_evaluator(x):
-    assert f_object(x) == _manual_f(x)
+    assert DEFAULT_CONTEXT.f_obj(x) == _manual_f(x)
 
 
 def _manual_f(ty):
@@ -157,7 +158,7 @@ def test_well_formed_catches_offset_mutation(corpus_diagrams):
 
 def test_corpus_windings_stay_small(corpus, corpus_diagrams):
     for ident, d in corpus.items():
-        for w in f_object(d.cat):
+        for w in DEFAULT_CONTEXT.f_obj(d.cat):
             assert -2 <= w.z <= 2, ident
     for ident, diag in corpus_diagrams.items():
         for boundary in diag.boundaries():

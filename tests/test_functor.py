@@ -24,7 +24,7 @@ def test_alice_likes_bob_golden_layers(corpus_diagrams):
 
 
 def test_single_word_box():
-    term = bc.word("Alice", bc.to_bobject(t("NP")))
+    term = bc.word("Alice", t("NP"))
     d = lower(term)
     assert d.layers == ((0, WordBox("Alice", RObject.parse("n"))),)
 
@@ -76,7 +76,7 @@ def test_wire_conservation(corpus_diagrams):
 
 def test_atom_map_override():
     ctx = LoweringContext({"NP": "q", "S": "s", "PP": "p"})
-    term = bc.word("Alice", bc.to_bobject(t("NP")))
+    term = bc.word("Alice", t("NP"))
     assert lower(term, ctx).cod == RObject.parse("q")
 
 
@@ -97,7 +97,7 @@ def test_curry_square_fa_sample():
 
 
 def test_identity_sample():
-    term = bc.id_term(bc.to_bobject(t("S\\NP")))
+    term = bc.id_term(t("S\\NP"))
     reports = verify_functor_laws([term])
     assert reports == []
     d = lower(term)
@@ -126,7 +126,7 @@ def test_randomized_curry_roundtrips():
     # curry then uncurry lowers to something normal-form-equal to the original
     from discoccg.rewrite import diagrams_equal
     for ty1, ty2 in [("NP", "S\\NP"), ("(S\\NP)/NP", "NP"), ("N/N", "N")]:
-        f = bc.id_term(bc.tensor_obj(bc.to_bobject(t(ty1)), bc.to_bobject(t(ty2))))
+        f = bc.id_term(bc.tensor_obj(t(ty1), t(ty2)))
         round1 = bc.uncurry_r(bc.curry_r(f))
         assert diagrams_equal(lower(round1), lower(f))
         round2 = bc.uncurry_l(bc.curry_l(f))
@@ -144,7 +144,7 @@ from tests.test_types import types  # noqa: E402
 def test_functor_curry_laws_randomized(a, b, wrapping):
     # lower(curry(f)) must equal the diagram-level bending of lower(f) up to
     # normal form, for randomly curried/uncurried identity terms
-    term = bc.id_term(bc.tensor_obj(bc.to_bobject(a), bc.to_bobject(b)))
+    term = bc.id_term(bc.tensor_obj(a, b))
     for step in range(wrapping):
         if step % 2 == 0:
             term = bc.curry_r(term)

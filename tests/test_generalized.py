@@ -30,7 +30,7 @@ def test_gfc_degree_three():
     out = apply_rule(gfc(3), [t("(S\\NP)/VP"), secondary])
     assert out == t("(((S\\NP)/NP)/NP)/PP")
     term = bc.rule_term(gfc(3), [t("(S\\NP)/VP"), secondary])
-    assert term.cod == bc.to_bobject(out)
+    assert term.cod == out
     assert all(r.ok for r in verify_functor_laws([term]))
 
 
