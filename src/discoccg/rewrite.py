@@ -44,41 +44,41 @@ def _try_interchange(layers: list[Layer], i: int) -> tuple[Layer, Layer] | None:
     return None
 
 
-def _follow_wire(layers: list[Layer], start_layer: int, pos: int):
-    """Trace the wire at ``pos`` just below ``start_layer`` to its consumer.
+def _producers(dom: RObject, layers: list[Layer], stop: int):
+    """Producer tags of the boundary before layer ``stop``, and the tags each
+    layer before ``stop`` consumes.
 
-    Returns ``("layer", j, slot)`` or ``("cod", final_pos)``.
+    A tag is ("dom", j) or (layer_index, port).
     """
-    for j in range(start_layer + 1, len(layers)):
-        off, gen = layers[j]
-        dw = len(gen.dom)
-        if off <= pos < off + dw:
-            return ("layer", j, pos - off)
-        if pos >= off + dw:
-            pos += len(gen.cod) - dw
-    return ("cod", pos)
+    tags: list = [("dom", j) for j in range(len(dom))]
+    consumed = []
+    for i in range(stop):
+        o, g = layers[i]
+        dw = len(g.dom)
+        consumed.append(tuple(tags[o:o + dw]))
+        tags[o:o + dw] = [(i, k) for k in range(len(g.cod))]
+    return tags, consumed
 
 
-def _find_snakes(layers: list[Layer]):
+def _find_snakes(dom: RObject, layers: list[Layer]):
     """Yield yankable cap/cup pairs as (cap_layer, cup_layer, chirality)."""
-    for i, (o, gen) in enumerate(layers):
+    if not any(isinstance(g, Cap) for _, g in layers):
+        return
+    _, consumed = _producers(dom, layers, len(layers))
+    consumer = {tag: (j, slot) for j, tags in enumerate(consumed)
+                for slot, tag in enumerate(tags)}
+    for i, (_, gen) in enumerate(layers):
         if not isinstance(gen, Cap):
             continue
         # Right snake: the cap's right leg feeds a cup's left slot.
-        hit = _follow_wire(layers, i, o + 1)
-        if hit[0] == "layer":
-            j, slot = hit[1], hit[2]
-            tgt = layers[j][1]
-            if isinstance(tgt, Cup) and slot == 0 and (tgt.base, tgt.z) == (gen.base, gen.z):
-                yield (i, j, "SnakeRight")
-                continue
         # Left snake: the cap's left leg feeds a cup's right slot.
-        hit = _follow_wire(layers, i, o)
-        if hit[0] == "layer":
-            j, slot = hit[1], hit[2]
-            tgt = layers[j][1]
-            if isinstance(tgt, Cup) and slot == 1 and (tgt.base, tgt.z) == (gen.base, gen.z):
-                yield (i, j, "SnakeLeft")
+        for port, slot, chirality in ((1, 0, "SnakeRight"), (0, 1, "SnakeLeft")):
+            hit = consumer.get((i, port))
+            if hit is not None and hit[1] == slot:
+                tgt = layers[hit[0]][1]
+                if isinstance(tgt, Cup) and (tgt.base, tgt.z) == (gen.base, gen.z):
+                    yield (i, hit[0], chirality)
+                    break
 
 
 def _remove_snake(layers: list[Layer], cap: int, cup: int, chirality: str) -> list[Layer] | None:
@@ -179,28 +179,22 @@ def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
     budget = 10 * (len(layers) + 1) ** 2
     steps = 0
     while True:
-        yanked = False
-        for snake in _find_snakes(layers):
+        removed = None
+        for snake in _find_snakes(d.dom, layers):
             removed = _remove_snake(layers, *snake)
             if removed is not None:
                 if trace is not None:
                     trace.append(RewriteStep(snake[2], snake[0], layers[snake[0]][0]))
                 layers = removed
-                yanked = True
                 break
-        if yanked:
-            steps += 1
-            if steps > budget:
-                raise RewriteError("normalize exceeded its step budget")
-            continue
-        if _cancel_swaps(layers, trace):
-            continue
-        if _sort_layers(layers, trace):
-            steps += 1
-            if steps > budget:
-                raise RewriteError("normalize exceeded its step budget")
-            continue
-        break
+        if removed is None:
+            if _cancel_swaps(layers, trace):
+                continue
+            if not _sort_layers(layers, trace):
+                break
+        steps += 1
+        if steps > budget:
+            raise RewriteError("normalize exceeded its step budget")
     return Diagram.build(d.dom, layers)
 
 
@@ -238,23 +232,6 @@ def _parse_swap_run(layers: list[Layer], start: int) -> _SwapRun | None:
     if width is None or groups == 0:
         return None
     return _SwapRun(groups, width, o, idx)
-
-
-def _producers(dom: RObject, layers: list[Layer]):
-    """Per-slice producer tags and per-layer consumed tags.
-
-    A tag is ("dom", j) or (layer_index, port).  slices[i] is the boundary
-    before layer i.
-    """
-    tags: list = [("dom", j) for j in range(len(dom))]
-    slices = [tuple(tags)]
-    consumed = []
-    for i, (o, g) in enumerate(layers):
-        dw = len(g.dom)
-        consumed.append(tuple(tags[o:o + dw]))
-        tags[o:o + dw] = [(i, k) for k in range(len(g.cod))]
-        slices.append(tuple(tags))
-    return slices, consumed
 
 
 def _closure(slice_tags, consumed, span: tuple[int, int], limit: int):
@@ -332,10 +309,10 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch |
     run1 = _parse_swap_run(layers, s)
     if run1 is None:
         return None
-    slices, consumed = _producers(dom, layers)
+    slice_tags, consumed = _producers(dom, layers, s)
     # the boundary at slice s, read off its producer tags
     boundary = RObject(tuple(dom[port] if src == "dom" else layers[src][1].cod[port]
-                             for src, port in slices[s]))
+                             for src, port in slice_tags))
     m, k, o = run1.groups, run1.width, run1.first_offset
 
     cups_start = run1.end
@@ -380,8 +357,8 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch |
         end = s + len(expected)
         if list(layers[s:end]) != expected:
             return None
-        a = _closure(slices[s], consumed, alpha_seed, s)
-        b = _closure(slices[s], consumed, beta_seed, s)
+        a = _closure(slice_tags, consumed, alpha_seed, s)
+        b = _closure(slice_tags, consumed, beta_seed, s)
         if a is None or b is None:
             return None
         a_layers, a_span = a
@@ -421,7 +398,7 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch |
     return None
 
 
-def _apply_crossed(dom: RObject, layers: list[Layer], mt: _CrossedMatch) -> list[Layer]:
+def _apply_crossed(layers: list[Layer], mt: _CrossedMatch) -> list[Layer]:
     alpha = layers[mt.alpha[0]:mt.alpha[1]]
     beta = layers[mt.beta[0]:mt.beta[1]]
     prefix = layers[:mt.alpha[0]]
@@ -464,7 +441,7 @@ def planarize(d: Diagram, trace: list[RewriteStep] | None = None,
                     f"swap at layer {swap_at} is not removable by state sliding")
             return d
         local_trace.append(RewriteStep("SlideBoxThroughSwap", mt.start, layers[mt.start][0]))
-        layers = _apply_crossed(d.dom, layers, mt)
+        layers = _apply_crossed(layers, mt)
     if trace is not None:
         trace.extend(local_trace)
     return Diagram.build(d.dom, layers)

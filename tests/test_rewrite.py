@@ -14,7 +14,7 @@ from discoccg.rewrite import (
     _try_interchange, diagrams_equal, normalize, planarize,
 )
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
-from tests.sentences import left_fc_chain, raw_diagram, right_branching
+from tests.sentences import cross_serial, left_fc_chain, raw_diagram, right_branching
 
 n = RObject.parse("n")
 DIMS = DimAssignment({}, 2)
@@ -271,7 +271,7 @@ def _reference_normalize(d: Diagram, trace=None) -> Diagram:
     trace = [] if trace is None else trace
     layers = list(d.layers)
     while True:
-        snake = next((s for s in _find_snakes(layers)
+        snake = next((s for s in _find_snakes(d.dom, layers)
                       if _remove_snake(layers, *s) is not None), None)
         if snake is not None:
             trace.append(RewriteStep(snake[2], snake[0], layers[snake[0]][0]))
@@ -323,6 +323,98 @@ def test_normalize_matches_bubble_reference_on_random_derivations(derivation):
         assert normalize(form) == _reference_normalize(form)
 
 
+# --- the snake finder against the per-cap wire tracer ------------------------------
+
+def _follow_wire(layers, start_layer: int, pos: int):
+    """Trace the wire at ``pos`` just below ``start_layer`` to its consumer:
+    ``("layer", j, slot)`` or ``("cod", final_pos)``."""
+    for j in range(start_layer + 1, len(layers)):
+        off, gen = layers[j]
+        dw = len(gen.dom)
+        if off <= pos < off + dw:
+            return ("layer", j, pos - off)
+        if pos >= off + dw:
+            pos += len(gen.cod) - dw
+    return ("cod", pos)
+
+
+def _traced_snakes(layers):
+    """The original snake finder, kept as the reference: each cap leg is traced
+    down the layers to its consumer on its own."""
+    for i, (o, gen) in enumerate(layers):
+        if not isinstance(gen, Cap):
+            continue
+        hit = _follow_wire(layers, i, o + 1)
+        if hit[0] == "layer":
+            j, slot = hit[1], hit[2]
+            tgt = layers[j][1]
+            if isinstance(tgt, Cup) and slot == 0 and (tgt.base, tgt.z) == (gen.base, gen.z):
+                yield (i, j, "SnakeRight")
+                continue
+        hit = _follow_wire(layers, i, o)
+        if hit[0] == "layer":
+            j, slot = hit[1], hit[2]
+            tgt = layers[j][1]
+            if isinstance(tgt, Cup) and slot == 1 and (tgt.base, tgt.z) == (gen.base, gen.z):
+                yield (i, j, "SnakeLeft")
+
+
+def _same_snakes(dom: RObject, layers, ident) -> list:
+    layers = list(layers)
+    found = list(_find_snakes(dom, layers))
+    assert found == list(_traced_snakes(layers)), ident
+    return found
+
+
+def test_snakes_match_wire_tracer_on_corpus(corpus_diagrams):
+    found = 0
+    for ident, d in corpus_diagrams.items():
+        for form in (d, planarize(d)):
+            found += len(_same_snakes(form.dom, form.layers, ident))
+    assert found > 0
+
+
+def test_snakes_match_wire_tracer_on_scrambled_corpus(corpus_diagrams):
+    import random
+
+    rng = random.Random(17)
+    found = 0
+    for ident, d in corpus_diagrams.items():
+        for form in (d, planarize(d)):
+            for _ in range(10):
+                scrambled = _scrambled(form, rng, 4 * len(form.layers))
+                found += len(_same_snakes(scrambled.dom, scrambled.layers, ident))
+    assert found > 0
+
+
+def test_snakes_match_wire_tracer_on_hand_built_diagrams():
+    s = RObject.parse("s")
+    n_r = RObject.parse("n.r")
+    cases = {
+        "left": (n, [(1, Cap("n", 0)), (0, Cup("n", 0))], [(0, 1, "SnakeLeft")]),
+        "right": (n, [(0, Cap("n", -1)), (1, Cup("n", -1))], [(0, 1, "SnakeRight")]),
+        # a word box to the left shifts the legs before the cup closes them
+        "shifted": (n, [(1, Cap("n", 0)), (0, WordBox("A", s)), (1, Cup("n", 0))],
+                    [(0, 2, "SnakeLeft")]),
+        # both legs close against cups: the right snake is reported
+        "both legs": (n @ n_r, [(1, Cap("n", 0)), (0, Cup("n", 0)), (0, Cup("n", 0))],
+                      [(0, 2, "SnakeRight")]),
+        # the legs cross on a swap before the cup: not a snake
+        "swapped legs": (EMPTY, [(0, Cap("n", 0)),
+                                 (0, Swap(Wire("n", 1), Wire("n", 0))),
+                                 (0, Cup("n", 0))], []),
+        # the cup's base or winding does not match the cap's (ill-typed layer lists)
+        "left base": (n, [(1, Cap("n", 0)), (0, Cup("s", 0))], []),
+        "left winding": (n, [(1, Cap("n", 0)), (0, Cup("n", 1))], []),
+        "right base": (n, [(0, Cap("n", -1)), (1, Cup("s", -1))], []),
+        "right winding": (n, [(0, Cap("n", -1)), (1, Cup("n", 0))], []),
+    }
+    for ident, (dom, layers, expected) in cases.items():
+        if expected:
+            Diagram.build(dom, layers)  # the snakes themselves are well typed
+        assert _same_snakes(dom, layers, ident) == expected, ident
+
+
 # --- long sentences ---------------------------------------------------------------
 
 @pytest.fixture
@@ -349,3 +441,13 @@ def test_normalize_scales_to_512_adjectives(deep_recursion):
     assert (d.cod, well_formed(d)) == (RObject.parse("s"), [])
     assert normalize(d) == d
     assert d == normalize(raw_diagram(left_fc_chain(512)))
+
+
+@pytest.mark.parametrize("k", [16, 32, 64, 128], ids=lambda k: f"cross{k}")
+def test_cross_serial_clauses_planarize_and_normalize(k):
+    raw = raw_diagram(cross_serial(k))
+    planar = planarize(raw)
+    assert planar.count(Swap) == 0
+    norm = normalize(planar)
+    assert len(norm.layers) == 4 * k + 1
+    assert semantically_equal(raw, norm, DIMS, SEEDS)
