@@ -77,7 +77,7 @@ def _parse_dims(spec: str) -> DimAssignment:
     default = 2
     for part in filter(None, (p.strip() for p in spec.split(","))):
         key, _, value = part.partition("=")
-        if not value:
+        if not key or not value:
             raise ValueError(f"bad dims entry {part!r}")
         if key == "*":
             default = int(value)
@@ -93,7 +93,7 @@ def run(cfg: JobConfig) -> ExitReport:
         raise ValueError("; ".join(problems))
     ctx = LoweringContext({**DEFAULT_ATOM_MAP, **cfg.atom_map}) if cfg.atom_map \
         else DEFAULT_CONTEXT
-    dims = _parse_dims(cfg.check_semantics) if cfg.check_semantics else None
+    dims = _parse_dims(cfg.check_semantics) if cfg.check_semantics is not None else None
 
     entries: list[tuple[str, object]] = []
     for path in cfg.inputs:
@@ -185,8 +185,9 @@ def write_report(report: ExitReport, cfg: JobConfig, out=None) -> None:
             (out_dir / "stats.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         for name, payload in sorted(report.outputs.items()):
-            if isinstance(payload, str):
-                out.write(f"--- {name}\n{payload}")
+            if isinstance(payload, bytes):   # an SVG, which ends without a newline
+                payload = payload.decode("utf-8") + "\n"
+            out.write(f"--- {name}\n{payload}")
         if report.stats_rows:
             out.write("\t".join(STATS_COLUMNS) + "\n")
             for row in report.stats_rows:

@@ -3,9 +3,9 @@
 
 JSON is the normative interchange format; a CCGBank-flavored bracketed text
 reader maps onto the same raw tree.  Two passes turn raw trees into validated
-derivations: ``resolve_unary`` eliminates ad-hoc unary retypings by indexed
-back-substitution (every type occurrence is linked to the argument slot it
-unifies with, so a retyping at one node propagates through the already
+derivations: ``resolve_unary`` eliminates ad-hoc unary retypings by binding
+(every type slot is unified with the slots a rule equates it to, and a
+retyping binds the class of the retyped slot, so it reaches the already
 processed subtree), and ``expand_conj`` rewrites ``conj`` leaves into
 ``(X ⤚ X) ⤙ X`` coordination.
 
@@ -85,9 +85,8 @@ def _loads(data: bytes | str, *, entrywise: bool = False):
     return items
 
 
-def _too_deep() -> str:
-    return ("JSON nested too deeply to decode (more levels than the "
-            f"recursion limit of {sys.getrecursionlimit()})")
+def _too_deep(what: str = "JSON nested too deeply to decode") -> str:
+    return f"{what} (more levels than the recursion limit of {sys.getrecursionlimit()})"
 
 
 _JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{},]')
@@ -287,8 +286,15 @@ IType = IAtom | IFwd | IBwd
 
 
 class _UnionFind:
+    """Classes of type slots made equal by unification.  A retyping binds a
+    class to a fresh type, and every read of a slot follows the bindings.  A
+    class is pinned when a slot of it is built by a rule rather than taken
+    from an input, so retyping it to another type breaks that rule."""
+
     def __init__(self):
         self.parent: dict[int, int] = {}
+        self.bound: dict[int, IType] = {}
+        self.pinned: set[int] = set()
 
     def find(self, a: int) -> int:
         root = a
@@ -302,25 +308,38 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[ra] = rb
+            if ra in self.pinned:
+                self.pinned.add(rb)
+
+    def deref(self, it: IType) -> IType:
+        """The type slot ``it`` holds now; a bound class is never united again."""
+        while (root := self.find(it.idx)) in self.bound:
+            it = self.bound[root]
+        return it
 
 
-def _fresh(t: CcgType, ctr) -> IType:
+def _fresh(t: CcgType, ctr, pins: set[int] | None = None) -> IType:
+    idx = next(ctr)
+    if pins is not None:
+        pins.add(idx)
     if isinstance(t, Atom):
-        return IAtom(next(ctr), t.name)
+        return IAtom(idx, t.name)
     if isinstance(t, Forward):
-        return IFwd(next(ctr), _fresh(t.result, ctr), _fresh(t.argument, ctr))
-    return IBwd(next(ctr), _fresh(t.argument, ctr), _fresh(t.result, ctr))
+        return IFwd(idx, _fresh(t.result, ctr, pins), _fresh(t.argument, ctr, pins))
+    return IBwd(idx, _fresh(t.argument, ctr, pins), _fresh(t.result, ctr, pins))
 
 
-def _erase(it: IType) -> CcgType:
+def _erase(it: IType, uf: _UnionFind) -> CcgType:
+    it = uf.deref(it)
     if isinstance(it, IAtom):
         return Atom(it.name)
     if isinstance(it, IFwd):
-        return Forward(_erase(it.result), _erase(it.argument))
-    return Backward(_erase(it.argument), _erase(it.result))
+        return Forward(_erase(it.result, uf), _erase(it.argument, uf))
+    return Backward(_erase(it.argument, uf), _erase(it.result, uf))
 
 
 def _unify(a: IType, b: IType, uf: _UnionFind):
+    a, b = uf.deref(a), uf.deref(b)
     uf.union(a.idx, b.idx)
     if isinstance(a, IFwd) and isinstance(b, IFwd):
         _unify(a.result, b.result, uf)
@@ -330,23 +349,12 @@ def _unify(a: IType, b: IType, uf: _UnionFind):
         _unify(a.result, b.result, uf)
 
 
-def _substitute(it: IType, target: int, repl: IType, uf: _UnionFind) -> IType:
-    if uf.find(it.idx) == target:
-        return repl
-    if isinstance(it, IAtom):
-        return it
-    if isinstance(it, IFwd):
-        return IFwd(it.idx, _substitute(it.result, target, repl, uf),
-                    _substitute(it.argument, target, repl, uf))
-    return IBwd(it.idx, _substitute(it.argument, target, repl, uf),
-                _substitute(it.result, target, repl, uf))
-
-
 class _IndexedOps(TypeOps):
     """The rule schema on indexed types: matching unifies the slots an
-    argument flows into, so later unary substitutions reach back through the
-    tree, and every built node gets a fresh index.  Shapes are checked by
-    ``apply_rule`` on the erased types first, so matching always succeeds."""
+    argument flows into, so a later retyping reaches them all, and every
+    built node and raised target gets fresh, pinned indices.  Shapes are
+    checked by ``apply_rule`` on the erased types first, so matching always
+    succeeds."""
 
     slashes = (IFwd, IBwd)
 
@@ -354,16 +362,18 @@ class _IndexedOps(TypeOps):
         self.uf, self.ctr = uf, ctr
 
     def make(self, forward: bool, result: IType, argument: IType) -> IType:
+        idx = next(self.ctr)
+        self.uf.pinned.add(idx)
         if forward:
-            return IFwd(next(self.ctr), result, argument)
-        return IBwd(next(self.ctr), argument, result)
+            return IFwd(idx, result, argument)
+        return IBwd(idx, argument, result)
 
     def match(self, a: IType, b: IType) -> bool:
         _unify(a, b, self.uf)
         return True
 
     def target(self, t: CcgType) -> IType:
-        return _fresh(t, self.ctr)
+        return _fresh(t, self.ctr, self.uf.pinned)
 
 
 # --- the resolution pass --------------------------------------------------------
@@ -375,17 +385,18 @@ class _RNode:
     children: list["_RNode"]
     itype: IType
     path: tuple[int, ...]
-    cat: CcgType   # the erased ``itype``, kept in step by ``_substitute_tree``
+    cat: CcgType   # the node's type; stale below a retyped node
+    retyped: bool = False   # set by UNARY: it and the nodes below it erase ``itype``
 
 
 def resolve_unary(raw: RawTree) -> Derivation:
-    """Resolve UNARY nodes by indexed back-substitution and build a Derivation.
+    """Resolve UNARY nodes by binding and build a Derivation.
 
     CONJ junction nodes are carried through untouched (see ``expand_conj``).
     On trees without unary nodes this is the plain reader.
     """
-    root = _resolve(raw, (), _IndexedOps(_UnionFind(), itertools.count(1)))
-    return _to_derivation(root)
+    ops = _IndexedOps(_UnionFind(), itertools.count(1))
+    return _to_derivation(_resolve(raw, (), ops), ops.uf, False)
 
 
 def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
@@ -406,10 +417,19 @@ def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
         if len(raw.children) != 1:
             raise IngestError(f"UNARY needs exactly one child at node {_fmt(path)}")
         child = _resolve(raw.children[0], path + (0,), ops)
-        target_id = uf.find(child.itype.idx)
-        repl = _fresh(declared, ctr)
-        _substitute_tree(child, target_id, repl, uf)
-        _recheck(child)
+        slot = uf.find(uf.deref(child.itype).idx)
+        pinned = slot in uf.pinned
+        # a pinned class stays pinned, so a later retyping of it is checked too
+        uf.bound[slot] = _fresh(declared, ctr, uf.pinned if pinned else None)
+        if pinned and child.cat != declared:
+            # only a rule node builds a pinned slot; its own rule is reported
+            # first, else the rule application below that the retyping breaks
+            computed = apply_rule(child.rule, [_erase(k.itype, uf) for k in child.children])
+            where = (f"at node {_fmt(child.path)}: {child.rule} now yields "
+                     f"{computed.to_slash()}" if computed != declared
+                     else f"below node {_fmt(child.path)}")
+            raise IngestError(f"substitution produces a rule-schema violation {where}")
+        child.cat, child.retyped = declared, True
         return child
 
     if kind == "CONJ":
@@ -433,44 +453,18 @@ def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
         raise IngestError(
             f"{rule} produces {computed.to_slash()} but node declares "
             f"{declared.to_slash()} at node {_fmt(path)}")
-    itype = combine(rule, [k.itype for k in kids], ops)
+    itype = combine(rule, [uf.deref(k.itype) for k in kids], ops)
     # the declared type equals ``computed`` and is the instance ``_stripped_type`` shares
     return _RNode(None, rule, kids, itype, path, declared)
 
 
-def _substitute_tree(node: _RNode, target: int, repl: IType, uf: _UnionFind):
-    node.itype = _substitute(node.itype, target, repl, uf)
-    node.cat = _erase(node.itype)
-    for kid in node.children:
-        _substitute_tree(kid, target, repl, uf)
-
-
-def _recheck(node: _RNode):
-    """After a substitution, every resolved rule application must still hold."""
-    for kid in node.children:
-        _recheck(kid)
-    if node.rule is None or node.rule.kind == "CONJ":
-        return
-    try:
-        computed = apply_rule(node.rule, [k.cat for k in node.children])
-    except RuleError as exc:
-        raise IngestError(
-            f"substitution produces a rule-schema violation at node "
-            f"{_fmt(node.path)}: {exc}") from None
-    if computed != node.cat:
-        raise IngestError(
-            f"substitution produces a rule-schema violation at node "
-            f"{_fmt(node.path)}: {node.rule} now yields {computed.to_slash()}")
-
-
-def _to_derivation(node: _RNode) -> Derivation:
+def _to_derivation(node: _RNode, uf: _UnionFind, retyped: bool) -> Derivation:
+    retyped = retyped or node.retyped   # a retyping reaches only the nodes below it
+    cat = _erase(node.itype, uf) if retyped else node.cat
     if node.rule is None:
-        return Leaf(node.word, node.cat)
-    if len(node.children) == 1:
-        return Unary(node.rule, _to_derivation(node.children[0]), node.cat)
-    return Binary(
-        node.rule, _to_derivation(node.children[0]),
-        _to_derivation(node.children[1]), node.cat)
+        return Leaf(node.word, cat)
+    kids = [_to_derivation(kid, uf, retyped) for kid in node.children]
+    return Unary(node.rule, *kids, cat) if len(kids) == 1 else Binary(node.rule, *kids, cat)
 
 
 # --- conjunction expansion -------------------------------------------------------
@@ -481,25 +475,38 @@ CONJ_ATOM = Atom("CONJ")
 def expand_conj(d: Derivation) -> Derivation:
     """Rewrite coordination: the conj leaf of ``X and X`` becomes ``(X ⤚ X) ⤙ X``.
 
-    Identity on derivations without CONJ material.
+    Identity on derivations without CONJ material.  A CONJ atom left inside
+    any type is an error, reported after every coordination error.
     """
-    return _expand(d, ())
+    conj_typed: list[tuple[int, ...]] = []
+    out = _expand(d, (), conj_typed)
+    if conj_typed:
+        raise IngestError("CONJ appears in a type after preprocessing")
+    return out
 
 
-def _expand(d: Derivation, path: tuple[int, ...]) -> Derivation:
+def _has_conj(t: CcgType) -> bool:
+    if isinstance(t, Atom):
+        return t == CONJ_ATOM
+    return _has_conj(t.result) or _has_conj(t.argument)
+
+
+def _expand(d: Derivation, path: tuple[int, ...], conj_typed: list) -> Derivation:
+    if _has_conj(d.cat):
+        conj_typed.append(path)
     if isinstance(d, Leaf):
         if d.cat == CONJ_ATOM:
             raise IngestError(f"CONJ in non-coordination position at node {_fmt(path)}")
         return d
     if isinstance(d, Unary):
-        return Unary(d.rule, _expand(d.child, path + (0,)), d.cat)
+        return Unary(d.rule, _expand(d.child, path + (0,), conj_typed), d.cat)
     if d.rule.kind == "CONJ":
         raise IngestError(f"CONJ in non-coordination position at node {_fmt(path)}")
     right = d.right
     if isinstance(right, Binary) and right.rule.kind == "CONJ":
-        left = _expand(d.left, path + (0,))
+        left = _expand(d.left, path + (0,), conj_typed)
         conj_leaf = right.left
-        conjunct = _expand(right.right, path + (1, 1))
+        conjunct = _expand(right.right, path + (1, 1), conj_typed)
         if not isinstance(conj_leaf, Leaf) or conj_leaf.cat != CONJ_ATOM:
             raise IngestError(
                 f"CONJ node needs a conj leaf on its left at node {_fmt(path + (1,))}")
@@ -516,31 +523,11 @@ def _expand(d: Derivation, path: tuple[int, ...]) -> Derivation:
         retyped = Leaf(conj_leaf.word, Forward(glue, x))
         inner = Binary(RuleLabel("FA"), retyped, conjunct, glue)
         return Binary(d.rule, left, inner, d.cat)
-    return Binary(d.rule, _expand(d.left, path + (0,)),
-                  _expand(d.right, path + (1,)), d.cat)
+    return Binary(d.rule, _expand(d.left, path + (0,), conj_typed),
+                  _expand(d.right, path + (1,), conj_typed), d.cat)
 
 
 # --- pipeline helpers --------------------------------------------------------------
-
-def _check_no_conj_types(d: Derivation):
-    def scan(t: CcgType) -> bool:
-        if isinstance(t, Atom):
-            return t == CONJ_ATOM
-        if isinstance(t, Forward):
-            return scan(t.result) or scan(t.argument)
-        return scan(t.argument) or scan(t.result)
-
-    def walk(node: Derivation):
-        if scan(node.cat):
-            raise IngestError("CONJ appears in a type after preprocessing")
-        if isinstance(node, Unary):
-            walk(node.child)
-        elif isinstance(node, Binary):
-            walk(node.left)
-            walk(node.right)
-
-    walk(d)
-
 
 def ingest_tree(raw: RawTree) -> Derivation:
     """Full preprocessing: resolve unary rules, expand conjunctions, validate."""
@@ -548,7 +535,6 @@ def ingest_tree(raw: RawTree) -> Derivation:
     problems = validate(d)
     if problems:
         raise IngestError("derivation does not validate: " + "; ".join(map(str, problems)))
-    _check_no_conj_types(d)
     return d
 
 
@@ -589,9 +575,12 @@ def read_derivations(data: str | bytes, fmt: str = "json", *,
     def push(ident: str, parse):
         try:
             out.append((ident, parse()))
-        except IngestError as exc:
+        except (IngestError, RecursionError) as exc:
+            if isinstance(exc, RecursionError):   # the reader recursed once per level
+                what = "JSON" if fmt == "json" else "bracketed text"
+                exc = IngestError(_too_deep(f"{what} nested too deeply to read"))
             if not collect_errors:
-                raise
+                raise exc from None
             out.append((ident, exc))
 
     if fmt == "ccgbank":

@@ -272,3 +272,54 @@ def test_failed_output_write_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_too_deep_ccgbank_line_fails_alone(tmp_path, capsys):
+    deep = "(UNARY NP " * 1500 + "(LEX NP Alice)" + ")" * 1500
+    path = tmp_path / "bank.txt"
+    path.write_text("(BA S (LEX NP Alice) (LEX S\\NP sleeps))\n" + deep + "\n")
+    out = tmp_path / "o"
+    assert main(["--in", str(path), "--format", "ccgbank", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL s1: bracketed text nested too deeply to read (more levels than the "
+        f"recursion limit of {sys.getrecursionlimit()})",
+        "total 2 converted 1 failed 1"]
+    assert [p.name for p in out.iterdir()] == ["s0.diagram.json"]
+
+
+def _one_sentence(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ALICE))
+    return str(path)
+
+
+def test_empty_check_semantics_spec_checks_with_the_default_dimension(
+        tmp_path, monkeypatch):
+    checked = []
+
+    def check(before, after, dims, seeds):
+        checked.append(dims)
+        return True
+
+    monkeypatch.setattr(cli, "semantically_equal", check)
+    assert main(["--in", _one_sentence(tmp_path), "--check-semantics", ""]) == 0
+    assert checked == [cli.DimAssignment({}, 2)]
+
+
+@pytest.mark.parametrize("spec", ["=3", "n=2,=3"])
+def test_dims_entry_without_a_base_is_one_error_line(tmp_path, capsys, spec):
+    assert main(["--in", _one_sentence(tmp_path), "--check-semantics", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad dims entry '=3'\n"
+
+
+def test_stdout_mode_prints_svg_as_text(tmp_path, capsys):
+    path, out = _one_sentence(tmp_path), tmp_path / "o"
+    assert main(["--in", path, "--emit", "svg,tikz", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["--in", path, "--emit", "svg,tikz"]) == 0
+    svg = (out / "s0.svg").read_text(encoding="utf-8")
+    tikz = (out / "s0.tikz").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == (
+        f"--- s0.svg\n{svg}\n--- s0.tikz\n{tikz}total 1 converted 1 failed 0\n")

@@ -1,15 +1,20 @@
+import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discoccg.ccgtypes import Atom, parse_type
+from discoccg import ingest
+from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.ingest import (
     IngestError, RawLeaf, RawNode, derivation_to_json, expand_conj,
     ingest_tree, read_ccgbank, read_derivations, read_json, resolve_unary,
 )
-from discoccg.rules import Binary, Leaf, Unary, leaves, validate
+from discoccg.rules import (
+    Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, apply_rule, combine, leaves, validate,
+)
 from tests.sentences import deep_json
 
 t = parse_type
@@ -314,6 +319,25 @@ def test_too_deep_json_is_an_ingest_error():
         read_derivations(deep_json(600)[1:-1], "json", collect_errors=True)
 
 
+def test_entry_too_deep_to_read_fails_alone(monkeypatch):
+    # an entry that decodes but recurses past the limit while it is read
+    read = ingest._raw_node
+
+    def shallow(obj, ptr):
+        if ptr == "/1":
+            raise RecursionError("maximum recursion depth exceeded")
+        return read(obj, ptr)
+
+    monkeypatch.setattr(ingest, "_raw_node", shallow)
+    entries = read_derivations(json.dumps([FIG1, FIG1]), "json", collect_errors=True)
+    assert entries[0] == ("s0", read_json(json.dumps(FIG1)))
+    assert entries[1][0] == "s1"
+    assert str(entries[1][1]) == ("JSON nested too deeply to read (more levels than the "
+                                  f"recursion limit of {sys.getrecursionlimit()})")
+    with pytest.raises(IngestError, match="JSON nested too deeply to read"):
+        read_derivations(json.dumps([FIG1, FIG1]), "json")
+
+
 def test_too_deep_list_is_split_outside_strings():
     deep = deep_json(600)[1:-1]
     tricky = {"word": "a,]}[{\\\"", "type": "NP"}
@@ -363,3 +387,299 @@ def test_validate_after_ingest_on_generated_trees(d):
     again = ingest_tree(read_json(json.dumps(derivation_to_json(d))))
     assert validate(again) == []
     assert again == d
+
+
+# --- unary resolution against the substituting reference -------------------------
+#
+# The resolver once rewrote the whole subtree of every UNARY node and re-checked
+# each rule application in it.  That resolver is kept here as the reference:
+# binding the retyped class must accept and reject the same trees and return
+# the same derivations.
+
+class _RefUnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, a):
+        while self.parent.get(a, a) != a:
+            a = self.parent[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+
+def _ref_erase(it):
+    if isinstance(it, ingest.IAtom):
+        return Atom(it.name)
+    if isinstance(it, ingest.IFwd):
+        return Forward(_ref_erase(it.result), _ref_erase(it.argument))
+    return Backward(_ref_erase(it.argument), _ref_erase(it.result))
+
+
+def _ref_unify(a, b, uf):
+    uf.union(a.idx, b.idx)
+    if isinstance(a, ingest.IFwd) and isinstance(b, ingest.IFwd):
+        _ref_unify(a.result, b.result, uf)
+        _ref_unify(a.argument, b.argument, uf)
+    elif isinstance(a, ingest.IBwd) and isinstance(b, ingest.IBwd):
+        _ref_unify(a.argument, b.argument, uf)
+        _ref_unify(a.result, b.result, uf)
+
+
+def _ref_substitute(it, target, repl, uf):
+    if uf.find(it.idx) == target:
+        return repl
+    if isinstance(it, ingest.IAtom):
+        return it
+    if isinstance(it, ingest.IFwd):
+        return ingest.IFwd(it.idx, _ref_substitute(it.result, target, repl, uf),
+                           _ref_substitute(it.argument, target, repl, uf))
+    return ingest.IBwd(it.idx, _ref_substitute(it.argument, target, repl, uf),
+                       _ref_substitute(it.result, target, repl, uf))
+
+
+class _RefOps(TypeOps):
+    slashes = (ingest.IFwd, ingest.IBwd)
+
+    def __init__(self, uf, ctr):
+        self.uf, self.ctr = uf, ctr
+
+    def make(self, forward, result, argument):
+        if forward:
+            return ingest.IFwd(next(self.ctr), result, argument)
+        return ingest.IBwd(next(self.ctr), argument, result)
+
+    def match(self, a, b):
+        _ref_unify(a, b, self.uf)
+        return True
+
+    def target(self, t):
+        return ingest._fresh(t, self.ctr)
+
+
+class _RefNode:
+    def __init__(self, word, rule, children, itype, path, cat):
+        self.word, self.rule, self.children = word, rule, children
+        self.itype, self.path, self.cat = itype, path, cat
+
+
+def _ref_resolve(raw, path, ops):
+    uf, ctr = ops.uf, ops.ctr
+    if isinstance(raw, RawLeaf):
+        t = ingest._parse_type(raw.type_str, path)
+        return _RefNode(raw.word, None, [], ingest._fresh(t, ctr), path, t)
+    kind, degree, target = ingest._parse_rule(raw.rule_str, path)
+    declared = ingest._parse_type(raw.type_str, path)
+    if kind == "LEX":
+        raise IngestError("LEX on an internal node")
+    if kind == "UNARY":
+        if len(raw.children) != 1:
+            raise IngestError("UNARY arity")
+        child = _ref_resolve(raw.children[0], path + (0,), ops)
+        target_id = uf.find(child.itype.idx)
+        repl = ingest._fresh(declared, ctr)
+        _ref_substitute_tree(child, target_id, repl, uf)
+        _ref_recheck(child)
+        return child
+    if kind == "CONJ":
+        if len(raw.children) != 2:
+            raise IngestError("CONJ arity")
+        kids = [_ref_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
+        return _RefNode(None, RuleLabel("CONJ"), kids, ingest._fresh(declared, ctr),
+                        path, declared)
+    try:
+        rule = RuleLabel(kind, degree=degree, target=target)
+    except ValueError:
+        raise IngestError("bad label") from None
+    kids = [_ref_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
+    if len(kids) != rule.arity:
+        raise IngestError("arity")
+    try:
+        computed = apply_rule(rule, [k.cat for k in kids])
+    except RuleError:
+        raise IngestError("schema") from None
+    if computed != declared:
+        raise IngestError("declared type")
+    return _RefNode(None, rule, kids, combine(rule, [k.itype for k in kids], ops),
+                    path, declared)
+
+
+def _ref_substitute_tree(node, target, repl, uf):
+    node.itype = _ref_substitute(node.itype, target, repl, uf)
+    node.cat = _ref_erase(node.itype)
+    for kid in node.children:
+        _ref_substitute_tree(kid, target, repl, uf)
+
+
+def _ref_recheck(node):
+    for kid in node.children:
+        _ref_recheck(kid)
+    if node.rule is None or node.rule.kind == "CONJ":
+        return
+    try:
+        computed = apply_rule(node.rule, [k.cat for k in node.children])
+    except RuleError:
+        raise IngestError("substitution breaks a rule") from None
+    if computed != node.cat:
+        raise IngestError("substitution breaks a rule")
+
+
+def _ref_to_derivation(node):
+    if node.rule is None:
+        return Leaf(node.word, node.cat)
+    if len(node.children) == 1:
+        return Unary(node.rule, _ref_to_derivation(node.children[0]), node.cat)
+    return Binary(node.rule, _ref_to_derivation(node.children[0]),
+                  _ref_to_derivation(node.children[1]), node.cat)
+
+
+def _ref_has_conj(t):
+    if isinstance(t, Atom):
+        return t == Atom("CONJ")
+    return _ref_has_conj(t.result) or _ref_has_conj(t.argument)
+
+
+def _ref_ingest(raw):
+    root = _ref_resolve(raw, (), _RefOps(_RefUnionFind(), itertools.count(1)))
+    d = expand_conj(_ref_to_derivation(root))
+    if validate(d):
+        raise IngestError("does not validate")
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if _ref_has_conj(node.cat):
+            raise IngestError("CONJ in a type")
+        stack.extend(getattr(node, f) for f in ("child", "left", "right") if hasattr(node, f))
+    return d
+
+
+ATOMS = [Atom(a) for a in ("N", "NP", "S", "PP")]
+_cats = st.recursive(st.sampled_from(ATOMS), lambda kids: st.one_of(
+    st.builds(Forward, kids, kids), st.builds(Backward, kids, kids)), max_leaves=3)
+
+
+def _raised(cat):
+    return (isinstance(cat, Forward) and isinstance(cat.argument, Backward)
+            and cat.argument.result == cat.result)
+
+
+@st.composite
+def unary_trees(draw, max_depth=4):
+    """Raw trees built top-down from a category: leaves, UNARY over a child
+    of any category (often the category of the UNARY node above, so that a
+    second retyping undoes the first), FA/BA/FC/BC, FTR on raised
+    categories and CONJ on ``X\\X``; half of them then have one declared
+    type changed."""
+    def node(cat, depth, undo=None):
+        kinds = ["leaf"]
+        if depth < max_depth:
+            kinds += ["UNARY", "FA", "BA"]
+            kinds += ["FC"] * isinstance(cat, Forward) + ["BC"] * isinstance(cat, Backward)
+            kinds += ["FTR"] * 3 * _raised(cat)   # its target is fixed by the label
+            kinds += ["CONJ"] * (isinstance(cat, Backward) and cat.argument == cat.result)
+        kind = draw(st.sampled_from(kinds))
+        here, deeper = cat.to_slash(), depth + 1
+        if kind == "leaf":
+            return RawLeaf(draw(st.sampled_from(["w", "x", "y"])), here)
+        if kind == "UNARY":
+            below = draw(_cats if undo is None else st.one_of(st.just(undo), _cats))
+            return RawNode("UNARY", here, (node(below, deeper, cat),))
+        if kind == "FA":
+            y = draw(st.one_of(_cats, st.sampled_from(ATOMS).map(lambda a: Backward(a, cat))))
+            return RawNode("FA", here, (node(Forward(cat, y), deeper), node(y, deeper)))
+        if kind == "BA":
+            y = draw(st.one_of(_cats, st.just(cat)))
+            return RawNode("BA", here, (node(y, deeper), node(Backward(y, cat), deeper)))
+        if kind == "FC":
+            y = draw(_cats)
+            return RawNode("FC", here, (node(Forward(cat.result, y), deeper),
+                                        node(Forward(y, cat.argument), deeper)))
+        if kind == "BC":
+            y = draw(_cats)
+            return RawNode("BC", here, (node(Backward(cat.argument, y), deeper),
+                                        node(Backward(y, cat.result), deeper)))
+        if kind == "FTR":
+            return RawNode(f"FTR:{cat.result.to_slash()}", here,
+                           (node(cat.argument.argument, deeper),))
+        return RawNode("CONJ", here, (RawLeaf("and", "conj"), node(cat.result, deeper)))
+
+    tree = node(draw(_cats), 0)
+    if draw(st.booleans()):
+        paths = list(_node_paths(tree, ()))
+        path = draw(st.sampled_from(paths))
+        retyped = draw(st.one_of(_cats.map(lambda t: t.to_slash()),
+                                 st.sampled_from(["conj", "NP/conj"])))
+        tree = _retype_at(tree, path, retyped)
+    return tree
+
+
+def _node_paths(raw, path):
+    yield path
+    for i, kid in enumerate(getattr(raw, "children", ())):
+        yield from _node_paths(kid, path + (i,))
+
+
+def _retype_at(raw, path, type_str):
+    if not path:
+        if isinstance(raw, RawLeaf):
+            return RawLeaf(raw.word, type_str)
+        return RawNode(raw.rule_str, type_str, raw.children)
+    kids = list(raw.children)
+    kids[path[0]] = _retype_at(kids[path[0]], path[1:], type_str)
+    return RawNode(raw.rule_str, raw.type_str, tuple(kids))
+
+
+def _verdict(ingest_fn, raw):
+    try:
+        return ingest_fn(raw)
+    except IngestError:
+        return "rejected"
+
+
+@settings(max_examples=500, deadline=None)
+@given(unary_trees())
+def test_binding_resolver_matches_substituting_reference(raw):
+    assert _verdict(ingest_tree, raw) == _verdict(_ref_ingest, raw)
+
+
+def test_retyping_undone_by_an_enclosing_one_is_still_rejected():
+    # UNARY:PP breaks FTR:S below it; the enclosing UNARY:S restores the
+    # types, but each retyping is checked when it is made
+    inner = {"rule": "FA", "type": "S", "children": [
+        {"rule": "FTR:S", "type": "S/(S\\NP)", "children": [{"word": "Alice", "type": "NP"}]},
+        {"word": "runs", "type": "S\\NP"}]}
+    twice = {"rule": "UNARY", "type": "S", "children": [
+        {"rule": "UNARY", "type": "PP", "children": [inner]}]}
+    with pytest.raises(IngestError, match="below node 0/0"):
+        ingest_tree(read_json(json.dumps(twice)))
+    assert _verdict(_ref_ingest, read_json(json.dumps(twice))) == "rejected"
+
+
+def _unary_chain(k):
+    """``a0 ... a(k-1) wolf`` with every FA result retyped N -> NP, so each
+    UNARY node sits above the previous one."""
+    noun = RawLeaf("wolf", "NP")
+    for i in reversed(range(k)):
+        noun = RawNode("UNARY", "NP", (RawNode("FA", "N", (RawLeaf(f"a{i}", "N/NP"), noun)),))
+    return noun
+
+
+def test_nested_unary_chain_work_is_linear(monkeypatch):
+    calls = {"n": 0}
+    for name in ("_erase", "apply_rule"):
+        def counted(*args, _orig=getattr(ingest, name)):
+            calls["n"] += 1
+            return _orig(*args)
+        monkeypatch.setattr(ingest, name, counted)
+
+    def work(k):
+        calls["n"] = 0
+        d = ingest_tree(_unary_chain(k))
+        assert [leaf.cat.to_slash() for leaf in leaves(d)][-2:] == ["NP/NP", "NP"]
+        return calls["n"]
+
+    small, large = work(100), work(200)
+    assert small > 0 and large <= 2.1 * small
