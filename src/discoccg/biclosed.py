@@ -334,34 +334,43 @@ def _lower(d: Derivation) -> BTerm:
         tensor_term(_lower(d.left), _lower(d.right)))
 
 
+_BENDS = {CurryL: "curry-l", CurryR: "curry-r", UncurryL: "uncurry-l", UncurryR: "uncurry-r"}
+
+
 def to_sexpr(term: BTerm) -> str:
-    """Stable s-expression rendering of a term, used as the CLI biclosed format."""
-    body = _sexpr(term)
-    if term.rule is not None and not isinstance(term, CrossBox):
-        return f"(rule {term.rule} {body})"
-    return body
+    """Stable s-expression rendering of a term, used as the CLI biclosed format.
 
-
-def _sexpr(term: BTerm) -> str:
-    if isinstance(term, Word):
-        label = term.label.replace("\\", "\\\\").replace('"', '\\"')
-        return f'(word "{label}" {to_str(term.cod)})'
-    if isinstance(term, IdTerm):
-        return f"(id {to_str(term.dom)})"
-    if isinstance(term, ComposeTerm):
-        return f"(compose {to_sexpr(term.g)} {to_sexpr(term.f)})"
-    if isinstance(term, TensorTerm):
-        return f"(tensor {to_sexpr(term.left)} {to_sexpr(term.right)})"
-    if isinstance(term, CurryL):
-        return f"(curry-l {to_sexpr(term.inner)})"
-    if isinstance(term, CurryR):
-        return f"(curry-r {to_sexpr(term.inner)})"
-    if isinstance(term, UncurryL):
-        return f"(uncurry-l {to_sexpr(term.inner)})"
-    if isinstance(term, UncurryR):
-        return f"(uncurry-r {to_sexpr(term.inner)})"
-    if isinstance(term, CrossBox):
-        parts = [term.direction.lower(), to_str(term.x), to_str(term.y), to_str(term.z)]
-        parts += [to_str(w) for w in term.trailing]
-        return "(cross " + " ".join(parts) + ")"
-    raise BTermError(f"unknown term {term!r}")  # pragma: no cover
+    The parts are written into one list, walking the term with an explicit
+    stack of pending subterms and closing strings, and joined once."""
+    parts: list[str] = []
+    todo: list[BTerm | str] = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            parts.append(t)
+            continue
+        cls = type(t)
+        if t.rule is not None and cls is not CrossBox:
+            parts.append(f"(rule {t.rule} ")
+            todo.append(")")
+        if cls is Word:
+            label = t.label.replace("\\", "\\\\").replace('"', '\\"')
+            parts.append(f'(word "{label}" {to_str(t.cod)})')
+        elif cls is IdTerm:
+            parts.append(f"(id {to_str(t.dom)})")
+        elif cls is ComposeTerm:
+            parts.append("(compose ")
+            todo += [")", t.f, " ", t.g]
+        elif cls is TensorTerm:
+            parts.append("(tensor ")
+            todo += [")", t.right, " ", t.left]
+        elif cls in _BENDS:
+            parts.append(f"({_BENDS[cls]} ")
+            todo += [")", t.inner]
+        elif cls is CrossBox:
+            crossed = [t.direction.lower(), to_str(t.x), to_str(t.y), to_str(t.z)]
+            crossed += [to_str(w) for w in t.trailing]
+            parts.append("(cross " + " ".join(crossed) + ")")
+        else:
+            raise BTermError(f"unknown term {t!r}")  # pragma: no cover
+    return "".join(parts)

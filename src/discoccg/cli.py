@@ -74,16 +74,14 @@ class ExitReport:
 
 def _parse_dims(spec: str) -> DimAssignment:
     dims: dict[str, int] = {}
-    default = 2
     for part in filter(None, (p.strip() for p in spec.split(","))):
-        key, _, value = part.partition("=")
+        key, _, value = (s.strip() for s in part.partition("="))
         if not key or not value:
             raise ValueError(f"bad dims entry {part!r}")
-        if key == "*":
-            default = int(value)
-        else:
-            dims[key] = int(value)
-    return DimAssignment(dims, default)
+        if key in dims:
+            raise ValueError(f"bad dims entry {part!r}: {key!r} is already set")
+        dims[key] = int(value)
+    return DimAssignment(dims, dims.pop("*", 2))
 
 
 def run(cfg: JobConfig) -> ExitReport:

@@ -304,10 +304,6 @@ def wire_to_json(w: Wire) -> dict:
     return {"base": w.base, "z": w.z}
 
 
-def _wire_from_json(obj) -> Wire:
-    return Wire(obj["base"], obj["z"])
-
-
 def _gen_to_json(gen: Generator) -> dict:
     if isinstance(gen, WordBox):
         return {"kind": "word", "label": gen.label,
@@ -319,19 +315,6 @@ def _gen_to_json(gen: Generator) -> dict:
     return {"kind": "swap", "w1": wire_to_json(gen.w1), "w2": wire_to_json(gen.w2)}
 
 
-def _gen_from_json(obj) -> Generator:
-    kind = obj["kind"]
-    if kind == "word":
-        return WordBox(obj["label"], RObject(tuple(_wire_from_json(w) for w in obj["cod"])))
-    if kind == "cup":
-        return Cup(obj["base"], obj["z"])
-    if kind == "cap":
-        return Cap(obj["base"], obj["z"])
-    if kind == "swap":
-        return Swap(_wire_from_json(obj["w1"]), _wire_from_json(obj["w2"]))
-    raise DiagramError(f"unknown generator kind {kind!r}")
-
-
 def diagram_to_json(d: Diagram) -> str:
     payload = {
         "dom": [wire_to_json(w) for w in d.dom],
@@ -341,12 +324,81 @@ def diagram_to_json(d: Diagram) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
+# The reader is a trust boundary: each object must have exactly its fields
+# and each field its JSON type; a malformed payload raises a DiagramError that
+# names its JSON pointer.
+
+_GEN_FIELDS = {"word": {"kind", "label", "cod"}, "cup": {"kind", "base", "z"},
+               "cap": {"kind", "base", "z"}, "swap": {"kind", "w1", "w2"}}
+_TYPE_NAMES = {str: "a non-empty string", int: "an integer", list: "a list"}
+
+
+def _object(obj, keys: set[str], ptr: str) -> dict:
+    if not isinstance(obj, dict):
+        raise DiagramError(f"expected an object at {ptr or '/'}")
+    for key in sorted(obj.keys() ^ keys):
+        raise DiagramError(f"{'unknown' if key in obj else 'missing'} field {key!r} "
+                           f"at {ptr or '/'}")
+    return obj
+
+
+def _field(obj: dict, key: str, ptr: str, kind: type):
+    """``obj[key]``: a non-empty ``str``, an ``int`` that is not a bool, or a
+    ``list``."""
+    value = obj[key]
+    if type(value) is not kind or value == "":
+        raise DiagramError(f"{key!r} must be {_TYPE_NAMES[kind]} at {ptr}/{key}")
+    return value
+
+
+def _winding(obj: dict, ptr: str, top: int = MAX_WINDING) -> int:
+    z = _field(obj, "z", ptr, int)
+    if not -MAX_WINDING <= z <= top:
+        raise DiagramError(f"'z' must be in {-MAX_WINDING}..{top} at {ptr}/z")
+    return z
+
+
+def _wire_from_json(obj, ptr: str) -> Wire:
+    _object(obj, {"base", "z"}, ptr)
+    return Wire(_field(obj, "base", ptr, str), _winding(obj, ptr))
+
+
+def _wires_from_json(obj: dict, key: str, ptr: str) -> RObject:
+    items = _field(obj, key, ptr, list)
+    return RObject(tuple(_wire_from_json(w, f"{ptr}/{key}/{i}") for i, w in enumerate(items)))
+
+
+def _gen_from_json(obj, ptr: str) -> Generator:
+    if not isinstance(obj, dict) or "kind" not in obj:
+        _object(obj, {"kind"}, ptr)   # raises: not an object, or no kind
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _GEN_FIELDS:
+        raise DiagramError(f"unknown generator kind {kind!r} at {ptr}/kind")
+    _object(obj, _GEN_FIELDS[kind], ptr)
+    if kind == "word":
+        return WordBox(_field(obj, "label", ptr, str), _wires_from_json(obj, "cod", ptr))
+    if kind == "swap":
+        return Swap(_wire_from_json(obj["w1"], f"{ptr}/w1"),
+                    _wire_from_json(obj["w2"], f"{ptr}/w2"))
+    # a cup or a cap spans the windings z and z + 1
+    base, z = _field(obj, "base", ptr, str), _winding(obj, ptr, MAX_WINDING - 1)
+    return Cup(base, z) if kind == "cup" else Cap(base, z)
+
+
 def diagram_from_json(text: str | bytes) -> Diagram:
-    payload = json.loads(text)
-    dom = RObject(tuple(_wire_from_json(w) for w in payload["dom"]))
-    layers = [(entry["offset"], _gen_from_json(entry["gen"])) for entry in payload["layers"]]
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DiagramError(f"invalid JSON: {exc}") from None
+    _object(payload, {"dom", "cod", "layers"}, "")
+    dom, cod = _wires_from_json(payload, "dom", ""), _wires_from_json(payload, "cod", "")
+    layers = []
+    for i, entry in enumerate(_field(payload, "layers", "", list)):
+        ptr = f"/layers/{i}"
+        _object(entry, {"offset", "gen"}, ptr)
+        layers.append((_field(entry, "offset", ptr, int),
+                       _gen_from_json(entry["gen"], f"{ptr}/gen")))
     d = Diagram.build(dom, layers)
-    cod = RObject(tuple(_wire_from_json(w) for w in payload["cod"]))
     if d.cod != cod:
         raise DiagramError(f"stored cod {cod} does not match layers (computed {d.cod})")
     return d

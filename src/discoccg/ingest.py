@@ -399,12 +399,19 @@ def resolve_unary(raw: RawTree) -> Derivation:
     return _to_derivation(_resolve(raw, (), ops), ops.uf, False)
 
 
+# C0 controls and DEL break the SVG (XML) and the one-line .biclosed outputs.
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
     uf, ctr = ops.uf, ops.ctr
     if isinstance(raw, RawLeaf):
         t = _parse_type(raw.type_str, path)
         if not raw.word:
             raise IngestError(f"empty word at node {_fmt(path)}")
+        if _CONTROL.search(raw.word):
+            raise IngestError(f"word {raw.word!r} contains a control character "
+                              f"at node {_fmt(path)}")
         return _RNode(raw.word, None, [], _fresh(t, ctr), path, t)
 
     kind, degree, target = _parse_rule(raw.rule_str, path)

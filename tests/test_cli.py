@@ -314,6 +314,39 @@ def test_dims_entry_without_a_base_is_one_error_line(tmp_path, capsys, spec):
     assert captured.err == "error: bad dims entry '=3'\n"
 
 
+def test_dims_keys_and_values_are_stripped(tmp_path, monkeypatch):
+    checked = []
+
+    def check(before, after, dims, seeds):
+        checked.append(dims)
+        return True
+
+    monkeypatch.setattr(cli, "semantically_equal", check)
+    assert main(["--in", _one_sentence(tmp_path), "--check-semantics", "n = 3, * = 4"]) == 0
+    assert checked == [cli.DimAssignment({"n": 3}, 4)]
+
+
+@pytest.mark.parametrize("spec, entry, key", [
+    ("n=3,n=4", "n=4", "n"), ("n=3, n = 4", "n = 4", "n"), ("*=2,s=2,*=3", "*=3", "*")])
+def test_repeated_dims_key_is_one_error_line(tmp_path, capsys, spec, entry, key):
+    assert main(["--in", _one_sentence(tmp_path), "--check-semantics", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad dims entry {entry!r}: {key!r} is already set\n"
+
+
+def test_400_word_chain_converts_with_every_emit(tmp_path, capsys):
+    # at the default recursion limit: no stage recurses per term level
+    path, out = tmp_path / "rb400.json", tmp_path / "o"
+    path.write_text(deep_json(400))
+    assert main(["--in", str(path), "--out-dir", str(out), "--emit", ",".join(cli.EMITS),
+                 "--planarize", "--normalize", "--check-semantics", "*=2", "--strict"]) == 0
+    assert capsys.readouterr().out == "total 1 converted 1 failed 0\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "s0.biclosed", "s0.diagram.json", "s0.svg", "s0.tikz", "stats.tsv"]
+    assert (out / "s0.biclosed").read_text().count("(word ") == 404
+
+
 def test_stdout_mode_prints_svg_as_text(tmp_path, capsys):
     path, out = _one_sentence(tmp_path), tmp_path / "o"
     assert main(["--in", path, "--emit", "svg,tikz", "--out-dir", str(out)]) == 0

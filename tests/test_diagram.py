@@ -240,6 +240,55 @@ def test_json_stored_cod_mismatch_message():
     assert str(exc.value) == "stored cod n does not match layers (computed s)"
 
 
+def _set(path, value):
+    def mutate(payload):
+        *parents, last = path
+        for key in parents:
+            payload = payload[key]
+        payload[last] = value
+    return mutate
+
+
+_BAD_JSON = {
+    "empty-object": ("{}", None, "missing field 'cod' at /"),
+    "list": ("[]", None, "expected an object at /"),
+    "not-json": ("{", None, "invalid JSON: Expecting property name enclosed in double quotes: "
+                            "line 1 column 2 (char 1)"),
+    "unknown-top-level-field": (None, _set(["extra"], 1), "unknown field 'extra' at /"),
+    "missing-gen": (None, lambda p: p["layers"][0].pop("gen"),
+                    "missing field 'gen' at /layers/0"),
+    "string-offset": (None, _set(["layers", 0, "offset"], "0"),
+                      "'offset' must be an integer at /layers/0/offset"),
+    "float-cup-winding": (None, _set(["layers", 2, "gen", "z"], 0.0),
+                          "'z' must be an integer at /layers/2/gen/z"),
+    "bool-wire-winding": (None, _set(["cod", 0, "z"], True), "'z' must be an integer at /cod/0/z"),
+    "cup-winding-out-of-range": (None, _set(["layers", 2, "gen", "z"], 6),
+                                 "'z' must be in -6..5 at /layers/2/gen/z"),
+    "int-label": (None, _set(["layers", 0, "gen", "label"], 5),
+                  "'label' must be a non-empty string at /layers/0/gen/label"),
+    "empty-base": (None, _set(["layers", 1, "gen", "cod", 1, "base"], ""),
+                   "'base' must be a non-empty string at /layers/1/gen/cod/1/base"),
+    "unknown-kind": (None, _set(["layers", 2, "gen", "kind"], ["cup"]),
+                     "unknown generator kind ['cup'] at /layers/2/gen/kind"),
+    "layers-not-a-list": (None, _set(["layers"], {}), "'layers' must be a list at /layers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_JSON))
+def test_json_reader_names_the_pointer_of_a_malformed_payload(case):
+    import json as j
+    text, mutate, message = _BAD_JSON[case]
+    if text is None:
+        d = Diagram.build(EMPTY, [(0, WordBox("a", n)), (1, WordBox("b", RObject.parse("n.r s"))),
+                                  (0, Cup("n", 0))])
+        payload = j.loads(diagram_to_json(d))
+        mutate(payload)
+        text = j.dumps(payload)
+    with pytest.raises(DiagramError) as exc:
+        diagram_from_json(text)
+    assert str(exc.value) == message
+
+
 def test_boundaries_follow_the_layers():
     d = Diagram.build(n, [(1, Cap("n", 0)), (0, Cup("n", 0))])
     assert [str(b) for b in d.boundaries()] == ["n", "n n.r n", "n"]

@@ -1,12 +1,19 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
 from discoccg import biclosed as bc
-from discoccg.ccgtypes import parse_type
-from discoccg.diagram import Cap, Cup, RObject, Swap, WordBox, well_formed
-from discoccg.functor import LoweringContext, lower, verify_functor_laws
+from discoccg.ccgtypes import Backward, parse_type
+from discoccg.diagram import (
+    Cap, Cup, Diagram, RObject, Swap, WordBox, cap_block, cap_block_r, cup_block, cup_block_r,
+    well_formed,
+)
+from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower, verify_functor_laws
+from discoccg.ingest import ingest_tree, read_json
 from discoccg.rules import FA
+from tests.sentences import right_branching
 
 t = parse_type
 
@@ -93,7 +100,7 @@ def test_n_distinct_from_np(corpus_diagrams):
 def test_curry_square_fa_sample():
     term = bc.rule_term(FA, [t("(S\\NP)/NP"), t("NP")])
     reports = verify_functor_laws([term])
-    assert all(r.ok for r in reports)
+    assert [(r.law, r.ok) for r in reports] == [("rule-image-vs-generic", True)]
 
 
 def test_identity_sample():
@@ -109,7 +116,8 @@ def test_functor_laws_across_corpus(corpus_terms):
     for term in corpus_terms.values():
         _subterms(term, samples)
     reports = verify_functor_laws(samples)
-    assert reports, "law checker produced no reports"
+    assert Counter(r.law for r in reports) == {
+        "compose": 99, "tensor": 98, "rule-image-vs-generic": 82}
     failures = [r for r in reports if not r.ok]
     assert failures == []
 
@@ -139,19 +147,81 @@ from hypothesis import strategies as st  # noqa: E402
 from tests.test_types import types  # noqa: E402
 
 
+def _bend(term, inner):
+    """The diagram-level curry or uncurry of ``inner``, the image of
+    ``term.inner``: a test-local copy of the functor's specification of
+    ``term``, to compare the one-pass emitter against."""
+    f_obj = DEFAULT_CONTEXT.f_obj
+    if isinstance(term, bc.CurryR):
+        b = f_obj(bc.factors(term.inner.dom)[-1])
+        rest = inner.dom[:len(inner.dom) - len(b)]
+        assert rest @ b == inner.dom
+        return Diagram.build(rest, cap_block(b, len(rest)) + list(inner.layers))
+    if isinstance(term, bc.CurryL):
+        a = f_obj(bc.factors(term.inner.dom)[0])
+        assert inner.dom[:len(a)] == a
+        return Diagram.build(inner.dom[len(a):], cap_block_r(a, 0)
+                             + [(o + len(a), g) for o, g in inner.layers])
+    if isinstance(term, bc.UncurryR):
+        b = f_obj(term.inner.cod.argument)
+        assert inner.cod[len(inner.cod) - len(b):] == b.l
+        return Diagram.build(inner.dom @ b, list(inner.layers)
+                             + cup_block(b, len(inner.cod) - len(b)))
+    a = f_obj(term.inner.cod.argument)
+    assert inner.cod[:len(a)] == a.r
+    return Diagram.build(a @ inner.dom, [(o + len(a), g) for o, g in inner.layers]
+                         + cup_block_r(a, 0))
+
+
 @settings(max_examples=200, deadline=None)
-@given(types(3), types(3), st.integers(0, 3))
-def test_functor_curry_laws_randomized(a, b, wrapping):
+@given(types(3), types(3), st.lists(st.booleans(), max_size=3))
+def test_functor_curry_laws_randomized(a, b, left_sides):
     # lower(curry(f)) must equal the diagram-level bending of lower(f) up to
-    # normal form, for randomly curried/uncurried identity terms
+    # normal form, for identity terms curried on random sides and uncurried
+    from discoccg.rewrite import diagrams_equal
     term = bc.id_term(bc.tensor_obj(a, b))
-    for step in range(wrapping):
+    for step, left in enumerate(left_sides):
         if step % 2 == 0:
-            term = bc.curry_r(term)
+            term = bc.curry_l(term) if left else bc.curry_r(term)
         else:
-            term = bc.uncurry_r(term)
-    reports = verify_functor_laws([term])
-    assert all(r.ok for r in reports), reports
+            term = bc.uncurry_l(term) if isinstance(term.cod, Backward) else bc.uncurry_r(term)
+        assert diagrams_equal(lower(term), _bend(term, lower(term.inner))), term
+
+
+def test_one_build_per_lowering(corpus_terms, monkeypatch):
+    calls = []
+    build = Diagram.build
+
+    def counted(dom, layers):
+        calls.append(dom)
+        return build(dom, layers)
+
+    monkeypatch.setattr(Diagram, "build", staticmethod(counted))
+    samples = []
+    for term in corpus_terms.values():
+        _subterms(term, samples)
+    for term in samples:
+        calls.clear()
+        lower(term)
+        assert len(calls) == 1, term
+        calls.clear()
+        lower(term, use_rule_images=False)
+        assert len(calls) == 1, term
+
+
+def test_lowering_needs_no_recursion():
+    # the term is built under a raised limit: ingest and the biclosed
+    # lowering still recurse once per tree level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 12000))
+    try:
+        term = bc.lower_derivation(ingest_tree(read_json(json.dumps(right_branching(2048)))))
+    finally:
+        sys.setrecursionlimit(limit)
+    d = lower(term)
+    assert well_formed(d) == []
+    assert len(d.dom) == 0 and d.cod == RObject.parse("s")
+    assert d.count(WordBox) == 2048 + 4
 
 
 def test_lowering_well_formed_everywhere(corpus_diagrams):

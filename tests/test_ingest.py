@@ -276,6 +276,23 @@ def test_ccgbank_reader_multiword_leaf_and_target():
     assert leaves(d)[1].word == "falls over"
 
 
+@pytest.mark.parametrize("word", ["Al\u0001ice", "Al\nice", "Al\u007fice", "\u0000"])
+def test_json_word_with_a_control_character_fails_at_its_node(word):
+    tree = {"rule": "BA", "type": "S", "children": [
+        {"word": "Bob", "type": "NP"}, {"word": word, "type": "S\\NP"}]}
+    with pytest.raises(IngestError) as exc:
+        roundtrip(tree)
+    assert str(exc.value) == f"word {word!r} contains a control character at node 1"
+
+
+def test_ccgbank_word_with_a_control_character_fails_at_its_node():
+    text = "(BA S (LEX NP Al\u0001ice) (LEX S\\NP sleeps))"
+    [(ident, raw)] = read_derivations(text, "ccgbank", collect_errors=True)
+    with pytest.raises(IngestError) as exc:
+        ingest_tree(raw)
+    assert str(exc.value) == "word 'Al\\x01ice' contains a control character at node 0"
+
+
 def test_read_derivations_list_and_wrappers():
     data = json.dumps([
         {"id": "one", "tree": FIG1},
