@@ -23,7 +23,6 @@ from .diagram import (
 )
 from .functor import LoweringContext, lower, verify_functor_laws
 from .rewrite import RewriteStep, diagrams_equal, normalize, planarize
-from .semantics import DimAssignment, Lexicon, Tensor, evaluate, semantically_equal
 from .render import render_svg, render_tikz
 
 __version__ = "0.1.0"
@@ -43,3 +42,14 @@ __all__ = [
     "DimAssignment", "Lexicon", "Tensor", "evaluate", "semantically_equal",
     "render_svg", "render_tikz",
 ]
+
+# The tensor oracle needs numpy; conversion does not, so its names are
+# imported on first access.
+_SEMANTICS = {"DimAssignment", "Lexicon", "Tensor", "evaluate", "semantically_equal"}
+
+
+def __getattr__(name):
+    if name in _SEMANTICS:
+        from . import semantics
+        return getattr(semantics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

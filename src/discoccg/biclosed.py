@@ -141,7 +141,10 @@ class CrossBox(BTerm):
     """Generator for crossed composition, with explicit constituent objects.
 
     A nonempty ``trailing`` encodes the generalized rules: those argument
-    objects ride through the image on identity wires.
+    objects ride through the image on identity wires.  ``trailing`` lists
+    them innermost first, the order in which :func:`cross_box` wraps them
+    around ``z``: FCX with trailing ``(A, B)`` has the secondary
+    ``((Y\\Z)/A)/B``.
     """
 
     direction: str = field(kw_only=True)
@@ -258,8 +261,9 @@ def rule_term(rule: RuleLabel, inputs: list[CcgType]) -> BTerm:
     elif schema.crossed:
         fn, secondary = inputs if schema.forward else inputs[::-1]
         _, args = peel(secondary, rule.composition_degree)
+        # ``peel`` lists the arguments outermost first; ``trailing`` innermost first
         term = cross_box("FCX" if schema.forward else "BCX", fn.result,
-                         fn.argument, args[-1], tuple(args[:-1]))
+                         fn.argument, args[-1], tuple(reversed(args[:-1])))
     elif schema.forward:
         term = _gfc_term(inputs, rule.composition_degree)
     else:

@@ -24,7 +24,6 @@ from .render import Layout, render_svg, render_tikz
 from .rewrite import normalize as normalize_diagram
 from .rewrite import planarize as planarize_diagram
 from .rules import leaves, rule_histogram
-from .semantics import DimAssignment, semantically_equal
 
 EMITS = ("biclosed", "diagram", "tikz", "svg", "stats")
 
@@ -72,7 +71,24 @@ class ExitReport:
         return f"total {self.total} converted {self.converted} failed {self.failed}"
 
 
+def __getattr__(name):
+    # ``cli.DimAssignment`` resolves without importing the oracle at start-up
+    if name == "DimAssignment":
+        from .semantics import DimAssignment
+        return DimAssignment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def semantically_equal(before, after, dims, seeds) -> bool:
+    """The tensor oracle's check, imported on first use: numpy loads only
+    when a run asks for ``--check-semantics``."""
+    from . import semantics
+    return semantics.semantically_equal(before, after, dims, seeds)
+
+
 def _parse_dims(spec: str) -> DimAssignment:
+    from .semantics import DimAssignment
+
     dims: dict[str, int] = {}
     for part in filter(None, (p.strip() for p in spec.split(","))):
         key, _, value = (s.strip() for s in part.partition("="))
@@ -111,14 +127,14 @@ def run(cfg: JobConfig) -> ExitReport:
             if isinstance(raw, IngestError):
                 raise raw
             outputs, stats = _convert_one(ident, raw, cfg, ctx, dims)
-        except (IngestError, ValueError) as exc:
+        except Exception as exc:
+            # a sentence fails alone, whatever the exception; a ValueError
+            # (every input, rule and diagram error here is one) keeps its
+            # bare message, and any other error is named by its class
             report.failed += 1
-            report.failures.append((ident, str(exc)))
-            continue
-        except (MemoryError, RecursionError) as exc:
-            # one sentence exhausting memory or the stack fails alone
-            report.failed += 1
-            report.failures.append((ident, f"{type(exc).__name__}: {exc}"))
+            message = str(exc) if isinstance(exc, ValueError) \
+                else f"{type(exc).__name__}: {exc}"
+            report.failures.append((ident, message))
             continue
         report.converted += 1
         report.outputs.update(outputs)

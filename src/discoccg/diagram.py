@@ -18,8 +18,7 @@ True
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 
 MAX_WINDING = 6
@@ -115,6 +114,13 @@ class WordBox:
         return f"{self.label}:{self.wires}"
 
 
+def _boundary():
+    """A generator boundary built once, in ``__post_init__``: ``Diagram.build``
+    reads it on every generator it walks.  It is derived from the other
+    fields, so equality, hashing and ``repr`` leave it out."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Cup:
     """Contracts the adjacent pair (base.z, base.z+1); exactly the pregroup
@@ -122,10 +128,11 @@ class Cup:
 
     base: str
     z: int
+    dom: RObject = _boundary()
 
-    @cached_property
-    def dom(self) -> RObject:
-        return RObject((Wire(self.base, self.z), Wire(self.base, self.z + 1)))
+    def __post_init__(self):
+        object.__setattr__(self, "dom", RObject((Wire(self.base, self.z),
+                                                 Wire(self.base, self.z + 1))))
 
     @property
     def cod(self) -> RObject:
@@ -141,14 +148,15 @@ class Cap:
 
     base: str
     z: int
+    cod: RObject = _boundary()
+
+    def __post_init__(self):
+        object.__setattr__(self, "cod", RObject((Wire(self.base, self.z + 1),
+                                                 Wire(self.base, self.z))))
 
     @property
     def dom(self) -> RObject:
         return EMPTY
-
-    @cached_property
-    def cod(self) -> RObject:
-        return RObject((Wire(self.base, self.z + 1), Wire(self.base, self.z)))
 
     def __str__(self) -> str:
         return f"cap({Wire(self.base, self.z + 1)}, {Wire(self.base, self.z)})"
@@ -158,14 +166,12 @@ class Cap:
 class Swap:
     w1: Wire
     w2: Wire
+    dom: RObject = _boundary()
+    cod: RObject = _boundary()
 
-    @cached_property
-    def dom(self) -> RObject:
-        return RObject((self.w1, self.w2))
-
-    @cached_property
-    def cod(self) -> RObject:
-        return RObject((self.w2, self.w1))
+    def __post_init__(self):
+        object.__setattr__(self, "dom", RObject((self.w1, self.w2)))
+        object.__setattr__(self, "cod", RObject((self.w2, self.w1)))
 
     def __str__(self) -> str:
         return f"swap({self.w1}, {self.w2})"

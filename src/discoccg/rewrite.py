@@ -423,9 +423,12 @@ def planarize(d: Diagram, trace: list[RewriteStep] | None = None,
     """Remove all swaps by relocating crossed-composition constituents.
 
     Works on diagrams as produced by the functor (run before ``normalize``).
-    If a swap does not match a crossed-composition image, the problem is
-    reported and the diagram is returned unchanged.
+    A diagram without swaps is returned itself.  If a swap does not match a
+    crossed-composition image, the problem is reported and the diagram is
+    returned unchanged.
     """
+    if not d.count(Swap):
+        return d
     layers = list(d.layers)
     local_trace: list[RewriteStep] = []
     guard = len(layers) + 1

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import discoccg
 from discoccg import cli
 from discoccg.cli import JobConfig, STATS_COLUMNS, build_parser, main, run
 from discoccg.corpus import corpus_text
@@ -100,6 +104,30 @@ def test_resource_exhaustion_fails_one_sentence(tmp_path, monkeypatch, error):
     report = run(JobConfig(inputs=[str(path)], emit=("diagram",)))
     assert (report.converted, report.failed) == (2, 1)
     assert report.failures == [("s1", f"{error.__name__}: out of resources")]
+
+
+@pytest.mark.parametrize("error, shown", [(TypeError("bad term"), "TypeError: bad term"),
+                                           (KeyError("n"), "KeyError: 'n'")])
+def test_stage_error_of_any_class_fails_one_sentence(tmp_path, capsys, monkeypatch,
+                                                     error, shown):
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    functor = cli.lower
+    calls = []
+
+    def lower(term, ctx):   # the functor stage fails on the middle sentence
+        calls.append(term)
+        if len(calls) == 2:
+            raise error
+        return functor(term, ctx)
+
+    monkeypatch.setattr(cli, "lower", lower)
+    out_dir = tmp_path / "out"
+    assert main(["--in", str(path), "--out-dir", str(out_dir), "--strict"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"FAIL s1: {shown}\ntotal 3 converted 2 failed 1\n"
+    assert captured.err == ""
+    assert sorted(p.name for p in out_dir.iterdir()) == ["s0.diagram.json", "s2.diagram.json"]
 
 
 def test_main_strict_exit_code(tmp_path, capsys):
@@ -356,3 +384,33 @@ def test_stdout_mode_prints_svg_as_text(tmp_path, capsys):
     tikz = (out / "s0.tikz").read_text(encoding="utf-8")
     assert capsys.readouterr().out == (
         f"--- s0.svg\n{svg}\n--- s0.tikz\n{tikz}total 1 converted 1 failed 0\n")
+
+
+# Run in a fresh interpreter: numpy, which only the tensor oracle needs, is
+# imported by --check-semantics and by the oracle's names, not before.
+IMPORT_PROBE = """
+import sys
+import discoccg.cli
+import discoccg
+loaded = ["numpy" in sys.modules]
+args = ["--in", sys.argv[1], "--emit", "biclosed,diagram,tikz,svg,stats",
+        "--planarize", "--normalize", "--seed", "7", "--strict"]
+assert discoccg.cli.main(args + ["--out-dir", sys.argv[2] + "/plain"]) == 0
+loaded.append("numpy" in sys.modules)
+assert discoccg.cli.main(args + ["--out-dir", sys.argv[2] + "/checked",
+                                 "--check-semantics", "n=2,s=2,*=2"]) == 0
+loaded.append("numpy" in sys.modules)
+from discoccg import Lexicon, evaluate
+assert all(hasattr(discoccg, name) for name in discoccg.__all__)
+print(loaded, Lexicon.__module__, evaluate.__module__)
+"""
+
+
+def test_numpy_loads_only_for_the_oracle(corpus_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(discoccg.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(corpus_file), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "total 28 converted 28 failed 0", "total 28 converted 28 failed 0",
+        "[False, False, True] discoccg.semantics discoccg.semantics"]

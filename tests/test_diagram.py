@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from discoccg.ccgtypes import Atom, parse_type
 from discoccg.diagram import (
-    Cap, Cup, Diagram, DiagramError, EMPTY, RObject, Wire, WordBox,
+    Cap, Cup, Diagram, DiagramError, EMPTY, RObject, Swap, Wire, WordBox,
     compose, diagram_from_json, diagram_to_json, tensor, well_formed,
 )
 from discoccg.functor import DEFAULT_CONTEXT
@@ -69,6 +69,59 @@ def test_adjoint_contravariance(a, b):
 def test_winding_bound_enforced():
     with pytest.raises(DiagramError):
         Wire("n", 7)
+
+
+# Cup, Cap and Swap build their non-empty boundaries at construction; the
+# boundaries are derived fields that equality, hashing, repr and JSON ignore.
+GENERATORS = {
+    "cup": (Cup("n", -1), "n.l n", "1", "Cup(base='n', z=-1)",
+            {"kind": "cup", "base": "n", "z": -1}),
+    "cap": (Cap("s", 0), "1", "s.r s", "Cap(base='s', z=0)",
+            {"kind": "cap", "base": "s", "z": 0}),
+    "swap": (Swap(Wire("n", 1), Wire("s")), "n.r s", "s n.r",
+             "Swap(w1=Wire(base='n', z=1), w2=Wire(base='s', z=0))",
+             {"kind": "swap", "w1": {"base": "n", "z": 1}, "w2": {"base": "s", "z": 0}}),
+}
+
+
+def _twin(gen):
+    """A fresh generator equal to ``gen``, built from its constructor fields."""
+    return type(gen)(*(getattr(gen, f) for f in gen.__match_args__))
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_boundaries_are_built_at_construction(kind):
+    gen, dom, cod, _, _ = GENERATORS[kind]
+    fresh = _twin(gen)
+    stored = {"dom", "cod"} & vars(fresh).keys()   # before any read
+    assert stored == {name for name, wires in (("dom", dom), ("cod", cod)) if wires != "1"}
+    assert (str(fresh.dom), str(fresh.cod)) == (dom, cod)
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_equality_and_hash_ignore_the_boundaries(kind):
+    gen = GENERATORS[kind][0]
+    twin = _twin(gen)
+    assert twin == gen and hash(twin) == hash(gen) and twin is not gen
+    assert len({gen, twin}) == 1
+    other = Cup("n", 0) if kind != "cup" else Cup("s", -1)
+    assert other != gen
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_repr_shows_only_the_constructor_fields(kind):
+    gen, _, _, text, _ = GENERATORS[kind]
+    assert repr(gen) == text
+
+
+@pytest.mark.parametrize("kind", GENERATORS)
+def test_generator_json_is_unchanged(kind):
+    import json as j
+
+    gen, dom, _, _, payload = GENERATORS[kind]
+    d = Diagram.build(RObject.parse("" if dom == "1" else dom), [(0, gen)])
+    assert j.loads(diagram_to_json(d))["layers"] == [{"offset": 0, "gen": payload}]
+    assert diagram_from_json(diagram_to_json(d)) == d
 
 
 def test_cup_winding_legality():
