@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .ccgtypes import Atom, Backward, CcgType, Forward
-# ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 4's tracer change
+# ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 8's tracer change
 from .rules import Derivation, Leaf, RuleError, RuleLabel, Unary, peel, validate  # noqa: F401
 
 

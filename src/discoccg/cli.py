@@ -12,6 +12,7 @@ When both rewrites are requested, planarization runs before normalization
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -109,16 +110,16 @@ def run(cfg: JobConfig) -> ExitReport:
         else DEFAULT_CONTEXT
     dims = _parse_dims(cfg.check_semantics) if cfg.check_semantics is not None else None
 
-    entries: list[tuple[str, object]] = []
-    for path in cfg.inputs:
-        data = Path(path).read_bytes()
-        entries.extend(read_derivations(data, cfg.fmt, collect_errors=True))
+    # every file is checked before the first sentence converts; its entries
+    # are decoded one at a time as the loop below reaches them
+    readers = [read_derivations(Path(path).read_bytes(), cfg.fmt, collect_errors=True)
+               for path in cfg.inputs]
     if cfg.out_dir:
         # a bad output directory fails before any sentence is converted
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
 
     seen: set[str] = set()
-    for ident, raw in entries:
+    for ident, raw in itertools.chain.from_iterable(readers):
         report.total += 1
         try:
             if ident in seen:

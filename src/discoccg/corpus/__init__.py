@@ -15,7 +15,7 @@ def corpus_text() -> bytes:
 
 
 def load_raw() -> list[tuple[str, RawTree]]:
-    return read_derivations(corpus_text(), "json")
+    return list(read_derivations(corpus_text(), "json"))
 
 
 def load_corpus() -> list[tuple[str, Derivation]]:

@@ -19,6 +19,7 @@ import itertools
 import json
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,65 +58,74 @@ def read_json(data: bytes | str) -> RawTree:
     return _raw_node(_loads(data), "")
 
 
-def _loads(data: bytes | str, *, entrywise: bool = False):
-    """Decode JSON; malformed or too deeply nested input is an ``IngestError``.
-
-    With ``entrywise``, a top-level list too deeply nested to decode at once
-    is decoded entry by entry: the result is the list of its entries, each
-    one too deep to decode replaced by an ``IngestError``.
-    """
+def _loads(data: bytes | str):
+    """Decode JSON; malformed or too deeply nested input is an ``IngestError``."""
     try:
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise IngestError(f"invalid JSON: {exc}") from None
     except RecursionError:
-        if isinstance(data, bytes):
-            data = data.decode(json.detect_encoding(data), "surrogatepass")
-        entries = _list_entries(data) if entrywise else None
-        if entries is None:
-            raise IngestError(_too_deep()) from None
-    items: list = []
-    for i, text in enumerate(entries):
-        try:
-            items.append(json.loads(text))
-        except json.JSONDecodeError as exc:
-            raise IngestError(f"invalid JSON in entry /{i}: {exc}") from None
-        except RecursionError:
-            items.append(IngestError(f"{_too_deep()} at /{i}"))
-    return items
+        raise IngestError(_too_deep()) from None
 
 
 def _too_deep(what: str = "JSON nested too deeply to decode") -> str:
     return f"{what} (more levels than the recursion limit of {sys.getrecursionlimit()})"
 
 
-_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{},]')
+_JSON_WS = re.compile(r"[ \t\n\r]*")
 
 
-def _list_entries(text: str) -> list[str] | None:
-    """The texts of the entries of a top-level JSON list, found without
-    recursion (strings are skipped whole, brackets counted); ``None`` when
-    ``text`` is not one bracket-balanced list."""
-    opened: list[str] = []
-    entries: list[str] = []
-    start = 0
-    for token in _JSON_TOKEN.finditer(text):
-        c = token.group()
-        if not opened and (c != "[" or text[:token.start()].strip()):
+def _list_starts(text: str) -> list[int | None] | None:
+    """Where each entry of a top-level JSON list starts, or ``None`` when
+    ``text`` is not one well-formed list.
+
+    Each entry is checked by decoding it and dropping the value, so the
+    check holds one entry at a time.  An entry too deep to decode is
+    skipped by ``_entry_end`` and recorded as ``None``.
+    """
+    decode = json.JSONDecoder().raw_decode
+    i = _JSON_WS.match(text).end()
+    if not text.startswith("[", i):
+        return None
+    starts: list[int | None] = []
+    i = _JSON_WS.match(text, i + 1).end()
+    while starts or not text.startswith("]", i):   # ``[]`` has no entries
+        try:
+            end = decode(text, i)[1]
+            starts.append(i)
+        except json.JSONDecodeError:
             return None
+        except RecursionError:
+            end = _entry_end(text, i)
+            if end is None:
+                return None
+            starts.append(None)
+        i = _JSON_WS.match(text, end).end()
+        if text.startswith("]", i):
+            break
+        if not text.startswith(",", i):
+            return None
+        i = _JSON_WS.match(text, i + 1).end()
+    return starts if _JSON_WS.match(text, i + 1).end() == len(text) else None
+
+
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{}]')
+
+
+def _entry_end(text: str, start: int) -> int | None:
+    """The end of the JSON array or object at ``start``, found without
+    recursion (strings are skipped whole, brackets counted); ``None`` when
+    its brackets do not balance."""
+    opened: list[str] = []
+    for token in _JSON_TOKEN.finditer(text, start):
+        c = token.group()
         if c in "[{":
             opened.append(c)
-            if len(opened) == 1:
-                start = token.end()
         elif c in "]}":
-            if "[{".index(opened.pop()) != "]}".index(c):
+            if not opened or "[{".index(opened.pop()) != "]}".index(c):
                 return None
             if not opened:
-                entries.append(text[start:token.start()])
-                return entries if not text[token.end():].strip() else None
-        elif c == "," and len(opened) == 1:
-            entries.append(text[start:token.start()])
-            start = token.end()
+                return token.end()
     return None
 
 
@@ -565,9 +575,9 @@ def _wrapped_tree(item: dict, ptr: str) -> RawTree:
     return _raw_node(item["tree"], f"{ptr}/tree")
 
 
-def read_derivations(data: str | bytes, fmt: str = "json", *,
-                     collect_errors: bool = False) -> list[tuple[str, RawTree | IngestError]]:
-    """Read a whole input file: returns (id, raw tree) pairs in input order.
+def read_derivations(data: str | bytes, fmt: str = "json", *, collect_errors: bool = False
+                     ) -> Iterator[tuple[str, RawTree | IngestError]]:
+    """Read an input file: yields (id, raw tree) pairs in input order.
 
     JSON files hold a node, an ``{"id", "tree"}`` wrapper, or a list of
     either; text files hold one bracketed derivation per non-empty line.
@@ -576,46 +586,67 @@ def read_derivations(data: str | bytes, fmt: str = "json", *,
     ``collect_errors`` a malformed entry (a bad id, an unknown wrapper field,
     a malformed tree) becomes an ``IngestError`` payload instead of aborting
     the batch (per-sentence isolation).
+
+    The file is checked whole when this is called, so a file that cannot be
+    decoded raises here; each entry is then decoded only when the result is
+    iterated to it, so a caller that converts as it iterates holds one input
+    tree at a time.  Wrap the result in ``list`` to index it.
     """
-    out: list[tuple[str, RawTree | IngestError]] = []
-
-    def push(ident: str, parse):
-        try:
-            out.append((ident, parse()))
-        except (IngestError, RecursionError) as exc:
-            if isinstance(exc, RecursionError):   # the reader recursed once per level
-                what = "JSON" if fmt == "json" else "bracketed text"
-                exc = IngestError(_too_deep(f"{what} nested too deeply to read"))
-            if not collect_errors:
-                raise exc from None
-            out.append((ident, exc))
-
     if fmt == "ccgbank":
         text = data.decode() if isinstance(data, bytes) else data
-        for lineno, line in enumerate(text.splitlines()):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            push(f"s{lineno}", lambda s=stripped: read_ccgbank(s))
-        return out
+        return _ccgbank_entries(text, collect_errors)
     if fmt != "json":
         raise IngestError(f"unknown input format {fmt!r}")
-    obj = _loads(data, entrywise=True)
-    items = obj if isinstance(obj, list) else [obj]
-    for i, item in enumerate(items):
-        ptr = f"/{i}" if isinstance(obj, list) else ""
-        if isinstance(item, IngestError):   # an entry too deep to decode
-            if not collect_errors:
-                raise item
-            out.append((f"s{i}", item))
-        elif isinstance(item, dict) and "tree" in item:
-            ident = item.get("id", f"s{i}")
-            # an unsafe id is reported under its JSON spelling, on one line
-            push(ident if _safe_id(ident) else json.dumps(ident),
-                 lambda it=item, p=ptr: _wrapped_tree(it, p))
-        else:
-            push(f"s{i}", lambda it=item, p=ptr: _raw_node(it, p))
-    return out
+    if isinstance(data, bytes):
+        data = data.decode(json.detect_encoding(data), "surrogatepass")
+    starts = _list_starts(data)
+    if starts is not None:
+        return _json_entries(data, starts, True, collect_errors)
+    # one node or wrapper, or a malformed file, which fails with the message
+    # of decoding it whole
+    _loads(data)
+    return _json_entries(data, [_JSON_WS.match(data).end()], False, collect_errors)
+
+
+def _json_entries(text: str, starts: list[int | None], listed: bool, collect_errors: bool):
+    decode = json.JSONDecoder().raw_decode
+    for i, start in enumerate(starts):
+        ident, ptr = f"s{i}", f"/{i}" if listed else ""
+        try:
+            if start is None:
+                raise IngestError(f"{_too_deep()} at /{i}")
+            item = decode(text, start)[0]
+            if isinstance(item, dict) and "tree" in item:
+                named = item.get("id", ident)
+                # an unsafe id is reported under its JSON spelling, on one line
+                ident = named if _safe_id(named) else json.dumps(named)
+                tree = _wrapped_tree(item, ptr)
+            else:
+                tree = _raw_node(item, ptr)
+        except (IngestError, RecursionError) as exc:
+            tree = _failed(exc, "JSON", collect_errors)
+        yield ident, tree
+
+
+def _ccgbank_entries(text: str, collect_errors: bool):
+    for lineno, line in enumerate(text.splitlines()):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            tree = read_ccgbank(stripped)
+        except (IngestError, RecursionError) as exc:
+            tree = _failed(exc, "bracketed text", collect_errors)
+        yield f"s{lineno}", tree
+
+
+def _failed(exc: Exception, what: str, collect_errors: bool) -> IngestError:
+    """The error an entry fails with, raised unless ``collect_errors``."""
+    if isinstance(exc, RecursionError):   # the reader recursed once per level
+        exc = IngestError(_too_deep(f"{what} nested too deeply to read"))
+    if not collect_errors:
+        raise exc from None
+    return exc
 
 
 def derivation_to_json(d: Derivation) -> dict:

@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .ccgtypes import Backward, CcgType, Forward
@@ -258,29 +260,24 @@ class Violation:
         return f"{where}: {self.message}"
 
 
+def _preorder(d: Derivation) -> Iterator[Derivation]:
+    """The nodes of ``d`` in pre-order, left to right, without recursion."""
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, Unary):
+            stack.append(node.child)
+        elif isinstance(node, Binary):
+            stack += (node.right, node.left)
+
+
 def leaves(d: Derivation) -> list[Leaf]:
-    if isinstance(d, Leaf):
-        return [d]
-    if isinstance(d, Unary):
-        return leaves(d.child)
-    return leaves(d.left) + leaves(d.right)
+    return [node for node in _preorder(d) if isinstance(node, Leaf)]
 
 
 def rule_histogram(d: Derivation) -> dict[str, int]:
-    hist: dict[str, int] = {}
-
-    def walk(node: Derivation):
-        if isinstance(node, Leaf):
-            return
-        key = str(node.rule)
-        hist[key] = hist.get(key, 0) + 1
-        if isinstance(node, Unary):
-            walk(node.child)
-        else:
-            walk(node.left)
-            walk(node.right)
-
-    walk(d)
+    hist = Counter(str(node.rule) for node in _preorder(d) if not isinstance(node, Leaf))
     return dict(sorted(hist.items()))
 
 

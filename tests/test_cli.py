@@ -268,6 +268,64 @@ def _no_conversion(monkeypatch):
     monkeypatch.setattr(cli, "_convert_one", convert)
 
 
+
+def test_malformed_second_input_rejects_the_batch(tmp_path, capsys, monkeypatch):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps([ALICE]))
+    text = json.dumps([ALICE, ALICE])[:-20]   # a truncated list
+    bad.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(text)
+    _no_conversion(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["--in", str(good), str(bad), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid JSON: {err.value}\n"
+    assert not out.exists()
+
+
+def test_several_inputs_convert_in_file_order(tmp_path, capsys):
+    bob = {"rule": "BA", "type": "S", "children": [
+        {"word": "Bob", "type": "NP"}, {"word": "sleeps", "type": "S\\NP"}]}
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps([{"id": "b", "tree": ALICE}, {"id": "a", "tree": bob}]))
+    second.write_text(json.dumps([{"id": "c", "tree": bob}, {"id": "b", "tree": bob}]))
+    out = tmp_path / "out"
+    assert main(["--in", str(first), str(second), "--out-dir", str(out),
+                 "--emit", "diagram,stats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["FAIL b: duplicate id 'b': ids name output files",
+                     "total 4 converted 3 failed 1"]
+    rows = (out / "stats.tsv").read_text().splitlines()[1:]
+    assert [row.split("\t")[0] for row in rows] == ["b", "a", "c"]
+    assert "Alice" in (out / "b.diagram.json").read_text()
+
+
+def test_each_entry_is_read_after_the_previous_one_converts(tmp_path, monkeypatch):
+    from discoccg import ingest
+
+    events = []
+    read, convert = ingest._raw_node, cli._convert_one
+
+    def logged_read(obj, ptr):
+        if ptr.count("/") == 1:   # an entry's root, not one of its children
+            events.append(("read", ptr))
+        return read(obj, ptr)
+
+    def logged_convert(ident, *args):
+        events.append(("convert", ident))
+        return convert(ident, *args)
+
+    monkeypatch.setattr(ingest, "_raw_node", logged_read)
+    monkeypatch.setattr(cli, "_convert_one", logged_convert)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    report = run(JobConfig(inputs=[str(path)]))
+    assert report.converted == 3
+    assert events == [("read", "/0"), ("convert", "s0"), ("read", "/1"),
+                      ("convert", "s1"), ("read", "/2"), ("convert", "s2")]
+
 def test_out_dir_that_is_a_file_is_one_error_line(tmp_path, capsys, monkeypatch):
     path = tmp_path / "in.json"
     path.write_text(json.dumps([ALICE]))

@@ -287,7 +287,7 @@ def test_json_word_with_a_control_character_fails_at_its_node(word):
 
 def test_ccgbank_word_with_a_control_character_fails_at_its_node():
     text = "(BA S (LEX NP Al\u0001ice) (LEX S\\NP sleeps))"
-    [(ident, raw)] = read_derivations(text, "ccgbank", collect_errors=True)
+    [(ident, raw)] = list(read_derivations(text, "ccgbank", collect_errors=True))
     with pytest.raises(IngestError) as exc:
         ingest_tree(raw)
     assert str(exc.value) == "word 'Al\\x01ice' contains a control character at node 0"
@@ -298,10 +298,10 @@ def test_read_derivations_list_and_wrappers():
         {"id": "one", "tree": FIG1},
         {"word": "Alice", "type": "NP"},
     ])
-    entries = read_derivations(data, "json")
+    entries = list(read_derivations(data, "json"))
     assert [ident for ident, _ in entries] == ["one", "s1"]
     text = "# comment\n(LEX NP Alice)\n\n(LEX NP Bob)\n"
-    entries = read_derivations(text, "ccgbank")
+    entries = list(read_derivations(text, "ccgbank"))
     assert [ident for ident, _ in entries] == ["s1", "s3"]
 
 
@@ -311,24 +311,24 @@ def test_read_derivations_collects_wrapper_errors_per_entry():
         {"id": ".hidden", "tree": FIG1},
         {"id": "fine", "tree": FIG1},
     ])
-    entries = read_derivations(data, "json", collect_errors=True)
+    entries = list(read_derivations(data, "json", collect_errors=True))
     assert [ident for ident, _ in entries] == ["noted", '".hidden"', "fine"]
     assert "unknown field 'note' at /0" in str(entries[0][1])
     assert "bad id at /1/id" in str(entries[1][1])
     assert not isinstance(entries[2][1], IngestError)
     with pytest.raises(IngestError, match="unknown field 'note'"):
-        read_derivations(data, "json")
+        list(read_derivations(data, "json"))
 
 
 def test_too_deep_json_is_an_ingest_error():
     data = deep_json(600, FIG1, {"id": "named", "tree": FIG1})
-    entries = read_derivations(data.encode(), "json", collect_errors=True)
+    entries = list(read_derivations(data.encode(), "json", collect_errors=True))
     assert [ident for ident, _ in entries] == ["s0", "named", "s2"]
     assert [isinstance(raw, IngestError) for _, raw in entries] == [False, False, True]
     assert str(entries[2][1]).startswith("JSON nested too deeply to decode")
     assert str(entries[2][1]).endswith(" at /2")
     with pytest.raises(IngestError, match="JSON nested too deeply to decode"):
-        read_derivations(data, "json")
+        list(read_derivations(data, "json"))
     with pytest.raises(IngestError, match="JSON nested too deeply to decode"):
         read_json(data)
     # not a list: nothing to isolate, the file is rejected
@@ -346,20 +346,20 @@ def test_entry_too_deep_to_read_fails_alone(monkeypatch):
         return read(obj, ptr)
 
     monkeypatch.setattr(ingest, "_raw_node", shallow)
-    entries = read_derivations(json.dumps([FIG1, FIG1]), "json", collect_errors=True)
+    entries = list(read_derivations(json.dumps([FIG1, FIG1]), "json", collect_errors=True))
     assert entries[0] == ("s0", read_json(json.dumps(FIG1)))
     assert entries[1][0] == "s1"
     assert str(entries[1][1]) == ("JSON nested too deeply to read (more levels than the "
                                   f"recursion limit of {sys.getrecursionlimit()})")
     with pytest.raises(IngestError, match="JSON nested too deeply to read"):
-        read_derivations(json.dumps([FIG1, FIG1]), "json")
+        list(read_derivations(json.dumps([FIG1, FIG1]), "json"))
 
 
 def test_too_deep_list_is_split_outside_strings():
     deep = deep_json(600)[1:-1]
     tricky = {"word": "a,]}[{\\\"", "type": "NP"}
-    entries = read_derivations(f"[{json.dumps(tricky)}, {deep}, 7]", "json",
-                               collect_errors=True)
+    entries = list(read_derivations(f"[{json.dumps(tricky)}, {deep}, 7]", "json",
+                                    collect_errors=True))
     assert entries[0] == ("s0", RawLeaf("a,]}[{\\\"", "NP"))
     assert "nested too deeply" in str(entries[1][1])
     assert "expected an object at /2" in str(entries[2][1])
@@ -367,6 +367,33 @@ def test_too_deep_list_is_split_outside_strings():
     for text in (f"[{deep}, ]", f"[{deep}, {{]", f"[{deep}] 1", f"[{deep}"):
         with pytest.raises(IngestError):
             read_derivations(text, "json", collect_errors=True)
+
+
+_ENTRY = json.dumps(FIG1)
+
+
+@pytest.mark.parametrize("text", [
+    f"[{_ENTRY}, {_ENTRY[:40]}",        # truncated list
+    f"[{_ENTRY} {_ENTRY}]",             # missing comma
+    f"[{_ENTRY},]",                     # trailing comma
+    f"[{_ENTRY}] []",                   # extra data after ]
+    f'[{_ENTRY}, {{"word": "Bob}}]',    # unterminated string
+    f"\ufeff[{_ENTRY}]",                # a str with a leading BOM
+], ids=["truncated", "missing-comma", "trailing-comma", "extra-data", "unterminated-string",
+        "str-bom"])
+def test_malformed_list_fails_whole_with_the_decoders_message(text):
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(text)
+    # raised by the call itself, before any entry is read
+    with pytest.raises(IngestError) as exc:
+        read_derivations(text, "json", collect_errors=True)
+    assert str(exc.value) == f"invalid JSON: {err.value}"
+
+
+def test_bytes_with_a_utf8_bom_read():
+    data = b"\xef\xbb\xbf" + json.dumps([FIG1, {"id": "x", "tree": FIG1}]).encode()
+    fig1 = read_json(json.dumps(FIG1))
+    assert list(read_derivations(data, "json")) == [("s0", fig1), ("x", fig1)]
 
 
 # --- generated valid trees round-trip through ingestion -------------------------

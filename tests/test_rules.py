@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.rules import (
     BA, BC, BCX, FA, FC, FCX, MAX_COMPOSITION_DEGREE, SCHEMAS, Binary, Leaf,
-    RuleError, RuleLabel, Unary, apply_rule, btr, ftr, gbc, gfc, validate,
+    RuleError, RuleLabel, Unary, apply_rule, btr, ftr, gbc, gfc, leaves, rule_histogram,
+    validate,
 )
 from tests.test_types import types
 
@@ -314,3 +315,13 @@ def test_schema_table_matches_per_kind_reference(data):
         assert _outcome(apply_rule, rule, case) == expected, (str(rule), case)
     if rule.schema.forward is not None and (rule.degree or 0) <= MAX_COMPOSITION_DEGREE:
         assert _outcome(apply_rule, rule, inputs) is not RuleError
+
+
+def test_leaves_and_histogram_of_a_5000_deep_chain():
+    # built directly, so no reader's depth bound applies; both walks are iterative
+    d = Leaf("w", NP)
+    for i in range(5000):
+        d = Binary(FA, Leaf(f"a{i}", Forward(NP, NP)), d, NP)
+    d = Unary(ftr(S), d, Forward(S, Backward(S, NP)))
+    assert [leaf.word for leaf in leaves(d)] == [f"a{i}" for i in reversed(range(5000))] + ["w"]
+    assert rule_histogram(d) == {"FA": 5000, "FTR:S": 1}
