@@ -12,10 +12,7 @@ from .rules import (
     BA, BC, BCX, FA, FC, FCX, Binary, Derivation, Leaf, RuleError, RuleLabel,
     Unary, apply_rule, btr, ftr, gbc, gfc, unary, validate,
 )
-from .ingest import (
-    IngestError, expand_conj, ingest_tree, read_ccgbank, read_derivations,
-    read_json, resolve_unary,
-)
+from .ingest import IngestError, ingest_tree, read_ccgbank, read_derivations, read_json
 from .biclosed import BObject, BTerm, lower_derivation, rule_term, to_sexpr
 from .diagram import (
     Cap, Cup, Diagram, DiagramError, RObject, Swap, Wire, WordBox,
@@ -32,8 +29,8 @@ __all__ = [
     "BA", "BC", "BCX", "FA", "FC", "FCX", "Binary", "Derivation", "Leaf",
     "RuleError", "RuleLabel", "Unary", "apply_rule", "btr", "ftr", "gbc",
     "gfc", "unary", "validate",
-    "IngestError", "expand_conj", "ingest_tree", "read_ccgbank",
-    "read_derivations", "read_json", "resolve_unary",
+    "IngestError", "ingest_tree", "read_ccgbank", "read_derivations",
+    "read_json",
     "BObject", "BTerm", "lower_derivation", "rule_term", "to_sexpr",
     "Cap", "Cup", "Diagram", "DiagramError", "RObject", "Swap", "Wire",
     "WordBox", "diagram_from_json", "diagram_to_json", "well_formed",

@@ -141,13 +141,14 @@ def parse_type(text: str) -> CcgType:
     if "⤙" in text or "⤚" in text:
         if "/" in text or "\\" in text:
             raise TypeParseError("mixed slash and arrow notation", 0)
-        return _parse_arrows(text)
-    return _parse_slash(text)
+        return _parse(text, _arrow_expr)
+    return _parse(text, _slash_expr)
 
 
-def _parse_slash(text: str) -> CcgType:
+def _parse(text: str, expr) -> CcgType:
+    """Parse all of ``text`` with ``expr``, the slash or the arrow grammar."""
     sc = _Scanner(text)
-    t = _slash_expr(sc)
+    t = expr(sc)
     sc.skip_ws()
     if sc.pos != len(text):
         if text[sc.pos] == ")":
@@ -157,51 +158,25 @@ def _parse_slash(text: str) -> CcgType:
 
 
 def _slash_expr(sc: _Scanner) -> CcgType:
-    t = _slash_term(sc)
+    t = _term(sc, _slash_expr)
     while True:
         c = sc.peek()
         if c == "/":
             sc.pos += 1
-            t = Forward(t, _slash_term(sc))
+            t = Forward(t, _term(sc, _slash_expr))
         elif c == "\\":
             sc.pos += 1
-            t = Backward(_slash_term(sc), t)
+            t = Backward(_term(sc, _slash_expr), t)
         else:
             return t
 
 
-def _slash_term(sc: _Scanner) -> CcgType:
-    c = sc.peek()
-    if c is None:
-        raise TypeParseError("unexpected end of input", sc.byte_offset())
-    if c == "(":
-        open_at = sc.pos
-        sc.pos += 1
-        t = _slash_expr(sc)
-        if sc.peek() != ")":
-            raise TypeParseError("unbalanced parenthesis", sc.byte_offset(open_at))
-        sc.pos += 1
-        return t
-    return sc.atom()
-
-
-def _parse_arrows(text: str) -> CcgType:
-    sc = _Scanner(text)
-    t = _arrow_expr(sc, top=True)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        if text[sc.pos] == ")":
-            raise TypeParseError("unbalanced parenthesis", sc.byte_offset())
-        raise TypeParseError("unknown token", sc.byte_offset())
-    return t
-
-
-def _arrow_expr(sc: _Scanner, top: bool = False) -> CcgType:
-    left = _arrow_term(sc)
+def _arrow_expr(sc: _Scanner) -> CcgType:
+    left = _term(sc, _arrow_expr)
     c = sc.peek()
     if c in ("⤙", "⤚"):
         sc.pos += 1
-        right = _arrow_term(sc)
+        right = _term(sc, _arrow_expr)
         result = Forward(left, right) if c == "⤙" else Backward(left, right)
         nxt = sc.peek()
         if nxt in ("⤙", "⤚"):
@@ -211,14 +186,15 @@ def _arrow_expr(sc: _Scanner, top: bool = False) -> CcgType:
     return left
 
 
-def _arrow_term(sc: _Scanner) -> CcgType:
+def _term(sc: _Scanner, expr) -> CcgType:
+    """An atom, or a parenthesized ``expr``."""
     c = sc.peek()
     if c is None:
         raise TypeParseError("unexpected end of input", sc.byte_offset())
     if c == "(":
         open_at = sc.pos
         sc.pos += 1
-        t = _arrow_expr(sc)
+        t = expr(sc)
         if sc.peek() != ")":
             raise TypeParseError("unbalanced parenthesis", sc.byte_offset(open_at))
         sc.pos += 1

@@ -263,27 +263,16 @@ def well_formed(d: Diagram) -> list[str]:
 
 
 def cup_block(block: RObject, start: int) -> list[Layer]:
-    """Cups closing ``block.l @ block`` (sitting at ``start``), innermost pair first."""
+    """Cups closing ``block.l @ block`` (sitting at ``start``), innermost pair
+    first; ``cup_block(b.r, start)`` closes ``b @ b.r``."""
     m = len(block)
     return [(start + m - 1 - i, Cup(block[i].base, block[i].z - 1)) for i in range(m)]
 
 
-def cup_block_r(block: RObject, start: int) -> list[Layer]:
-    """Cups closing ``block @ block.r`` (sitting at ``start``), innermost pair first."""
-    m = len(block)
-    return [(start + m - 1 - i, Cup(block[m - 1 - i].base, block[m - 1 - i].z))
-            for i in range(m)]
-
-
 def cap_block(block: RObject, start: int) -> list[Layer]:
-    """Caps creating ``block @ block.l`` at ``start``, outermost pair first."""
+    """Caps creating ``block @ block.l`` at ``start``, outermost pair first;
+    ``cap_block(b.r, start)`` creates ``b.r @ b``."""
     return [(start + i, Cap(block[i].base, block[i].z - 1)) for i in range(len(block))]
-
-
-def cap_block_r(block: RObject, start: int) -> list[Layer]:
-    """Caps creating ``block.r @ block`` at ``start``, outermost pair first."""
-    m = len(block)
-    return [(start + i, Cap(block[m - 1 - i].base, block[m - 1 - i].z)) for i in range(m)]
 
 
 def swap_blocks(left: RObject, right: RObject, start: int) -> list[Layer]:

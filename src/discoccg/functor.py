@@ -23,7 +23,7 @@ from .biclosed import BObject, BTerm
 from .ccgtypes import Atom, Backward, Forward
 from .diagram import (
     DEFAULT_ATOM_MAP, EMPTY, Diagram, DiagramError, Layer, RObject, WordBox,
-    Wire, cap_block, cap_block_r, cup_block, cup_block_r, swap_blocks,
+    Wire, cap_block, cup_block, swap_blocks,
 )
 
 
@@ -113,7 +113,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
             todo.append((t.inner, at))
         elif isinstance(t, bc.CurryL):
             a = f_obj(bc.factors(t.inner.dom)[0])
-            layers += cap_block_r(a, at)
+            layers += cap_block(a.r, at)
             todo.append((t.inner, at + len(a)))
         elif isinstance(t, bc.UncurryR):
             # cup b.l on the inner codomain against a new trailing b
@@ -121,7 +121,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
                      (t.inner, at)]
         elif isinstance(t, bc.UncurryL):
             a = f_obj(t.inner.cod.argument)
-            todo += [cup_block_r(a, at), (t.inner, at + len(a))]
+            todo += [cup_block(a.r, at), (t.inner, at + len(a))]
         elif isinstance(t, bc.CrossBox):
             layers += _crossed_image(t, ctx, at)
         else:
@@ -143,7 +143,7 @@ def _rule_image(term: BTerm, ctx: LoweringContext, at: int) -> list[Layer]:
         t = ctx.f_obj(term.cod.result)
         if schema.forward:
             return cap_block(t, at)
-        return cap_block_r(t, at + len(ctx.f_obj(term.dom)))
+        return cap_block(t.r, at + len(ctx.f_obj(term.dom)))
 
     if schema.forward:
         h = inputs[0]
@@ -153,7 +153,7 @@ def _rule_image(term: BTerm, ctx: LoweringContext, at: int) -> list[Layer]:
     h = inputs[1]
     y, x = ctx.f_obj(h.argument), ctx.f_obj(h.result)
     lead = len(ctx.f_obj(term.dom)) - 2 * len(y) - len(x)
-    return cup_block_r(y, at + lead)
+    return cup_block(y.r, at + lead)
 
 
 def _crossed_image(term: bc.CrossBox, ctx: LoweringContext, at: int) -> list[Layer]:
@@ -171,7 +171,7 @@ def _crossed_image(term: bc.CrossBox, ctx: LoweringContext, at: int) -> list[Lay
                 + swap_blocks(x, z.r, at))
     lead = at + len(ctx.f_obj(term.dom)) - (2 * len(y) + len(z) + len(x))
     return (swap_blocks(z.l, y.r, lead + len(y))
-            + cup_block_r(y, lead)
+            + cup_block(y.r, lead)
             + swap_blocks(z.l, x, lead))
 
 

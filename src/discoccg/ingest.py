@@ -2,12 +2,14 @@
 """Readers and preprocessing for serialized derivations.
 
 JSON is the normative interchange format; a CCGBank-flavored bracketed text
-reader maps onto the same raw tree.  Two passes turn raw trees into validated
-derivations: ``resolve_unary`` eliminates ad-hoc unary retypings by binding
-(every type slot is unified with the slots a rule equates it to, and a
-retyping binds the class of the retyped slot, so it reaches the already
-processed subtree), and ``expand_conj`` rewrites ``conj`` leaves into
-``(X ⤚ X) ⤙ X`` coordination.
+reader maps onto the same raw tree.  ``ingest_tree`` turns a raw tree into a
+validated derivation in three walks.  The first checks every rule and
+eliminates ad-hoc unary retypings by binding: every type slot is unified
+with the slots a rule equates it to, and a retyping binds the class of the
+retyped slot, so it reaches the already processed subtree.  The second
+builds the derivation, each node once, and rewrites ``conj`` leaves into
+``(X ⤚ X) ⤙ X`` coordination as it goes.  The third is ``rules.validate``.
+The first two name a failing node by its input path, UNARY levels included.
 
 Feature-annotated atoms (``S[dcl]``) are stripped to their bare atom here;
 the semantics functor is defined on bare atoms.
@@ -26,7 +28,7 @@ from functools import lru_cache
 from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type, strip_features
 from .rules import (
     SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
-    apply_rule, combine, validate,
+    apply_rule, combine, flat_path, path_str, validate,
 )
 
 
@@ -230,7 +232,7 @@ def _ccgbank_node(text: str, i: int) -> tuple[RawTree, int]:
     return RawNode(rule, type_str, tuple(children)), i + 1
 
 
-def _parse_type(text: str, path: tuple[int, ...]) -> CcgType:
+def _parse_type(text: str, path: tuple) -> CcgType:
     try:
         return _stripped_type(text)
     except TypeParseError as exc:
@@ -245,11 +247,11 @@ def _stripped_type(text: str) -> CcgType:
     return strip_features(parse_type(text))
 
 
-def _fmt(path: tuple[int, ...]) -> str:
-    return "/".join(map(str, path)) or "root"
+def _fmt(path: tuple) -> str:
+    return path_str(flat_path(path))
 
 
-def _parse_rule(text: str, path: tuple[int, ...]) -> tuple[str, int | None, CcgType | None]:
+def _parse_rule(text: str, path: tuple) -> tuple[str, int | None, CcgType | None]:
     head, _, param = text.strip().partition(":")
     kind = head.upper()
     schema = SCHEMAS.get(kind)
@@ -394,26 +396,18 @@ class _RNode:
     rule: RuleLabel | None
     children: list["_RNode"]
     itype: IType
-    path: tuple[int, ...]
+    path: tuple   # the input node's path, linked (see ``rules.flat_path``)
     cat: CcgType   # the node's type; stale below a retyped node
     retyped: bool = False   # set by UNARY: it and the nodes below it erase ``itype``
-
-
-def resolve_unary(raw: RawTree) -> Derivation:
-    """Resolve UNARY nodes by binding and build a Derivation.
-
-    CONJ junction nodes are carried through untouched (see ``expand_conj``).
-    On trees without unary nodes this is the plain reader.
-    """
-    ops = _IndexedOps(_UnionFind(), itertools.count(1))
-    return _to_derivation(_resolve(raw, (), ops), ops.uf, False)
 
 
 # C0 controls and DEL break the SVG (XML) and the one-line .biclosed outputs.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
-def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
+def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
+    """Check a raw tree's labels and rule applications, and resolve its UNARY
+    nodes by binding; CONJ nodes are carried through for ``_build``."""
     uf, ctr = ops.uf, ops.ctr
     if isinstance(raw, RawLeaf):
         t = _parse_type(raw.type_str, path)
@@ -433,7 +427,7 @@ def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
     if kind == "UNARY":
         if len(raw.children) != 1:
             raise IngestError(f"UNARY needs exactly one child at node {_fmt(path)}")
-        child = _resolve(raw.children[0], path + (0,), ops)
+        child = _resolve(raw.children[0], (path, 0), ops)
         slot = uf.find(uf.deref(child.itype).idx)
         pinned = slot in uf.pinned
         # a pinned class stays pinned, so a later retyping of it is checked too
@@ -452,14 +446,14 @@ def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
     if kind == "CONJ":
         if len(raw.children) != 2:
             raise IngestError(f"CONJ needs exactly two children at node {_fmt(path)}")
-        kids = [_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
+        kids = [_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
         return _RNode(None, RuleLabel("CONJ"), kids, _fresh(declared, ctr), path, declared)
 
     try:
         rule = RuleLabel(kind, degree=degree, target=target)
     except ValueError as exc:
         raise IngestError(f"{exc} at node {_fmt(path)}") from None
-    kids = [_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
+    kids = [_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
     if len(kids) != rule.arity:
         raise IngestError(f"{rule} needs {rule.arity} children at node {_fmt(path)}")
     try:
@@ -475,31 +469,9 @@ def _resolve(raw: RawTree, path: tuple[int, ...], ops: _IndexedOps) -> _RNode:
     return _RNode(None, rule, kids, itype, path, declared)
 
 
-def _to_derivation(node: _RNode, uf: _UnionFind, retyped: bool) -> Derivation:
-    retyped = retyped or node.retyped   # a retyping reaches only the nodes below it
-    cat = _erase(node.itype, uf) if retyped else node.cat
-    if node.rule is None:
-        return Leaf(node.word, cat)
-    kids = [_to_derivation(kid, uf, retyped) for kid in node.children]
-    return Unary(node.rule, *kids, cat) if len(kids) == 1 else Binary(node.rule, *kids, cat)
-
-
-# --- conjunction expansion -------------------------------------------------------
+# --- the build, with coordination expanded ---------------------------------------
 
 CONJ_ATOM = Atom("CONJ")
-
-
-def expand_conj(d: Derivation) -> Derivation:
-    """Rewrite coordination: the conj leaf of ``X and X`` becomes ``(X ⤚ X) ⤙ X``.
-
-    Identity on derivations without CONJ material.  A CONJ atom left inside
-    any type is an error, reported after every coordination error.
-    """
-    conj_typed: list[tuple[int, ...]] = []
-    out = _expand(d, (), conj_typed)
-    if conj_typed:
-        raise IngestError("CONJ appears in a type after preprocessing")
-    return out
 
 
 def _has_conj(t: CcgType) -> bool:
@@ -508,47 +480,66 @@ def _has_conj(t: CcgType) -> bool:
     return _has_conj(t.result) or _has_conj(t.argument)
 
 
-def _expand(d: Derivation, path: tuple[int, ...], conj_typed: list) -> Derivation:
-    if _has_conj(d.cat):
-        conj_typed.append(path)
-    if isinstance(d, Leaf):
-        if d.cat == CONJ_ATOM:
-            raise IngestError(f"CONJ in non-coordination position at node {_fmt(path)}")
-        return d
-    if isinstance(d, Unary):
-        return Unary(d.rule, _expand(d.child, path + (0,), conj_typed), d.cat)
-    if d.rule.kind == "CONJ":
-        raise IngestError(f"CONJ in non-coordination position at node {_fmt(path)}")
-    right = d.right
-    if isinstance(right, Binary) and right.rule.kind == "CONJ":
-        left = _expand(d.left, path + (0,), conj_typed)
-        conj_leaf = right.left
-        conjunct = _expand(right.right, path + (1, 1), conj_typed)
-        if not isinstance(conj_leaf, Leaf) or conj_leaf.cat != CONJ_ATOM:
-            raise IngestError(
-                f"CONJ node needs a conj leaf on its left at node {_fmt(path + (1,))}")
-        x = conjunct.cat
-        if left.cat != x:
-            raise IngestError(
-                f"conjuncts' types differ at node {_fmt(path)}: "
-                f"{left.cat.to_slash()} vs {x.to_slash()}")
-        glue = Backward(x, x)
-        if right.cat != glue:
-            raise IngestError(
-                f"CONJ node declares {right.cat.to_slash()}, expected "
-                f"{glue.to_slash()} at node {_fmt(path + (1,))}")
-        retyped = Leaf(conj_leaf.word, Forward(glue, x))
-        inner = Binary(RuleLabel("FA"), retyped, conjunct, glue)
-        return Binary(d.rule, left, inner, d.cat)
-    return Binary(d.rule, _expand(d.left, path + (0,), conj_typed),
-                  _expand(d.right, path + (1,), conj_typed), d.cat)
+def _cat(node: _RNode, uf: _UnionFind, retyped: bool) -> CcgType:
+    return _erase(node.itype, uf) if retyped else node.cat
+
+
+def _build(node: _RNode, uf: _UnionFind, retyped: bool, conj_typed: list) -> Derivation:
+    """Build the derivation of a resolved subtree, each node once.
+
+    Coordination is rewritten as it is built: the conj leaf of ``X and X``
+    becomes ``(X ⤚ X) ⤙ X``.  The path of each node whose type holds a CONJ
+    atom is added to ``conj_typed``.
+    """
+    retyped = retyped or node.retyped   # a retyping reaches only the nodes below it
+    cat = _cat(node, uf, retyped)
+    if _has_conj(cat):
+        conj_typed.append(node.path)
+    if node.rule is None:
+        if cat == CONJ_ATOM:
+            raise IngestError(f"CONJ in non-coordination position at node {_fmt(node.path)}")
+        return Leaf(node.word, cat)
+    if len(node.children) == 1:
+        return Unary(node.rule, _build(node.children[0], uf, retyped, conj_typed), cat)
+    if node.rule.kind == "CONJ":
+        raise IngestError(f"CONJ in non-coordination position at node {_fmt(node.path)}")
+    left, right = node.children
+    if right.rule is None or right.rule.kind != "CONJ":
+        return Binary(node.rule, _build(left, uf, retyped, conj_typed),
+                      _build(right, uf, retyped, conj_typed), cat)
+    left = _build(left, uf, retyped, conj_typed)
+    conj_leaf, conjunct = right.children
+    glue_retyped = retyped or right.retyped
+    conjunct = _build(conjunct, uf, glue_retyped, conj_typed)
+    if (conj_leaf.rule is not None
+            or _cat(conj_leaf, uf, glue_retyped or conj_leaf.retyped) != CONJ_ATOM):
+        raise IngestError(
+            f"CONJ node needs a conj leaf on its left at node {_fmt(right.path)}")
+    x = conjunct.cat
+    if left.cat != x:
+        raise IngestError(
+            f"conjuncts' types differ at node {_fmt(node.path)}: "
+            f"{left.cat.to_slash()} vs {x.to_slash()}")
+    glue = Backward(x, x)
+    declared = _cat(right, uf, glue_retyped)
+    if declared != glue:
+        raise IngestError(
+            f"CONJ node declares {declared.to_slash()}, expected "
+            f"{glue.to_slash()} at node {_fmt(right.path)}")
+    conj_word = Leaf(conj_leaf.word, Forward(glue, x))
+    return Binary(node.rule, left, Binary(RuleLabel("FA"), conj_word, conjunct, glue), cat)
 
 
 # --- pipeline helpers --------------------------------------------------------------
 
 def ingest_tree(raw: RawTree) -> Derivation:
-    """Full preprocessing: resolve unary rules, expand conjunctions, validate."""
-    d = expand_conj(resolve_unary(raw))
+    """Full preprocessing, in three walks: resolve the raw tree's unary rules,
+    build the derivation with conjunctions expanded, validate it."""
+    ops = _IndexedOps(_UnionFind(), itertools.count(1))
+    conj_typed: list[tuple] = []
+    d = _build(_resolve(raw, (), ops), ops.uf, False, conj_typed)
+    if conj_typed:   # reported after every coordination error
+        raise IngestError("CONJ appears in a type after preprocessing")
     problems = validate(d)
     if problems:
         raise IngestError("derivation does not validate: " + "; ".join(map(str, problems)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .diagram import (
     Cap, Cup, Diagram, DiagramError, Layer, RObject, Swap, WordBox,
-    cup_block, cup_block_r, swap_blocks,
+    cup_block, swap_blocks,
 )
 
 
@@ -350,7 +350,7 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch |
             if len(x_wires) != x_w:
                 return None
             expected = (swap_blocks(zl, yr, lead + y_w)
-                        + cup_block_r(y_wires, lead)
+                        + cup_block(y_wires.r, lead)
                         + swap_blocks(zl, x_wires, lead))
             alpha_seed = (lead, lead + y_w + z_w)
             beta_seed = (lead + y_w + z_w, lead + 2 * y_w + z_w + x_w)
@@ -414,7 +414,7 @@ def _apply_crossed(layers: list[Layer], mt: _CrossedMatch) -> list[Layer]:
     # BCX: insert the primary (beta) between the secondary's y and z.l blocks
     shifted_beta = [(o - mt.z_width, g) for o, g in beta]
     lead = mt.beta_span[0] - mt.y_width - mt.z_width
-    cups = cup_block_r(mt.y_wires, lead)
+    cups = cup_block(mt.y_wires.r, lead)
     return prefix + list(alpha) + shifted_beta + cups + suffix
 
 

@@ -250,14 +250,32 @@ class Binary:
 Derivation = Leaf | Unary | Binary
 
 
+def flat_path(path: tuple) -> tuple[int, ...]:
+    """The child indices from the root down to a node.
+
+    Tree walks hand each child its path as a linked ``(parent path, index)``
+    pair, with ``()`` at the root, so a path costs one pair per node and is
+    flattened only when a message names it.
+    """
+    indices = []
+    while path:
+        path, i = path
+        indices.append(i)
+    return tuple(reversed(indices))
+
+
+def path_str(path: tuple[int, ...]) -> str:
+    """A flat node path as messages print it: ``0/1``, or ``root``."""
+    return "/".join(map(str, path)) or "root"
+
+
 @dataclass(frozen=True)
 class Violation:
     path: tuple[int, ...]
     message: str
 
     def __str__(self) -> str:
-        where = "/".join(map(str, self.path)) or "root"
-        return f"{where}: {self.message}"
+        return f"{path_str(self.path)}: {self.message}"
 
 
 def _preorder(d: Derivation) -> Iterator[Derivation]:
@@ -290,26 +308,26 @@ def validate(d: Derivation) -> list[Violation]:
     """
     out: list[Violation] = []
 
-    def walk(node: Derivation, path: tuple[int, ...]):
+    def walk(node: Derivation, path: tuple):
         if isinstance(node, Leaf):
             if not node.word:
-                out.append(Violation(path, "empty word at leaf"))
+                out.append(Violation(flat_path(path), "empty word at leaf"))
             return
         if isinstance(node, Unary):
-            walk(node.child, path + (0,))
+            walk(node.child, (path, 0))
             kids = [node.child.cat]
         else:
-            walk(node.left, path + (0,))
-            walk(node.right, path + (1,))
+            walk(node.left, (path, 0))
+            walk(node.right, (path, 1))
             kids = [node.left.cat, node.right.cat]
         try:
             produced = apply_rule(node.rule, kids)
         except RuleError as exc:
-            out.append(Violation(path, str(exc)))
+            out.append(Violation(flat_path(path), str(exc)))
             return
         if produced != node.cat:
             out.append(Violation(
-                path,
+                flat_path(path),
                 f"{node.rule} produces {produced.to_slash()}, node claims {node.cat.to_slash()}",
             ))
 

@@ -7,8 +7,7 @@ import pytest
 from discoccg import biclosed as bc
 from discoccg.ccgtypes import Backward, parse_type
 from discoccg.diagram import (
-    Cap, Cup, Diagram, RObject, Swap, WordBox, cap_block, cap_block_r, cup_block, cup_block_r,
-    well_formed,
+    Cap, Cup, Diagram, RObject, Swap, WordBox, cap_block, cup_block, well_formed,
 )
 from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower, verify_functor_laws
 from discoccg.ingest import ingest_tree, read_json
@@ -160,7 +159,7 @@ def _bend(term, inner):
     if isinstance(term, bc.CurryL):
         a = f_obj(bc.factors(term.inner.dom)[0])
         assert inner.dom[:len(a)] == a
-        return Diagram.build(inner.dom[len(a):], cap_block_r(a, 0)
+        return Diagram.build(inner.dom[len(a):], cap_block(a.r, 0)
                              + [(o + len(a), g) for o, g in inner.layers])
     if isinstance(term, bc.UncurryR):
         b = f_obj(term.inner.cod.argument)
@@ -170,7 +169,7 @@ def _bend(term, inner):
     a = f_obj(term.inner.cod.argument)
     assert inner.cod[:len(a)] == a.r
     return Diagram.build(a @ inner.dom, [(o + len(a), g) for o, g in inner.layers]
-                         + cup_block_r(a, 0))
+                         + cup_block(a.r, 0))
 
 
 @settings(max_examples=200, deadline=None)

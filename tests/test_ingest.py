@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from discoccg import ingest
 from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.ingest import (
-    IngestError, RawLeaf, RawNode, derivation_to_json, expand_conj,
-    ingest_tree, read_ccgbank, read_derivations, read_json, resolve_unary,
+    IngestError, RawLeaf, RawNode, derivation_to_json, ingest_tree, read_ccgbank,
+    read_derivations, read_json,
 )
 from discoccg.rules import (
-    Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, apply_rule, combine, leaves, validate,
+    BA, FA, Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, apply_rule, combine, leaves,
+    validate,
 )
 from tests.sentences import deep_json
 
@@ -67,7 +69,7 @@ def test_rule_names_fold_case():
             {"word": "passed", "type": "(S\\NP)/NP"},
             {"word": "successfully", "type": "(S\\NP)\\(S\\NP)"}]}),
     ]:
-        d = resolve_unary(read_json(json.dumps(tree)))
+        d = ingest_tree(read_json(json.dumps(tree)))
         assert validate(d) == [], rule
 
 
@@ -85,7 +87,7 @@ def test_unknown_parser_rule_rejected():
     tree = {"rule": "PUNCT", "type": "S", "children": [
         {"word": "Alice", "type": "NP"}, {"word": "runs", "type": "S\\NP"}]}
     with pytest.raises(IngestError) as err:
-        resolve_unary(read_json(json.dumps(tree)))
+        ingest_tree(read_json(json.dumps(tree)))
     assert "unknown rule" in str(err.value)
 
 
@@ -94,7 +96,7 @@ def test_declared_type_mismatch_reports_path():
     bad = json.loads(json.dumps(FIG1))
     bad["children"][1]["type"] = "S"
     with pytest.raises(IngestError) as err:
-        resolve_unary(read_json(json.dumps(bad)))
+        ingest_tree(read_json(json.dumps(bad)))
     assert "node 1" in str(err.value)
 
 
@@ -112,7 +114,7 @@ NOT_MUCH_TO_SAY = {"rule": "BA", "type": "NP", "children": [
 
 
 def test_unary_resolution_reproduces_worked_example():
-    d = resolve_unary(read_json(json.dumps(NOT_MUCH_TO_SAY)))
+    d = ingest_tree(read_json(json.dumps(NOT_MUCH_TO_SAY)))
     assert validate(d) == []
     assert d.cat == Atom("NP")
     got = [(leaf.word, leaf.cat) for leaf in leaves(d)]
@@ -133,10 +135,10 @@ def test_unary_resolution_reproduces_worked_example():
 
 
 def test_unary_free_tree_unchanged():
-    d = resolve_unary(read_json(json.dumps(FIG1)))
+    d = ingest_tree(read_json(json.dumps(FIG1)))
     assert validate(d) == []
     # serialize and re-ingest: a fixed point (types may reprint with fewer parens)
-    again = resolve_unary(read_json(json.dumps(derivation_to_json(d))))
+    again = ingest_tree(read_json(json.dumps(derivation_to_json(d))))
     assert again == d
 
 
@@ -144,7 +146,7 @@ def test_unary_over_leaf_retypes_it():
     tree = {"rule": "BA", "type": "S", "children": [
         {"rule": "UNARY", "type": "NP", "children": [{"word": "dogs", "type": "N"}]},
         {"word": "bark", "type": "S\\NP"}]}
-    d = resolve_unary(read_json(json.dumps(tree)))
+    d = ingest_tree(read_json(json.dumps(tree)))
     assert validate(d) == []
     assert leaves(d)[0].cat == Atom("NP")
 
@@ -163,7 +165,7 @@ def _single_unary_positions():
 
 
 def test_unary_substitution_by_index_reaches_linked_slot_only():
-    d = resolve_unary(read_json(json.dumps(_single_unary_positions())))
+    d = ingest_tree(read_json(json.dumps(_single_unary_positions())))
     assert validate(d) == []
     # N -> NP at the node reaches exactly the slot linked to the phrase head:
     # the outer adjective's result; inner types are untouched (as in the
@@ -211,8 +213,26 @@ def test_conj_expansion_verb_phrase():
 
 
 def test_conj_free_tree_unchanged():
-    d = resolve_unary(read_json(json.dumps(FIG1)))
-    assert expand_conj(d) == d
+    d = ingest_tree(read_json(json.dumps(FIG1)))
+    assert d == Binary(BA, Leaf("Alice", t("NP")), Binary(
+        FA, Leaf("likes", t("(S\\NP)/NP")), Leaf("Bob", t("NP")), t("S\\NP")), t("S"))
+
+
+def test_coordination_error_below_a_unary_names_its_input_node():
+    coordination = {"rule": "BA", "type": "NP", "children": [
+        {"word": "apples", "type": "NP"},
+        {"rule": "CONJ", "type": "NP\\NP", "children": [
+            {"word": "and", "type": "conj"},
+            {"word": "runs", "type": "S\\NP"}]}]}
+    retyped = {"rule": "UNARY", "type": "NP", "children": [coordination]}
+    with pytest.raises(IngestError) as err:
+        roundtrip(retyped)
+    assert str(err.value) == "conjuncts' types differ at node 0: NP vs S\\NP"
+    sentence = {"rule": "BA", "type": "S", "children": [
+        retyped, {"word": "sleep", "type": "S\\NP"}]}
+    with pytest.raises(IngestError) as err:
+        roundtrip(sentence)
+    assert str(err.value) == "conjuncts' types differ at node 0/0: NP vs S\\NP"
 
 
 def test_conj_type_mismatch_is_an_error():
@@ -248,7 +268,6 @@ def test_passes_idempotent_and_order_preserving():
     from discoccg.corpus import load_raw
     for ident, raw in load_raw():
         d = ingest_tree(raw)
-        assert expand_conj(d) == d, ident
         # a clean tree serialized and re-ingested is a fixed point
         again = ingest_tree(read_json(json.dumps(derivation_to_json(d))))
         assert again == d, ident
@@ -505,6 +524,8 @@ class _RefOps(TypeOps):
 
 
 class _RefNode:
+    retyped = False   # its types are substituted, so the build reads ``cat``
+
     def __init__(self, word, rule, children, itype, path, cat):
         self.word, self.rule, self.children = word, rule, children
         self.itype, self.path, self.cat = itype, path, cat
@@ -522,7 +543,7 @@ def _ref_resolve(raw, path, ops):
     if kind == "UNARY":
         if len(raw.children) != 1:
             raise IngestError("UNARY arity")
-        child = _ref_resolve(raw.children[0], path + (0,), ops)
+        child = _ref_resolve(raw.children[0], (path, 0), ops)
         target_id = uf.find(child.itype.idx)
         repl = ingest._fresh(declared, ctr)
         _ref_substitute_tree(child, target_id, repl, uf)
@@ -531,14 +552,14 @@ def _ref_resolve(raw, path, ops):
     if kind == "CONJ":
         if len(raw.children) != 2:
             raise IngestError("CONJ arity")
-        kids = [_ref_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
+        kids = [_ref_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
         return _RefNode(None, RuleLabel("CONJ"), kids, ingest._fresh(declared, ctr),
                         path, declared)
     try:
         rule = RuleLabel(kind, degree=degree, target=target)
     except ValueError:
         raise IngestError("bad label") from None
-    kids = [_ref_resolve(k, path + (i,), ops) for i, k in enumerate(raw.children)]
+    kids = [_ref_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
     if len(kids) != rule.arity:
         raise IngestError("arity")
     try:
@@ -571,15 +592,6 @@ def _ref_recheck(node):
         raise IngestError("substitution breaks a rule")
 
 
-def _ref_to_derivation(node):
-    if node.rule is None:
-        return Leaf(node.word, node.cat)
-    if len(node.children) == 1:
-        return Unary(node.rule, _ref_to_derivation(node.children[0]), node.cat)
-    return Binary(node.rule, _ref_to_derivation(node.children[0]),
-                  _ref_to_derivation(node.children[1]), node.cat)
-
-
 def _ref_has_conj(t):
     if isinstance(t, Atom):
         return t == Atom("CONJ")
@@ -588,7 +600,8 @@ def _ref_has_conj(t):
 
 def _ref_ingest(raw):
     root = _ref_resolve(raw, (), _RefOps(_RefUnionFind(), itertools.count(1)))
-    d = expand_conj(_ref_to_derivation(root))
+    # the production build on the substituted nodes expands coordination
+    d = ingest._build(root, None, False, [])
     if validate(d):
         raise IngestError("does not validate")
     stack = [d]
@@ -727,3 +740,33 @@ def test_nested_unary_chain_work_is_linear(monkeypatch):
 
     small, large = work(100), work(200)
     assert small > 0 and large <= 2.1 * small
+
+
+def _rb_chain(k):
+    """``the a0 ... a(k-1) wolf likes Bob`` as a raw tree: an FA chain k deep."""
+    noun = RawLeaf("wolf", "N")
+    for i in reversed(range(k)):
+        noun = RawNode("FA", "N", (RawLeaf(f"a{i}", "N/N"), noun))
+    subject = RawNode("FA", "NP", (RawLeaf("the", "NP/N"), noun))
+    verb_phrase = RawNode("FA", "S\\NP", (RawLeaf("likes", "(S\\NP)/NP"), RawLeaf("Bob", "NP")))
+    return RawNode("BA", "S", (subject, verb_phrase))
+
+
+def test_ingest_allocation_grows_linearly():
+    def peak(k):
+        raw = _rb_chain(k)
+        tracemalloc.start()
+        try:
+            ingest_tree(raw)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 10000))
+    try:
+        peak(8)   # warm the type cache
+        small, large = peak(256), peak(1024)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert large <= 6 * small, (small, large)
