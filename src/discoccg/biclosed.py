@@ -18,6 +18,7 @@ generator (:class:`CrossBox`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .ccgtypes import Atom, Backward, CcgType, Forward
 # ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 8's tracer change
@@ -41,10 +42,11 @@ BObject = Unit | Atom | Forward | Backward | TensorObj
 UNIT = Unit()
 
 
+@lru_cache(maxsize=4096)
 def to_str(o: BObject) -> str:
     """The object notation of ``.biclosed`` files: unlike ``to_slash``, both
     sides of a hom are bracketed when they are homs, as in ``(S\\NP)/NP``;
-    ``I`` is the unit and ``(A@B)`` a tensor."""
+    ``I`` is the unit and ``(A@B)`` a tensor.  Memoized per object."""
     cls = type(o)
     if cls is Atom:
         return o.name
@@ -249,8 +251,14 @@ def rule_term(rule: RuleLabel, inputs: list[CcgType]) -> BTerm:
     Order-preserving rules arise by currying/uncurrying identities; crossed
     rules are generator boxes.  The returned term is annotated with the rule.
     The inputs must match the rule's schema (a validated derivation's do);
-    they are not checked again.
+    they are not checked again.  Memoized per rule and input types: terms
+    are immutable, so every application of one rule instance shares its term.
     """
+    return _rule_term(rule, tuple(inputs))
+
+
+@lru_cache(maxsize=4096)
+def _rule_term(rule: RuleLabel, inputs: tuple[CcgType, ...]) -> BTerm:
     schema = rule.schema
     if schema.raising:
         x, t = inputs[0], rule.target

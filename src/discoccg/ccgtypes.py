@@ -17,7 +17,7 @@ True
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class TypeParseError(ValueError):
@@ -28,11 +28,31 @@ class TypeParseError(ValueError):
         self.offset = offset
 
 
+def _cached_hash(self) -> int:
+    """The dataclass hash of a category, computed once per instance: every
+    cache keyed by a category hashes it, and would otherwise re-hash its
+    whole type tree at each lookup.  Until ``_hash`` is stored, the
+    instance's ``__dict__`` holds exactly its fields, in order."""
+    if self._hash is None:
+        state = self.__dict__
+        state["_hash"] = hash(tuple(state.values()))
+    return self._hash
+
+
+def _rebuild(self):
+    """Pickle a category by its constructor, so that its cached hash, which
+    depends on the process's string hashing, never reaches another process."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class Atom:
     """A base categorial type such as NP, N, S, PP or CONJ."""
 
     name: str
+    _hash = None
+    __hash__ = _cached_hash
+    __reduce__ = _rebuild
 
     def __post_init__(self):
         if not self.name:
@@ -51,6 +71,9 @@ class Forward:
 
     result: "CcgType"
     argument: "CcgType"
+    _hash = None
+    __hash__ = _cached_hash
+    __reduce__ = _rebuild
 
     def to_slash(self) -> str:
         return f"{self.result.to_slash()}/{_wrap_slash(self.argument)}"
@@ -65,6 +88,9 @@ class Backward:
 
     argument: "CcgType"
     result: "CcgType"
+    _hash = None
+    __hash__ = _cached_hash
+    __reduce__ = _rebuild
 
     def to_slash(self) -> str:
         return f"{self.result.to_slash()}\\{_wrap_slash(self.argument)}"
@@ -85,6 +111,8 @@ def _wrap_arrows(t: CcgType) -> str:
     return t.to_arrows() if isinstance(t, Atom) else f"({t.to_arrows()})"
 
 
+# An atom's name after ``strip_features``; ``--atom-map`` keys and bases too.
+ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\[[A-Za-z0-9,]*\])?")
 _FEATURE_RE = re.compile(r"\[[^\]]*\]")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import biclosed as bc
+from .ccgtypes import ATOM_NAME
 from .diagram import DEFAULT_ATOM_MAP, Cap, Cup, Swap, diagram_to_json
 from .functor import DEFAULT_CONTEXT, LoweringContext, lower
 from .ingest import IngestError, ingest_tree, read_derivations
@@ -238,11 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    atom_map = {}
+    atom_map: dict[str, str] = {}
     for entry in args.atom_map:
-        key, sep, value = entry.partition("=")
-        if not sep or not key or not value:
-            print(f"bad --atom-map entry {entry!r}", file=sys.stderr)
+        key, sep, value = (s.strip() for s in entry.partition("="))
+        problem = None
+        if not sep or not ATOM_NAME.fullmatch(key) or not ATOM_NAME.fullmatch(value):
+            problem = "ATOM and base must be atom names, [A-Za-z][A-Za-z0-9_]*"
+        elif key in atom_map:
+            problem = f"{key!r} is already set"
+        if problem:
+            print(f"bad --atom-map entry {entry!r}: {problem}", file=sys.stderr)
             return 2
         atom_map[key] = value
     cfg = JobConfig(

@@ -20,11 +20,12 @@ from functools import lru_cache
 
 from . import biclosed as bc
 from .biclosed import BObject, BTerm
-from .ccgtypes import Atom, Backward, Forward
+from .ccgtypes import ATOM_NAME, Atom, Backward, Forward
 from .diagram import (
     DEFAULT_ATOM_MAP, EMPTY, Diagram, DiagramError, Layer, RObject, WordBox,
     Wire, cap_block, cup_block, swap_blocks,
 )
+from .rules import RuleLabel
 
 
 class LoweringError(DiagramError):
@@ -33,19 +34,25 @@ class LoweringError(DiagramError):
 
 @dataclass(frozen=True)
 class LoweringContext:
-    """Maps atoms to wire bases.  N keeps its own base, distinct from n."""
+    """Maps atoms to wire bases.  N keeps its own base, distinct from n.
+
+    A base must be an atom name, so that no wire prints like another's
+    adjoint (a base ``n.r`` would)."""
 
     atom_map: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_ATOM_MAP))
 
     def __post_init__(self):
         used: dict[str, str] = {}
         for atom, base in self.atom_map.items():
+            if not ATOM_NAME.fullmatch(base):
+                raise ValueError(f"atom map base {base!r} of {atom!r} is not an atom name")
             if base in used.values():
                 raise ValueError(f"atom map is not injective: duplicate base {base!r}")
             used[atom] = base
-        # Each context memoizes its own object map, so one context's results
-        # never answer for another atom map.
+        # Each context memoizes its own object map and rule images, so one
+        # context's results never answer for another atom map.
         object.__setattr__(self, "f_obj", lru_cache(maxsize=4096)(self._f_obj))
+        object.__setattr__(self, "rule_image", lru_cache(maxsize=4096)(self._rule_image))
 
     def _f_obj(self, o: BObject) -> RObject:
         """The functor on objects, call it as ``f_obj``: atoms to single wires,
@@ -64,6 +71,29 @@ class LoweringContext:
         for p in bc.factors(o):
             out = out @ self.f_obj(p)
         return out
+
+    def _rule_image(self, rule: RuleLabel, dom: BObject) -> tuple[Layer, ...]:
+        """The direct image of an order-preserving rule application on
+        ``dom``, its domain at offset 0; call it as ``rule_image``.
+
+        Type-raising is a cap block; order-preserving composition of any
+        degree (application is degree 0) is one cup block between the
+        primary's argument and the secondary's innermost result.  The layers
+        are a tuple, shared by every application of the rule instance."""
+        schema, f_obj = rule.schema, self.f_obj
+        inputs = bc.factors(dom)
+        if schema.raising:
+            t = f_obj(rule.target)
+            image = cap_block(t, 0) if schema.forward else cap_block(t.r, len(f_obj(dom)))
+        elif schema.forward:
+            h = inputs[0]
+            image = cup_block(f_obj(h.argument), len(f_obj(h.result)))
+        else:
+            # dom = A_1.r ... A_n.r  Y  Y.r  X: the secondary's arguments lead
+            h = inputs[1]
+            y, x = f_obj(h.argument), f_obj(h.result)
+            image = cup_block(y.r, len(f_obj(dom)) - 2 * len(y) - len(x))
+        return tuple(image)
 
 
 DEFAULT_CONTEXT = LoweringContext()
@@ -98,7 +128,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
             continue
         t, at = item
         if use_rule_images and _has_rule_image(t):
-            layers += _rule_image(t, ctx, at)
+            layers += [(o + at, g) for o, g in ctx.rule_image(t.rule, t.dom)]
         elif isinstance(t, bc.Word):
             layers.append((at, WordBox(t.label, f_obj(t.cod))))
         elif isinstance(t, bc.IdTerm):
@@ -129,32 +159,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
     return Diagram.build(f_obj(term.dom), layers)
 
 
-# --- direct rule images ------------------------------------------------------
-
-def _rule_image(term: BTerm, ctx: LoweringContext, at: int) -> list[Layer]:
-    """Type-raising is a cap block; order-preserving composition of any degree
-    (application is degree 0) is one cup block between the primary's
-    argument and the secondary's innermost result.  The image's domain
-    starts at offset ``at``."""
-    schema = term.rule.schema
-    inputs = bc.factors(term.dom)
-
-    if schema.raising:
-        t = ctx.f_obj(term.cod.result)
-        if schema.forward:
-            return cap_block(t, at)
-        return cap_block(t.r, at + len(ctx.f_obj(term.dom)))
-
-    if schema.forward:
-        h = inputs[0]
-        return cup_block(ctx.f_obj(h.argument), at + len(ctx.f_obj(h.result)))
-
-    # dom = A_1.r ... A_n.r  Y  Y.r  X: the secondary's arguments lead
-    h = inputs[1]
-    y, x = ctx.f_obj(h.argument), ctx.f_obj(h.result)
-    lead = len(ctx.f_obj(term.dom)) - 2 * len(y) - len(x)
-    return cup_block(y.r, at + lead)
-
+# --- crossed images -----------------------------------------------------------
 
 def _crossed_image(term: bc.CrossBox, ctx: LoweringContext, at: int) -> list[Layer]:
     """Swap-cup-swap image of crossed composition, its domain at offset ``at``.

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type, strip_features
 from .rules import (
-    SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
+    FA, SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
     apply_rule, combine, flat_path, path_str, validate,
 )
 
@@ -132,38 +132,73 @@ def _entry_end(text: str, start: int) -> int | None:
 
 
 def _raw_node(obj, ptr: str) -> RawTree:
-    where = ptr or "/"
+    """Read the raw tree of a decoded JSON node whose pointer is ``ptr``.
+
+    The nodes are checked in document order with an explicit stack, each
+    child given a linked path (see ``rules.flat_path``) that is spelled out
+    as a pointer only in a message, and the tree is then built from its
+    leaves up; so reading does not recurse, and its memory is linear."""
+    checked = []   # the nodes in pre-order
+    todo = [(obj, ())]
+    while todo:
+        obj, path = todo.pop()
+        kids = _check_node(obj, ptr, path)
+        checked.append(obj)
+        todo += [(kids[i], (path, i)) for i in reversed(range(len(kids)))]
+    built: list[RawTree] = []   # the trees of the nodes after the current one
+    for obj in reversed(checked):
+        if "word" in obj:
+            built.append(RawLeaf(obj["word"], obj["type"]))
+        else:
+            n = len(obj["children"])
+            children = tuple(reversed(built[-n:]))
+            del built[-n:]
+            built.append(RawNode(obj["rule"], obj["type"], children))
+    return built[0]
+
+
+def _pointer(ptr: str, path: tuple, field: str = "") -> str:
+    """The JSON pointer of a node's ``field``, spelled out for a message:
+    ``ptr`` points at the node ``_raw_node`` starts from, and ``path`` leads
+    from there to the node."""
+    return ptr + "".join(f"/children/{i}" for i in flat_path(path)) + field or "/"
+
+
+def _check_node(obj, ptr: str, path: tuple) -> list:
+    """Check the fields of the JSON node at ``path`` below the node whose
+    pointer is ``ptr``; returns its children."""
     if not isinstance(obj, dict):
-        raise IngestError(f"expected an object at {where}")
+        raise IngestError(f"expected an object at {_pointer(ptr, path)}")
     keys = set(obj)
     if "word" in keys:
         extra = keys - {"word", "type"}
         if extra:
-            raise IngestError(f"unknown field {sorted(extra)[0]!r} at {where}")
+            raise IngestError(f"unknown field {sorted(extra)[0]!r} at {_pointer(ptr, path)}")
         if keys != {"word", "type"}:
-            raise IngestError(f"leaf needs 'word' and 'type' at {where}")
+            raise IngestError(f"leaf needs 'word' and 'type' at {_pointer(ptr, path)}")
         if not isinstance(obj["word"], str) or not obj["word"]:
-            raise IngestError(f"'word' must be a non-empty string at {ptr}/word")
+            raise IngestError(
+                f"'word' must be a non-empty string at {_pointer(ptr, path, '/word')}")
         if not isinstance(obj["type"], str):
-            raise IngestError(f"'type' must be a string at {ptr}/type")
-        return RawLeaf(obj["word"], obj["type"])
+            raise IngestError(f"'type' must be a string at {_pointer(ptr, path, '/type')}")
+        return []
     if "rule" in keys:
         extra = keys - {"rule", "type", "children"}
         if extra:
-            raise IngestError(f"unknown field {sorted(extra)[0]!r} at {where}")
+            raise IngestError(f"unknown field {sorted(extra)[0]!r} at {_pointer(ptr, path)}")
         if keys != {"rule", "type", "children"}:
-            raise IngestError(f"internal node needs 'rule', 'type' and 'children' at {where}")
+            raise IngestError("internal node needs 'rule', 'type' and 'children' at "
+                              f"{_pointer(ptr, path)}")
         if not isinstance(obj["rule"], str):
-            raise IngestError(f"'rule' must be a string at {ptr}/rule")
+            raise IngestError(f"'rule' must be a string at {_pointer(ptr, path, '/rule')}")
         if not isinstance(obj["type"], str):
-            raise IngestError(f"'type' must be a string at {ptr}/type")
+            raise IngestError(f"'type' must be a string at {_pointer(ptr, path, '/type')}")
         kids = obj["children"]
         if not isinstance(kids, list) or not kids:
-            raise IngestError(f"'children' must be a non-empty list at {ptr}/children")
-        children = tuple(
-            _raw_node(kid, f"{ptr}/children/{i}") for i, kid in enumerate(kids))
-        return RawNode(obj["rule"], obj["type"], children)
-    raise IngestError(f"node needs either 'word' or 'rule' at {where}")
+            raise IngestError(
+                f"'children' must be a non-empty list at {_pointer(ptr, path, '/children')}")
+        return kids
+    raise IngestError(f"node needs either 'word' or 'rule' at {_pointer(ptr, path)}")
 
 
 def read_ccgbank(text: str) -> RawTree:
@@ -270,6 +305,17 @@ def _parse_rule(text: str, path: tuple) -> tuple[str, int | None, CcgType | None
     if param:
         raise IngestError(f"{kind} takes no parameter at node {_fmt(path)}")
     return kind, None, None
+
+
+@lru_cache(maxsize=1024)
+def _rule_label(text: str) -> tuple[str, RuleLabel | None]:
+    """A rule string's kind and, for a combinatory kind, its label, memoized
+    because a corpus repeats few rule strings.  A bad string raises and is
+    never cached; ``_resolve`` then parses it again to name its node."""
+    kind, degree, target = _parse_rule(text, ())
+    if SCHEMAS[kind].forward is None:   # LEX, UNARY and CONJ
+        return kind, None
+    return kind, RuleLabel(kind, degree=degree, target=target)
 
 
 # --- indexed types for unary resolution ----------------------------------------
@@ -401,6 +447,8 @@ class _RNode:
     retyped: bool = False   # set by UNARY: it and the nodes below it erase ``itype``
 
 
+_CONJ = RuleLabel("CONJ")
+
 # C0 controls and DEL break the SVG (XML) and the one-line .biclosed outputs.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
@@ -418,7 +466,17 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
                               f"at node {_fmt(path)}")
         return _RNode(raw.word, None, [], _fresh(t, ctr), path, t)
 
-    kind, degree, target = _parse_rule(raw.rule_str, path)
+    try:
+        kind, rule = _rule_label(raw.rule_str)
+    except ValueError:
+        # parse again to name this node; a bad declared type is reported
+        # before a label that breaks its schema
+        kind, degree, target = _parse_rule(raw.rule_str, path)
+        _parse_type(raw.type_str, path)
+        try:
+            rule = RuleLabel(kind, degree=degree, target=target)
+        except ValueError as exc:
+            raise IngestError(f"{exc} at node {_fmt(path)}") from None
     declared = _parse_type(raw.type_str, path)
 
     if kind == "LEX":
@@ -447,12 +505,8 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
         if len(raw.children) != 2:
             raise IngestError(f"CONJ needs exactly two children at node {_fmt(path)}")
         kids = [_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
-        return _RNode(None, RuleLabel("CONJ"), kids, _fresh(declared, ctr), path, declared)
+        return _RNode(None, _CONJ, kids, _fresh(declared, ctr), path, declared)
 
-    try:
-        rule = RuleLabel(kind, degree=degree, target=target)
-    except ValueError as exc:
-        raise IngestError(f"{exc} at node {_fmt(path)}") from None
     kids = [_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
     if len(kids) != rule.arity:
         raise IngestError(f"{rule} needs {rule.arity} children at node {_fmt(path)}")
@@ -527,7 +581,7 @@ def _build(node: _RNode, uf: _UnionFind, retyped: bool, conj_typed: list) -> Der
             f"CONJ node declares {declared.to_slash()}, expected "
             f"{glue.to_slash()} at node {_fmt(right.path)}")
     conj_word = Leaf(conj_leaf.word, Forward(glue, x))
-    return Binary(node.rule, left, Binary(RuleLabel("FA"), conj_word, conjunct, glue), cat)
+    return Binary(node.rule, left, Binary(FA, conj_word, conjunct, glue), cat)
 
 
 # --- pipeline helpers --------------------------------------------------------------

@@ -13,6 +13,7 @@ preserves dom, cod and tensor semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .diagram import (
     Cap, Cup, Diagram, DiagramError, Layer, RObject, Swap, WordBox,
@@ -110,6 +111,13 @@ def _remove_snake(layers: list[Layer], cap: int, cup: int, chirality: str) -> li
 _KIND_ORDER = {"WordBox": 0, "Cap": 1, "Cup": 2, "Swap": 3}
 
 
+@lru_cache(maxsize=4096)
+def _layer_key(g) -> tuple[int, str]:
+    """The (kind, label) part of a layer's sort key, memoized per generator:
+    a diagram repeats few generators, and every sweep keys every layer."""
+    return _KIND_ORDER[type(g).__name__], str(g)
+
+
 def _sort_layers(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
     """One insertion sweep ordering interchangeable neighbours by (offset, kind, label).
 
@@ -120,7 +128,7 @@ def _sort_layers(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
     (kind, label) part of the key becomes one rank per generator, so a
     comparison never formats a generator.  O(n log n + moves)."""
     gens = [g for _, g in layers]
-    labels = [(_KIND_ORDER[type(g).__name__], str(g)) for g in gens]
+    labels = [_layer_key(g) for g in gens]
     rank_of = {key: r for r, key in enumerate(sorted(set(labels)))}
     rank = [rank_of[key] for key in labels]
     dom_w = [len(g.dom) for g in gens]

@@ -6,6 +6,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ccgtypes import Backward, CcgType, Forward
 
@@ -223,7 +224,15 @@ def apply_rule(rule: RuleLabel, inputs: list[CcgType]) -> CcgType:
 
     Raises :class:`RuleError` on arity or shape mismatch (see :func:`combine`).
     """
-    return combine(rule, inputs)
+    return _applied(rule, tuple(inputs))
+
+
+@lru_cache(maxsize=4096)
+def _applied(rule: RuleLabel, inputs: tuple[CcgType, ...]) -> CcgType:
+    """``apply_rule``, memoized because a corpus repeats few rule instances:
+    ingest checks each node and validation checks it again.  A mismatch is
+    raised, never cached, so each occurrence fails at its own node."""
+    return combine(rule, list(inputs))
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,10 @@ and a user seed.
 from __future__ import annotations
 
 import json
-from bisect import insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
@@ -290,12 +290,13 @@ def _plan(factors: tuple[tuple[int, ...], ...],
     def width(a, b) -> int:
         return len(live[a]) + len(live[b]) - 2 * shared[a][b]
 
-    # Legs of each candidate pair's result; ``queue`` holds (legs, a, b) in
-    # ascending order, with entries whose score has changed skipped on pop.
+    # Legs of each candidate pair's result; ``queue`` is a heap of (legs, a,
+    # b), with entries whose score has changed skipped on pop.
     legs = {(a, b): width(a, b) for a in shared for b in shared[a] if a < b}
-    queue = sorted((n, a, b) for (a, b), n in legs.items())
+    queue = [(n, a, b) for (a, b), n in legs.items()]
+    heapify(queue)
     while queue:
-        n, a, b = queue.pop(0)
+        n, a, b = heappop(queue)
         if legs.get((a, b)) != n:
             continue
         for s in (a, b):
@@ -311,7 +312,7 @@ def _plan(factors: tuple[tuple[int, ...], ...],
         for c in shared[a]:
             pair = (a, c) if a < c else (c, a)
             legs[pair] = n = width(a, c)
-            insort(queue, (n, *pair))
+            heappush(queue, (n, *pair))
     rest = sorted(live)
     for slot in rest[1:]:
         contract((rest[0], slot), live[rest[0]] + live[slot])

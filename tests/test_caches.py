@@ -2,26 +2,33 @@
 must answer exactly as a cold computation does."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from discoccg import biclosed as bc
-from discoccg import ingest, semantics
+from discoccg import ingest, rewrite, rules, semantics
 from discoccg.cli import JobConfig, run
 from discoccg.corpus import corpus_text
-from discoccg.ccgtypes import Atom, TypeParseError
+from discoccg.ccgtypes import Atom, Backward, Forward, TypeParseError, parse_type
 from discoccg.diagram import DEFAULT_ATOM_MAP, RObject, WordBox
 from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower
-from discoccg.ingest import IngestError, ingest_tree, read_json
+from discoccg.ingest import IngestError, ingest_tree, read_derivations, read_json
 from discoccg.rewrite import normalize
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
 from tests.sentences import cross_serial, left_fc_chain, right_branching
 
+CACHES = (ingest._stripped_type, ingest._rule_label, rules._applied, bc._rule_term,
+          bc.to_str, DEFAULT_CONTEXT.f_obj, DEFAULT_CONTEXT.rule_image,
+          rewrite._layer_key, semantics._plan, semantics._seeded_stack, semantics._draw)
+
 
 def _clear_caches():
-    for cached in (ingest._stripped_type, DEFAULT_CONTEXT.f_obj,
-                   semantics._plan, semantics._seeded_stack, semantics._draw):
+    for cached in CACHES:
         cached.cache_clear()
 
 
@@ -41,15 +48,19 @@ def test_warm_run_emits_what_a_cold_run_does(tmp_path):
     path.write_text(json.dumps(entries))
     cfg = JobConfig(inputs=[str(path)], emit=("biclosed", "diagram", "tikz", "svg", "stats"),
                     planarize=True, normalize=True, check_semantics="n=2,s=3,*=2", seed=4)
+    run(cfg)
     _clear_caches()
+    assert all(cached.cache_info().currsize == 0 for cached in CACHES)
     cold = run(cfg)
     warm = run(cfg)
     assert (cold.converted, cold.failed) == (len(entries), 0)
     assert warm.outputs == cold.outputs
     assert warm.stats_rows == cold.stats_rows
     assert warm.failures == cold.failures
-    assert semantics._plan.cache_info().hits > 0
-    assert semantics._seeded_stack.cache_info().hits > 0
+    # ``_draw`` is read only when a word's stack is missing, once per draw
+    for cached in CACHES:
+        if cached is not semantics._draw:
+            assert cached.cache_info().hits > 0, cached.__wrapped__
 
 
 def test_bad_type_string_names_each_node():
@@ -151,3 +162,95 @@ def test_plan_cache_miss_and_hit_agree(corpus_diagrams):
     assert semantics._plan.cache_info().hits > 0   # the corpus repeats structures
     warm = {ident: semantics._compile(d).steps for ident, d in corpus_diagrams.items()}
     assert warm == cold
+
+
+def test_bad_rule_application_fails_at_each_node():
+    """A rule mismatch is raised, never cached: its second occurrence in a
+    batch fails at its own node, in either input format."""
+    bad = _svo("Alice", "likes", "Bob")
+    bad["children"][1]["children"][1]["type"] = "S"   # FA((S\NP)/NP, S)
+    deeper = {"rule": "BA", "type": "S", "children": [
+        {"word": "Carol", "type": "NP"}, {"rule": "BA", "type": "S\\NP", "children": [
+            bad["children"][1], {"word": "today", "type": "(S\\NP)\\(S\\NP)"}]}]}
+    expected = "FA: expected the secondary to equal the primary's argument Y, " \
+        "got [S\\NP/NP, S] at node {}"
+    text = json.dumps([bad, deeper, bad])
+    bank = "\n".join([
+        "(BA S (LEX NP Alice) (FA S\\NP (LEX (S\\NP)/NP likes) (LEX S Bob)))",
+        "(BA S (LEX NP Carol) (BA S\\NP (FA S\\NP (LEX (S\\NP)/NP likes) (LEX S Bob))"
+        " (LEX (S\\NP)\\(S\\NP) today)))",
+        "(BA S (LEX NP Alice) (FA S\\NP (LEX (S\\NP)/NP likes) (LEX S Bob)))"])
+    for data, fmt in ((text, "json"), (bank, "ccgbank")):
+        messages = []
+        for _, raw in read_derivations(data, fmt):
+            with pytest.raises(IngestError) as exc:
+                ingest_tree(raw)
+            messages.append(str(exc.value))
+        assert messages == [expected.format(node) for node in ("1", "1/0", "1")], fmt
+
+
+def _fa_term(fn: str, arg: str):
+    return bc.rule_term(rules.FA, [parse_type(fn), parse_type(arg)])
+
+
+def test_contexts_never_see_each_others_rule_images():
+    term = _fa_term("(S\\NP)/NP", "NP")
+    default, custom = LoweringContext(), LoweringContext({**DEFAULT_ATOM_MAP, "NP": "q"})
+    for first, second in ((default, custom), (custom, default)):
+        first.rule_image.cache_clear()
+        second.rule_image.cache_clear()
+        a, b = first.rule_image(term.rule, term.dom), second.rule_image(term.rule, term.dom)
+        assert a != b
+        assert second.rule_image.cache_info().hits == 0
+    assert [str(g) for _, g in default.rule_image(term.rule, term.dom)] == ["cup(n.l, n)"]
+    assert [str(g) for _, g in custom.rule_image(term.rule, term.dom)] == ["cup(q.l, q)"]
+
+
+def test_cached_rule_image_is_immutable_and_shifted_per_use():
+    term = _fa_term("(S\\NP)/NP", "NP")
+    image = DEFAULT_CONTEXT.rule_image(term.rule, term.dom)
+    assert isinstance(image, tuple) and all(isinstance(layer, tuple) for layer in image)
+    with pytest.raises(TypeError):
+        image[0] = (0, image[0][1])
+    with pytest.raises(AttributeError):
+        image[0][1].base = "x"
+    # two uses at different offsets leave the shared image at offset 0
+    shifted = lower(bc.compose(term, bc.tensor_term(
+        bc.word("likes", parse_type("(S\\NP)/NP")), bc.word("Bob", parse_type("NP")))))
+    assert DEFAULT_CONTEXT.rule_image(term.rule, term.dom) is image
+    assert image[0][0] == 2 and shifted.layers[-1][0] == 2
+    subject = bc.word("Alice", parse_type("NP"))
+    clause = lower(bc.tensor_term(subject, bc.compose(term, bc.tensor_term(
+        bc.word("likes", parse_type("(S\\NP)/NP")), bc.word("Bob", parse_type("NP"))))))
+    assert clause.layers[-1][0] == 3 and image[0][0] == 2
+
+
+def test_equal_categories_parsed_apart_hash_and_compare_equal():
+    ingest._stripped_type.cache_clear()
+    a = parse_type("((S\\NP)/NP)/(S\\NP)")
+    b = parse_type("(S\\NP)/NP/(S\\NP)")
+    c = Forward(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP")),
+                Backward(Atom("NP"), Atom("S")))
+    assert a is not b
+    hash(a)   # one hash cached, the others computed afresh
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert len({a: 1, b: 2, c: 3}) == 1
+    assert repr(a) == repr(c)
+    assert a != parse_type("((S\\NP)/NP)/(S/NP)")
+
+
+def test_pickled_category_is_a_key_under_another_hash_seed():
+    t = parse_type("((S\\NP)/NP)\\(S/PP)")
+    hash(t)
+    payload = pickle.dumps(t)
+    assert b"_hash" not in payload
+    script = ("import pickle, sys; from discoccg.ccgtypes import parse_type; "
+              "t = pickle.loads(sys.stdin.buffer.read()); "
+              "d = {t: 1}; u = parse_type('((S\\\\NP)/NP)\\\\(S/PP)'); "
+              "print(d[u], t == u, hash(t) == hash(u))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], input=payload, env=env,
+                             capture_output=True, check=True).stdout.decode().split()
+        assert out == ["1", "True", "True"]

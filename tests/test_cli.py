@@ -174,6 +174,37 @@ def test_atom_map_flag(tmp_path):
     assert "q" in layer_bases
 
 
+@pytest.mark.parametrize("entries", [
+    ["NP=n.r"],            # would print cup(n.r, n.r.r), like cup(n, n.r) one winding up
+    ["NP= "],              # an empty base once stripped
+    ["N P=q"],             # not an atom name
+    ["NP"],                # no base at all
+    ["NP=q", "NP=r"],      # a repeated key
+    ["NP=q", " NP =r"],    # repeated once stripped
+])
+def test_bad_atom_map_entry_is_one_error_line(tmp_path, capsys, entries):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ALICE))
+    argv = ["--in", str(path), "--out-dir", str(tmp_path / "o")]
+    for entry in entries:
+        argv += ["--atom-map", entry]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"bad --atom-map entry {entries[-1]!r}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_atom_map_entries_are_stripped(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ALICE))
+    outputs = []
+    for entry in ("NP=q", " NP = q "):
+        out = tmp_path / f"o{len(outputs)}"
+        assert main(["--in", str(path), "--out-dir", str(out), "--atom-map", entry]) == 0
+        outputs.append((out / "s0.diagram.json").read_text())
+    assert outputs[0] == outputs[1] and '"q"' in outputs[0]
+
+
 def test_unknown_emit_rejected(tmp_path):
     path = tmp_path / "one.json"
     path.write_text(json.dumps(ALICE))

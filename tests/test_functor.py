@@ -91,6 +91,12 @@ def test_atom_map_injectivity_checked():
         LoweringContext({"NP": "x", "N": "x"})
 
 
+@pytest.mark.parametrize("base", ["n.r", "", " ", "q r", "1n"])
+def test_atom_map_bases_are_atom_names(base):
+    with pytest.raises(ValueError, match="is not an atom name"):
+        LoweringContext({"NP": base, "S": "s"})
+
+
 def test_n_distinct_from_np(corpus_diagrams):
     d = corpus_diagrams["big-bad-wolf-left"]
     assert d.cod == RObject.parse("N")

@@ -17,7 +17,7 @@ from discoccg.rules import (
     BA, FA, Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, apply_rule, combine, leaves,
     validate,
 )
-from tests.sentences import deep_json
+from tests.sentences import deep_json, right_branching
 
 t = parse_type
 
@@ -770,3 +770,36 @@ def test_ingest_allocation_grows_linearly():
     finally:
         sys.setrecursionlimit(limit)
     assert large <= 6 * small, (small, large)
+
+
+def test_json_reading_allocation_grows_linearly():
+    """Each child's JSON pointer is a linked pair, spelled out only in a
+    message, so reading a chain holds no string per level of its depth."""
+    def peak(obj):
+        tracemalloc.start()
+        try:
+            ingest._raw_node(obj, "/0")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        small, large = (peak(json.loads(json.dumps(right_branching(k)))) for k in (1024, 4096))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert large <= 6 * small, (small, large)
+
+
+def test_deep_json_errors_name_the_full_pointer():
+    tree = right_branching(3)
+    node = tree["children"][0]["children"][1]["children"][1]
+    node["children"][1]["type"] = 7
+    with pytest.raises(IngestError) as exc:
+        list(read_derivations(json.dumps([FIG1, {"id": "x", "tree": tree}]), "json"))
+    assert str(exc.value) == \
+        "'type' must be a string at /1/tree/children/0/children/1/children/1/children/1/type"
+    with pytest.raises(IngestError) as exc:
+        read_json(json.dumps({"rule": "FA", "type": "S", "children": [FIG1, 3]}))
+    assert str(exc.value) == "expected an object at /children/1"

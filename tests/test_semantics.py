@@ -451,3 +451,86 @@ def test_contraction_plans_are_pinned(corpus_diagrams):
         ((0, 2), "ab,b->a"), ((0,), "a->a"))
     digest = hashlib.sha256(repr(plans).encode()).hexdigest()
     assert digest == "ec3720592aad576a85d1c733e66bfb7f91e2afc23c7cf0697e9c0fd54109fb7f"
+
+
+def _sorted_list_plan(factors, output):
+    """``semantics._plan`` as it was with a sorted list for a queue: the
+    head popped with ``pop(0)`` and new entries placed with ``insort``."""
+    from bisect import insort
+
+    from discoccg.semantics import _subscripts
+
+    live, steps = {}, []
+
+    def contract(slots, result):
+        steps.append((slots, _subscripts([live[s] for s in slots], result)))
+        for s in slots[1:]:
+            del live[s]
+        live[slots[0]] = result
+
+    for slot, ids in enumerate(factors):
+        live[slot] = ids = list(ids)
+        once = [i for i in ids if ids.count(i) == 1]
+        if len(once) < len(ids):
+            contract((slot,), once)
+    shared = {s: {} for s in live}
+    first = {}
+    for s, ids in live.items():
+        for i in ids:
+            t = first.setdefault(i, s)
+            if t != s:
+                shared[s][t] = shared[t][s] = shared[s].get(t, 0) + 1
+
+    def width(a, b):
+        return len(live[a]) + len(live[b]) - 2 * shared[a][b]
+
+    legs = {(a, b): width(a, b) for a in shared for b in shared[a] if a < b}
+    queue = sorted((n, a, b) for (a, b), n in legs.items())
+    while queue:
+        n, a, b = queue.pop(0)
+        if legs.get((a, b)) != n:
+            continue
+        for s in (a, b):
+            for c in shared[s]:
+                legs.pop((s, c) if s < c else (c, s), None)
+        common = set(live[a]).intersection(live[b])
+        contract((a, b), [i for i in live[a] + live[b] if i not in common])
+        del shared[a][b]
+        for c, k in shared.pop(b).items():
+            if c != a:
+                del shared[c][b]
+                shared[a][c] = shared[c][a] = shared[a].get(c, 0) + k
+        for c in shared[a]:
+            pair = (a, c) if a < c else (c, a)
+            legs[pair] = n = width(a, c)
+            insort(queue, (n, *pair))
+    rest = sorted(live)
+    for slot in rest[1:]:
+        contract((rest[0], slot), live[rest[0]] + live[slot])
+    if rest:
+        contract((rest[0],), output)
+    return tuple(steps)
+
+
+def test_heap_planner_matches_sorted_list_planner():
+    """Heap entries are whole tuples, so they pop in the sorted list's order."""
+    import random
+
+    from discoccg.semantics import _plan
+
+    rng = random.Random(15)
+    for _ in range(400):
+        legs: list[list[int]] = [[] for _ in range(rng.randint(1, 9))]
+        output = []
+        for index in range(rng.randint(0, 14)):
+            legs[rng.randrange(len(legs))].append(index)
+            if rng.random() < 0.25:
+                output.append(index)   # an open leg
+            else:
+                legs[rng.randrange(len(legs))].append(index)
+        for ids in legs:
+            rng.shuffle(ids)
+        rng.shuffle(output)
+        factors = tuple(map(tuple, legs))
+        assert _plan.__wrapped__(factors, tuple(output)) \
+            == _sorted_list_plan(factors, tuple(output)), (factors, output)
