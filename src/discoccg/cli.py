@@ -96,6 +96,9 @@ def _parse_dims(spec: str) -> DimAssignment:
         key, _, value = (s.strip() for s in part.partition("="))
         if not key or not value:
             raise ValueError(f"bad dims entry {part!r}")
+        if key != "*" and not ATOM_NAME.fullmatch(key):
+            raise ValueError(f"bad dims entry {part!r}: a key must be * or an atom name, "
+                             "[A-Za-z][A-Za-z0-9_]*")
         if key in dims:
             raise ValueError(f"bad dims entry {part!r}: {key!r} is already set")
         dims[key] = int(value)

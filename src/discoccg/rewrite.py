@@ -3,7 +3,10 @@
 
 ``normalize`` eliminates cap-then-cup zigzags (both chiralities), cancels
 adjacent inverse swaps and then sorts interchangeable layers into a canonical
-order, giving a normal form used for structural equality.  ``planarize``
+order, giving a normal form used for structural equality.  The sort is an
+insertion sweep that carries a layer past a whole run of neighbours at once,
+so it is near-linear where a carry one neighbour at a time is quadratic
+(right-branching chains).  ``planarize``
 removes the swaps introduced by crossed composition by relocating the
 crossed rule's primary constituent into its secondary's wire block, the
 per-instance transformation applied recursively innermost-first.  Every step
@@ -13,7 +16,6 @@ preserves dom, cod and tensor semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .diagram import (
     Cap, Cup, Diagram, DiagramError, Layer, RObject, Swap, WordBox,
@@ -111,58 +113,157 @@ def _remove_snake(layers: list[Layer], cap: int, cup: int, chirality: str) -> li
 _KIND_ORDER = {"WordBox": 0, "Cap": 1, "Cup": 2, "Swap": 3}
 
 
-@lru_cache(maxsize=4096)
 def _layer_key(g) -> tuple[int, str]:
-    """The (kind, label) part of a layer's sort key, memoized per generator:
-    a diagram repeats few generators, and every sweep keys every layer."""
+    """The (kind, label) part of a layer's sort key; the sweep reads it only
+    where two offsets tie."""
     return _KIND_ORDER[type(g).__name__], str(g)
 
 
-def _sort_layers(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
+def _shapes(layers: list[Layer]) -> dict[int, tuple[int, int, bool]]:
+    """(dom width, cod width, is a word box) of each generator, keyed by its
+    ``id``: the rewrites move and delete layers but never make generators."""
+    gens = {id(g): g for _, g in layers}
+    return {k: (len(g.dom.wires), len(g.cod.wires), isinstance(g, WordBox))
+            for k, g in gens.items()}
+
+
+def _blocks(rest: list[int], stored: list[int]) -> list[list[int]]:
+    """Split layers ``rest``, read right to left under one shift, into blocks
+    that each run from a suffix minimum of the offsets leftwards to the next
+    one; the blocks come right to left too."""
+    blocks: list[list[int]] = []
+    low = None
+    for e in rest:
+        if low is None or stored[e] < low:
+            blocks.append([e])
+            low = stored[e]
+        else:
+            blocks[-1].append(e)
+    return blocks
+
+
+def _sort_layers(layers: list[Layer], trace: list[RewriteStep] | None,
+                 shapes: dict[int, tuple[int, int, bool]]) -> tuple[bool, bool]:
     """One insertion sweep ordering interchangeable neighbours by (offset, kind, label).
 
-    Each layer is carried left while it is interchangeable with its left
-    neighbour, the two are not both word boxes (their sequence is the word
+    Each layer x is carried left while it is interchangeable with its left
+    neighbour y, the two are not both word boxes (their sequence is the word
     order of the sentence) and its key after the interchange is strictly
-    smaller.  The sweep runs over integer lists built once per call: the
-    (kind, label) part of the key becomes one rank per generator, so a
-    comparison never formats a generator.  O(n log n + moves)."""
+    smaller.  While y lies wholly right of x's inputs (``oy >= ox +
+    max(dom_x, 1)``) the move always happens: x keeps its offset and y
+    shifts by ``cod_x - dom_x``.  The sweep moves x past a run of such
+    neighbours at once.
+
+    The placed layers form a stack of blocks, each under one lazy shift.  A
+    block ends with a suffix minimum of the offsets (its record) and holds
+    the larger offsets back to the previous record, read right to left.  A
+    run is the blocks whose record is at least ``ox + max(dom_x, 1)``, so
+    finding its end visits records, not layers.  The full rule, and the
+    (kind, label) key on a tie, is applied only to the record that ends a
+    run.  When x is placed, the records left of it that are no longer below
+    everything right of them join the block to their right; a merge rebases
+    the smaller block.
+
+    Returns (changed, settled).  The layers of a run all shift alike, so
+    their neighbour pairs stay in order.  Only a move past a state whose
+    outputs end where x's inputs begin leaves the passed layer in place;
+    without one, the sweep ends at a fixed point (settled), and it costs
+    O(n log n + blocks passed) untraced; a jump re-reads the layers passed.
+    Traced, it adds one step per move."""
     gens = [g for _, g in layers]
-    labels = [_layer_key(g) for g in gens]
-    rank_of = {key: r for r, key in enumerate(sorted(set(labels)))}
-    rank = [rank_of[key] for key in labels]
-    dom_w = [len(g.dom) for g in gens]
-    cod_w = [len(g.cod) for g in gens]
-    word = [isinstance(g, WordBox) for g in gens]
-    offs = [o for o, _ in layers]
-    order = list(range(len(layers)))
-    changed = False
-    for i in range(1, len(layers)):
-        x, ox = order[i], offs[i]
-        j = i
-        while j:
-            y, oy = order[j - 1], offs[j - 1]
-            if word[x] and word[y]:
+    stored = [o for o, _ in layers]   # offset of layer k: stored[k] + its block's shift
+    revs: list[list[int]] = []        # the stack of blocks
+    shifts: list[int] = []
+    after_word = 0                    # placed layers right of the last word box
+    changed, settled = False, True
+    for x, gx in enumerate(gens):
+        ox = stored[x]
+        dom_x, cod_x, word_x = shapes[id(gx)]
+        reach = after_word if word_x else x   # a word box never passes another
+        passed: list[tuple[list[int], int]] = []   # (block, new shift), right to left
+        uniform = True
+        moved = 0
+        while moved < reach:
+            rev, shift = revs[-1], shifts[-1]
+            y = rev[0]
+            oy = stored[y] + shift
+            if oy >= ox + (dom_x or 1):
+                size = len(rev)
+                if moved + size > reach:   # the block holds the last word box
+                    size = reach - moved
+                    passed.append((rev[:size], shift + cod_x - dom_x))
+                    revs[-1] = rev[size:]
+                else:
+                    revs.pop()
+                    shifts.pop()
+                    passed.append((rev, shift + cod_x - dom_x))
+                if trace is not None:
+                    trace.extend(RewriteStep("CupSlide", j, ox)
+                                 for j in range(x - moved - 1, x - moved - size - 1, -1))
+                moved += size
+                continue
+            # the run ends at the record y: one interchange under the full rule
+            if oy > ox:   # y's outputs overlap x's inputs
                 break
-            if ox >= oy + cod_w[y]:       # x lies right of y's outputs
-                new_ox, new_oy = ox - cod_w[y] + dom_w[y], oy
-            elif oy >= ox + dom_w[x]:     # y's outputs lie right of x's inputs
-                new_ox, new_oy = ox, oy - dom_w[x] + cod_w[x]
+            dom_y, cod_y, word_y = shapes[id(gens[y])]
+            if word_x and word_y:
+                break
+            if ox >= oy + cod_y:
+                new_ox, new_oy = ox - cod_y + dom_y, oy
+            elif oy >= ox + dom_x:
+                new_ox, new_oy = ox, oy - dom_x + cod_x
             else:
                 break
-            if new_ox > oy or (new_ox == oy and rank[x] >= rank[y]):
+            if new_ox > oy or (new_ox == oy and _layer_key(gx) >= _layer_key(gens[y])):
                 break
-            order[j], offs[j] = y, new_oy
+            revs.pop()
+            shifts.pop()
+            rest = _blocks(rev[1:], stored)
+            revs.extend(reversed(rest))
+            shifts.extend([shift] * len(rest))
+            passed.append(([y], shift + new_oy - oy))
+            uniform = uniform and new_oy - oy == cod_x - dom_x
             ox = new_ox
-            j -= 1
+            moved += 1
             if trace is not None:
-                trace.append(RewriteStep("CupSlide", j, ox))
-        if j != i:
-            order[j], offs[j] = x, ox
-            changed = True
+                trace.append(RewriteStep("CupSlide", x - moved, ox))
+        after_word = moved if word_x else after_word + (moved <= after_word)
+        changed = changed or moved > 0
+        if not uniform:
+            # the passed layers shifted unevenly: find their records anew
+            settled = False
+            for rev, shift in passed:
+                for e in rev:
+                    stored[e] += shift
+            passed = [(rev, 0) for rev in _blocks([e for rev, _ in passed for e in rev], stored)]
+        # place x: a new record, or a member of the leftmost block it passed
+        if passed and stored[passed[-1][0][0]] + passed[-1][1] <= ox:
+            target, tshift = passed.pop()
+        else:
+            target, tshift = [], 0
+        target.append(x)
+        stored[x] = ox - tshift
+        low = stored[target[0]] + tshift
+        while revs and stored[revs[-1][0]] + shifts[-1] >= low:
+            left, lshift = revs.pop(), shifts.pop()
+            if len(left) > len(target):   # rebase the smaller block
+                for e in target:
+                    stored[e] += tshift - lshift
+                left[:0] = target
+                target, tshift = left, lshift
+            else:
+                for e in left:
+                    stored[e] += lshift - tshift
+                target.extend(left)
+        revs.append(target)
+        shifts.append(tshift)
+        for rev, shift in reversed(passed):
+            revs.append(rev)
+            shifts.append(shift)
     if changed:
-        layers[:] = [(o, gens[k]) for o, k in zip(offs, order)]
-    return changed
+        layers[:] = [(stored[k] + shift, gens[k])
+                     for rev, shift in zip(revs, shifts) for k in reversed(rev)]
+    return changed, settled
 
 
 def _cancel_swaps(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
@@ -182,10 +283,13 @@ def _cancel_swaps(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
 def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
     """Rewrite to the canonical fixed point: no snakes, no adjacent inverse
     swaps, interchangeable layers in sorted order.  Preserves dom, cod and
-    semantics; idempotent."""
+    semantics; idempotent.  The sort runs again only after a snake or a swap
+    pair is removed, or when its last sweep was not settled."""
     layers = list(d.layers)
+    shapes = _shapes(layers)
     budget = 10 * (len(layers) + 1) ** 2
     steps = 0
+    settled = False   # the layers are a fixed point of the sort
     while True:
         removed = None
         for snake in _find_snakes(d.dom, layers):
@@ -194,11 +298,16 @@ def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
                 if trace is not None:
                     trace.append(RewriteStep(snake[2], snake[0], layers[snake[0]][0]))
                 layers = removed
+                settled = False
                 break
         if removed is None:
             if _cancel_swaps(layers, trace):
+                settled = False
                 continue
-            if not _sort_layers(layers, trace):
+            if settled:
+                break
+            changed, settled = _sort_layers(layers, trace, shapes)
+            if not changed:
                 break
         steps += 1
         if steps > budget:

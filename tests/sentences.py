@@ -7,7 +7,12 @@
   left-branching FC chain, ``k >= 2`` (the same noun phrase, derived the
   other way round);
 - ``cross_serial(k)``: a Dutch cross-serial clause with ``k >= 2`` verbs, a
-  ``GFCX:2`` chain closed by ``FCX``, and ``k + 1`` NP arguments.
+  ``GFCX:2`` chain closed by ``FCX``, and ``k + 1`` NP arguments;
+- ``coordination(k)``: a left-nested CONJ list of ``k >= 2`` NPs, then
+  ``sleep`` (the benchmark's ``coord<k>``);
+- ``np_shift_two_word_primary()``: the corpus sentence ``np-shift`` with
+  ``very successfully`` for ``successfully``, so that the primary of its BCX
+  rule has two words.
 
 ``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
 ``right_branching(k)``.
@@ -73,6 +78,24 @@ def cross_serial(k: int) -> dict:
     for i in reversed(range(k + 1)):
         clause = node("BA", takes[i], leaf(f"n{i}", "NP"), clause)
     return clause
+
+
+def coordination(k: int) -> dict:
+    conjunct = "NP\\NP"
+    tree = leaf("c0", "NP")
+    for i in range(1, k):
+        tail = node("CONJ", conjunct, leaf("and", "conj"), leaf(f"c{i}", "NP"))
+        tree = node("BA", "NP", tree, tail)
+    return node("BA", "S", tree, leaf("sleep", "S\\NP"))
+
+
+def np_shift_two_word_primary() -> dict:
+    adverb = "(S\\NP)\\(S\\NP)"
+    primary = node("FA", adverb, leaf("very", f"({adverb})/({adverb})"),
+                   leaf("successfully", adverb))
+    verb = node("BCX", "(S\\NP)/NP", leaf("passed", "(S\\NP)/NP"), primary)
+    return node("BA", "S", leaf("John", "NP"),
+                node("FA", "S\\NP", verb, leaf("his exam", "NP")))
 
 
 def raw_diagram(tree: dict):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from discoccg import biclosed as bc
-from discoccg import ingest, rewrite, rules, semantics
+from discoccg import ingest, rules, semantics
 from discoccg.cli import JobConfig, run
 from discoccg.corpus import corpus_text
 from discoccg.ccgtypes import Atom, Backward, Forward, TypeParseError, parse_type
@@ -24,7 +24,7 @@ from tests.sentences import cross_serial, left_fc_chain, right_branching
 
 CACHES = (ingest._stripped_type, ingest._rule_label, rules._applied, bc._rule_term,
           bc.to_str, DEFAULT_CONTEXT.f_obj, DEFAULT_CONTEXT.rule_image,
-          rewrite._layer_key, semantics._plan, semantics._seeded_stack, semantics._draw)
+          semantics._plan, semantics._seeded_stack, semantics._draw)
 
 
 def _clear_caches():

@@ -10,7 +10,7 @@ import discoccg
 from discoccg import cli
 from discoccg.cli import JobConfig, STATS_COLUMNS, build_parser, main, run
 from discoccg.corpus import corpus_text
-from tests.sentences import deep_json, right_branching
+from tests.sentences import deep_json, np_shift_two_word_primary, right_branching
 
 ALICE = {"rule": "BA", "type": "S", "children": [
     {"word": "Alice", "type": "NP"},
@@ -462,6 +462,30 @@ def test_400_word_chain_converts_with_every_emit(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == [
         "s0.biclosed", "s0.diagram.json", "s0.svg", "s0.tikz", "stats.tsv"]
     assert (out / "s0.biclosed").read_text().count("(word ") == 404
+
+
+def test_dims_key_that_names_no_wire_base_is_one_error_line(tmp_path, capsys):
+    # a key that can never match a wire base would silently check nothing
+    spec = "n.r=3,x y=2"
+    assert main(["--in", _one_sentence(tmp_path), "--check-semantics", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad dims entry 'n.r=3': a key must be * or an atom "
+                            "name, [A-Za-z][A-Za-z0-9_]*\n")
+
+
+def test_two_word_crossed_primary_fails_alone_under_planarize(corpus_file, tmp_path, capsys):
+    # ROADMAP item 3: planarize relocates only a crossed primary of one word
+    np_shift = next(e for e in json.loads(corpus_file.read_text()) if e["id"] == "np-shift")
+    path, out = tmp_path / "np.json", tmp_path / "o"
+    two_words = {"id": "np-shift2", "tree": np_shift_two_word_primary()}
+    path.write_text(json.dumps([np_shift, two_words]))
+    assert main(["--in", str(path), "--out-dir", str(out), "--emit", "diagram",
+                 "--planarize", "--normalize"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL np-shift2: swap at layer 8 is not removable by state sliding",
+        "total 2 converted 1 failed 1"]
+    assert [p.name for p in out.iterdir()] == ["np-shift.diagram.json"]
 
 
 def test_stdout_mode_prints_svg_as_text(tmp_path, capsys):

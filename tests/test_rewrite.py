@@ -14,7 +14,10 @@ from discoccg.rewrite import (
     _try_interchange, diagrams_equal, normalize, planarize,
 )
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
-from tests.sentences import cross_serial, left_fc_chain, raw_diagram, right_branching
+from tests.sentences import (
+    coordination, cross_serial, left_fc_chain, np_shift_two_word_primary, raw_diagram,
+    right_branching,
+)
 
 n = RObject.parse("n")
 DIMS = DimAssignment({}, 2)
@@ -326,7 +329,22 @@ def test_normalize_never_swaps_equal_keys():
 def test_normalize_matches_bubble_reference_on_random_derivations(derivation):
     d = lower(bc.lower_derivation(derivation))
     for form in (d, planarize(d)):
-        assert normalize(form) == _reference_normalize(form)
+        _assert_matches_reference(form, derivation)
+
+
+SHAPES = {"rb": right_branching, "fc": left_fc_chain, "coord": coordination,
+          "cross": cross_serial}
+SHAPE_SIZES = ([("rb", 1)] + [(shape, k) for shape in ("rb", "fc", "coord")
+                              for k in (2, 7, 64, 192)]
+               + [("cross", k) for k in (2, 6, 16)])
+
+
+@pytest.mark.parametrize("shape, k", SHAPE_SIZES, ids=[f"{s}{k}" for s, k in SHAPE_SIZES])
+def test_normalize_matches_bubble_reference_on_long_shapes(shape, k, deep_recursion):
+    # the runs a layer is carried past grow with k on right-branching chains
+    d = raw_diagram(SHAPES[shape](k))
+    _assert_matches_reference(d, f"{shape}{k}")
+    _assert_matches_reference(planarize(d), f"{shape}{k} planarized")
 
 
 # --- the snake finder against the per-cap wire tracer ------------------------------
@@ -447,6 +465,15 @@ def test_normalize_scales_to_512_adjectives(deep_recursion):
     assert (d.cod, well_formed(d)) == (RObject.parse("s"), [])
     assert normalize(d) == d
     assert d == normalize(raw_diagram(left_fc_chain(512)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a crossed rule's primary of "
+                   "two words is not relocated")
+def test_planarize_removes_every_swap_with_a_two_word_crossed_primary():
+    raw = raw_diagram(np_shift_two_word_primary())
+    planar = planarize(raw)
+    assert planar.count(Swap) == 0
+    assert semantically_equal(raw, planar, DIMS, SEEDS)
 
 
 @pytest.mark.parametrize("k", [16, 32, 64, 128], ids=lambda k: f"cross{k}")
