@@ -66,6 +66,8 @@ class ExitReport:
     converted: int = 0
     failed: int = 0
     failures: list[tuple[str, str]] = field(default_factory=list)
+    # the emitted files, kept for standard output only: with an output
+    # directory each sentence's files are written as it converts
     outputs: dict[str, str | bytes] = field(default_factory=dict)
     stats_rows: list[tuple] = field(default_factory=list)
 
@@ -101,7 +103,10 @@ def _parse_dims(spec: str) -> DimAssignment:
                              "[A-Za-z][A-Za-z0-9_]*")
         if key in dims:
             raise ValueError(f"bad dims entry {part!r}: {key!r} is already set")
-        dims[key] = int(value)
+        try:
+            dims[key] = int(value)
+        except ValueError:
+            raise ValueError(f"bad dims entry {part!r}: a value must be an integer") from None
     return DimAssignment(dims, dims.pop("*", 2))
 
 
@@ -118,9 +123,10 @@ def run(cfg: JobConfig) -> ExitReport:
     # are decoded one at a time as the loop below reaches them
     readers = [read_derivations(Path(path).read_bytes(), cfg.fmt, collect_errors=True)
                for path in cfg.inputs]
-    if cfg.out_dir:
+    out_dir = Path(cfg.out_dir) if cfg.out_dir else None
+    if out_dir is not None:
         # a bad output directory fails before any sentence is converted
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     seen: set[str] = set()
     for ident, raw in itertools.chain.from_iterable(readers):
@@ -142,7 +148,11 @@ def run(cfg: JobConfig) -> ExitReport:
             report.failures.append((ident, message))
             continue
         report.converted += 1
-        report.outputs.update(outputs)
+        if out_dir is None:
+            report.outputs.update(outputs)
+        else:
+            # outside the ``try``: a file that cannot be written ends the run
+            _write_files(out_dir, outputs)
         if stats is not None:
             report.stats_rows.append(stats)
     return report
@@ -187,17 +197,20 @@ def _convert_one(ident, raw, cfg: JobConfig, ctx, dims):
     return outputs, stats
 
 
+def _write_files(out_dir: Path, outputs: dict[str, str | bytes]) -> None:
+    for name, payload in outputs.items():
+        target = out_dir / name
+        if isinstance(payload, bytes):
+            target.write_bytes(payload)
+        else:
+            target.write_text(payload, encoding="utf-8")
+
+
 def write_report(report: ExitReport, cfg: JobConfig, out=None) -> None:
     if out is None:
         out = sys.stdout
     if cfg.out_dir:
-        out_dir = Path(cfg.out_dir)   # created by ``run``
-        for name, payload in sorted(report.outputs.items()):
-            target = out_dir / name
-            if isinstance(payload, bytes):
-                target.write_bytes(payload)
-            else:
-                target.write_text(payload, encoding="utf-8")
+        out_dir = Path(cfg.out_dir)   # created and filled by ``run``
         if report.stats_rows:
             lines = ["\t".join(STATS_COLUMNS)]
             lines += ["\t".join(str(x) for x in row) for row in report.stats_rows]

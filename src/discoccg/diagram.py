@@ -295,28 +295,34 @@ def swap_blocks(left: RObject, right: RObject, start: int) -> list[Layer]:
 
 # --- JSON interchange -------------------------------------------------------
 
-def wire_to_json(w: Wire) -> dict:
-    return {"base": w.base, "z": w.z}
+# Written as text, each wire, generator and layer by one format, in the
+# bytes ``json.dumps(..., ensure_ascii=False)`` gives for the same payload.
+_json_str = json.JSONEncoder(ensure_ascii=False).encode
+_WIRE = '{"base": %s, "z": %d}'
 
 
-def _gen_to_json(gen: Generator) -> dict:
+def _wires_to_json(wires) -> str:
+    return "[%s]" % ", ".join([_WIRE % (_json_str(w.base), w.z) for w in wires])
+
+
+def _layer_to_json(offset: int, gen: Generator) -> str:
     if isinstance(gen, WordBox):
-        return {"kind": "word", "label": gen.label,
-                "cod": [wire_to_json(w) for w in gen.wires]}
-    if isinstance(gen, Cup):
-        return {"kind": "cup", "base": gen.base, "z": gen.z}
-    if isinstance(gen, Cap):
-        return {"kind": "cap", "base": gen.base, "z": gen.z}
-    return {"kind": "swap", "w1": wire_to_json(gen.w1), "w2": wire_to_json(gen.w2)}
+        text = '{"kind": "word", "label": %s, "cod": %s}' % (
+            _json_str(gen.label), _wires_to_json(gen.wires))
+    elif isinstance(gen, Swap):
+        text = '{"kind": "swap", "w1": %s, "w2": %s}' % (
+            _WIRE % (_json_str(gen.w1.base), gen.w1.z),
+            _WIRE % (_json_str(gen.w2.base), gen.w2.z))
+    else:
+        text = '{"kind": "%s", "base": %s, "z": %d}' % (
+            "cup" if isinstance(gen, Cup) else "cap", _json_str(gen.base), gen.z)
+    return '{"offset": %d, "gen": %s}' % (offset, text)
 
 
 def diagram_to_json(d: Diagram) -> str:
-    payload = {
-        "dom": [wire_to_json(w) for w in d.dom],
-        "cod": [wire_to_json(w) for w in d.cod],
-        "layers": [{"offset": o, "gen": _gen_to_json(g)} for o, g in d.layers],
-    }
-    return json.dumps(payload, ensure_ascii=False)
+    return '{"dom": %s, "cod": %s, "layers": [%s]}' % (
+        _wires_to_json(d.dom), _wires_to_json(d.cod),
+        ", ".join([_layer_to_json(o, g) for o, g in d.layers]))
 
 
 # The reader is a trust boundary: each object must have exactly its fields

@@ -3,10 +3,12 @@
 
 JSON is the normative interchange format; a CCGBank-flavored bracketed text
 reader maps onto the same raw tree.  ``ingest_tree`` turns a raw tree into a
-validated derivation in three walks.  The first checks every rule and
-eliminates ad-hoc unary retypings by binding: every type slot is unified
-with the slots a rule equates it to, and a retyping binds the class of the
-retyped slot, so it reaches the already processed subtree.  The second
+validated derivation in three walks.  The first checks every rule on the
+plain types and eliminates ad-hoc unary retypings by binding: below a UNARY
+node every type slot is indexed and unified with the slots a rule equates
+it to, and the retyping binds the class of the retyped slot, so it reaches
+the already processed subtree.  A binding reaches nothing outside that
+subtree, so a tree without UNARY nodes gets no indexed types.  The second
 builds the derivation, each node once, and rewrites ``conj`` leaves into
 ``(X ⤚ X) ⤙ X`` coordination as it goes.  The third is ``rules.validate``.
 The first two name a failing node by its input path, UNARY levels included.
@@ -134,26 +136,27 @@ def _entry_end(text: str, start: int) -> int | None:
 def _raw_node(obj, ptr: str) -> RawTree:
     """Read the raw tree of a decoded JSON node whose pointer is ``ptr``.
 
-    The nodes are checked in document order with an explicit stack, each
-    child given a linked path (see ``rules.flat_path``) that is spelled out
-    as a pointer only in a message, and the tree is then built from its
-    leaves up; so reading does not recurse, and its memory is linear."""
-    checked = []   # the nodes in pre-order
-    todo = [(obj, ())]
+    One walk with an explicit stack checks each node in document order,
+    giving each child a linked path (see ``rules.flat_path``) that is
+    spelled out as a pointer only in a message, and builds each node once
+    its children are built; so reading does not recurse, and its memory is
+    linear."""
+    built: list[RawTree] = []   # the finished subtrees, in document order
+    todo = [(obj, ())]   # nodes to check, and (node, None) to build
     while todo:
         obj, path = todo.pop()
-        kids = _check_node(obj, ptr, path)
-        checked.append(obj)
-        todo += [(kids[i], (path, i)) for i in reversed(range(len(kids)))]
-    built: list[RawTree] = []   # the trees of the nodes after the current one
-    for obj in reversed(checked):
-        if "word" in obj:
-            built.append(RawLeaf(obj["word"], obj["type"]))
-        else:
+        if path is None:   # its children are the last subtrees built
             n = len(obj["children"])
-            children = tuple(reversed(built[-n:]))
+            children = tuple(built[-n:])
             del built[-n:]
             built.append(RawNode(obj["rule"], obj["type"], children))
+            continue
+        kids = _check_node(obj, ptr, path)
+        if kids:
+            todo.append((obj, None))
+            todo += [(kids[i], (path, i)) for i in range(len(kids) - 1, -1, -1)]
+        else:
+            built.append(RawLeaf(obj["word"], obj["type"]))
     return built[0]
 
 
@@ -164,9 +167,20 @@ def _pointer(ptr: str, path: tuple, field: str = "") -> str:
     return ptr + "".join(f"/children/{i}" for i in flat_path(path)) + field or "/"
 
 
-def _check_node(obj, ptr: str, path: tuple) -> list:
+def _check_node(obj, ptr: str, path: tuple) -> list | tuple:
     """Check the fields of the JSON node at ``path`` below the node whose
-    pointer is ``ptr``; returns its children."""
+    pointer is ``ptr``; returns its children, none for a leaf."""
+    if type(obj) is dict:   # the two valid shapes, without building key sets
+        if len(obj) == 2:
+            word = obj.get("word")
+            if type(word) is str and word and type(obj.get("type")) is str:
+                return ()
+        elif len(obj) == 3:
+            kids = obj.get("children")
+            if (type(kids) is list and kids and type(obj.get("rule")) is str
+                    and type(obj.get("type")) is str):
+                return kids
+    # any other node is checked field by field, to name its first fault
     if not isinstance(obj, dict):
         raise IngestError(f"expected an object at {_pointer(ptr, path)}")
     keys = set(obj)
@@ -181,7 +195,7 @@ def _check_node(obj, ptr: str, path: tuple) -> list:
                 f"'word' must be a non-empty string at {_pointer(ptr, path, '/word')}")
         if not isinstance(obj["type"], str):
             raise IngestError(f"'type' must be a string at {_pointer(ptr, path, '/type')}")
-        return []
+        return ()
     if "rule" in keys:
         extra = keys - {"rule", "type", "children"}
         if extra:
@@ -441,7 +455,7 @@ class _RNode:
     word: str | None
     rule: RuleLabel | None
     children: list["_RNode"]
-    itype: IType
+    itype: IType | None   # None where no UNARY binding can reach
     path: tuple   # the input node's path, linked (see ``rules.flat_path``)
     cat: CcgType   # the node's type; stale below a retyped node
     retyped: bool = False   # set by UNARY: it and the nodes below it erase ``itype``
@@ -453,9 +467,14 @@ _CONJ = RuleLabel("CONJ")
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
-def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
+def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False) -> _RNode:
     """Check a raw tree's labels and rule applications, and resolve its UNARY
-    nodes by binding; CONJ nodes are carried through for ``_build``."""
+    nodes by binding; CONJ nodes are carried through for ``_build``.
+
+    A binding reaches only slots below its UNARY node, because every
+    ancestor is resolved after it.  So indexed types are built, and rules
+    combined on them, only where ``indexed`` marks a subtree below a UNARY;
+    everywhere else the plain check of each rule decides."""
     uf, ctr = ops.uf, ops.ctr
     if isinstance(raw, RawLeaf):
         t = _parse_type(raw.type_str, path)
@@ -464,7 +483,7 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
         if _CONTROL.search(raw.word):
             raise IngestError(f"word {raw.word!r} contains a control character "
                               f"at node {_fmt(path)}")
-        return _RNode(raw.word, None, [], _fresh(t, ctr), path, t)
+        return _RNode(raw.word, None, [], _fresh(t, ctr) if indexed else None, path, t)
 
     try:
         kind, rule = _rule_label(raw.rule_str)
@@ -485,7 +504,7 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
     if kind == "UNARY":
         if len(raw.children) != 1:
             raise IngestError(f"UNARY needs exactly one child at node {_fmt(path)}")
-        child = _resolve(raw.children[0], (path, 0), ops)
+        child = _resolve(raw.children[0], (path, 0), ops, True)
         slot = uf.find(uf.deref(child.itype).idx)
         pinned = slot in uf.pinned
         # a pinned class stays pinned, so a later retyping of it is checked too
@@ -504,10 +523,11 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
     if kind == "CONJ":
         if len(raw.children) != 2:
             raise IngestError(f"CONJ needs exactly two children at node {_fmt(path)}")
-        kids = [_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
-        return _RNode(None, _CONJ, kids, _fresh(declared, ctr), path, declared)
+        kids = [_resolve(k, (path, i), ops, indexed) for i, k in enumerate(raw.children)]
+        return _RNode(None, _CONJ, kids, _fresh(declared, ctr) if indexed else None,
+                      path, declared)
 
-    kids = [_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
+    kids = [_resolve(k, (path, i), ops, indexed) for i, k in enumerate(raw.children)]
     if len(kids) != rule.arity:
         raise IngestError(f"{rule} needs {rule.arity} children at node {_fmt(path)}")
     try:
@@ -518,7 +538,7 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps) -> _RNode:
         raise IngestError(
             f"{rule} produces {computed.to_slash()} but node declares "
             f"{declared.to_slash()} at node {_fmt(path)}")
-    itype = combine(rule, [uf.deref(k.itype) for k in kids], ops)
+    itype = combine(rule, [uf.deref(k.itype) for k in kids], ops) if indexed else None
     # the declared type equals ``computed`` and is the instance ``_stripped_type`` shares
     return _RNode(None, rule, kids, itype, path, declared)
 

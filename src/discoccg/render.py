@@ -101,10 +101,6 @@ class Layout:
         self.max_x = max(all_x) if all_x else 0.0
 
 
-def _f(x: float) -> str:
-    return f"{x:.1f}"
-
-
 def render_svg(d: Diagram | Layout) -> bytes:
     """Self-contained SVG; crossing lines carry class="swap"."""
     lay = d if isinstance(d, Layout) else Layout(d)
@@ -112,36 +108,36 @@ def render_svg(d: Diagram | Layout) -> bytes:
     width = lay.max_x - lay.min_x + 2 * PAD
     height = lay.height + 2 * PAD
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
-        f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.1f}" '
+        f'height="{height:.1f}" viewBox="0 0 {width:.1f} {height:.1f}">'
     ]
     for x, y1, y2 in lay.wires:
         out.append(
-            f'<line class="wire" x1="{_f(x + ox)}" y1="{_f(y1 + PAD)}" '
-            f'x2="{_f(x + ox)}" y2="{_f(y2 + PAD)}" stroke="black"/>')
+            f'<line class="wire" x1="{x + ox:.1f}" y1="{y1 + PAD:.1f}" '
+            f'x2="{x + ox:.1f}" y2="{y2 + PAD:.1f}" stroke="black"/>')
     for x1, y1, x2, y2 in lay.crossings:
         out.append(
-            f'<line class="swap" x1="{_f(x1 + ox)}" y1="{_f(y1 + PAD)}" '
-            f'x2="{_f(x2 + ox)}" y2="{_f(y2 + PAD)}" stroke="black"/>')
+            f'<line class="swap" x1="{x1 + ox:.1f}" y1="{y1 + PAD:.1f}" '
+            f'x2="{x2 + ox:.1f}" y2="{y2 + PAD:.1f}" stroke="black"/>')
     for x1, x2, y in lay.cups:
         r = (x2 - x1) / 2
         out.append(
-            f'<path class="cup" d="M {_f(x1 + ox)} {_f(y + PAD)} '
-            f'A {_f(r)} {_f(r)} 0 0 0 {_f(x2 + ox)} {_f(y + PAD)}" '
+            f'<path class="cup" d="M {x1 + ox:.1f} {y + PAD:.1f} '
+            f'A {r:.1f} {r:.1f} 0 0 0 {x2 + ox:.1f} {y + PAD:.1f}" '
             f'fill="none" stroke="black"/>')
     for x1, x2, y in lay.caps:
         r = (x2 - x1) / 2
         out.append(
-            f'<path class="cap" d="M {_f(x1 + ox)} {_f(y + PAD)} '
-            f'A {_f(r)} {_f(r)} 0 0 1 {_f(x2 + ox)} {_f(y + PAD)}" '
+            f'<path class="cap" d="M {x1 + ox:.1f} {y + PAD:.1f} '
+            f'A {r:.1f} {r:.1f} 0 0 1 {x2 + ox:.1f} {y + PAD:.1f}" '
             f'fill="none" stroke="black"/>')
     for x1, x2, y, h, label in lay.boxes:
         out.append(
-            f'<rect class="word" x="{_f(x1 + ox)}" y="{_f(y - h / 2 + PAD)}" '
-            f'width="{_f(x2 - x1)}" height="{_f(h)}" fill="white" stroke="black"/>')
+            f'<rect class="word" x="{x1 + ox:.1f}" y="{y - h / 2 + PAD:.1f}" '
+            f'width="{x2 - x1:.1f}" height="{h:.1f}" fill="white" stroke="black"/>')
         cx = (x1 + x2) / 2
         out.append(
-            f'<text x="{_f(cx + ox)}" y="{_f(y + 4 + PAD)}" font-size="11" '
+            f'<text x="{cx + ox:.1f}" y="{y + 4 + PAD:.1f}" font-size="11" '
             f'text-anchor="middle">{_escape(label)}</text>')
     out.append("</svg>")
     return "\n".join(out).encode("utf-8")
@@ -158,22 +154,22 @@ def render_tikz(d: Diagram | Layout) -> str:
     s = 0.02  # scale points to TikZ units
     out = ["\\begin{tikzpicture}"]
     for x, y1, y2 in lay.wires:
-        out.append(f"\\draw ({_f(x * s)},{_f(-y1 * s)}) -- ({_f(x * s)},{_f(-y2 * s)});")
+        out.append(f"\\draw ({x * s:.1f},{-y1 * s:.1f}) -- ({x * s:.1f},{-y2 * s:.1f});")
     for x1, y1, x2, y2 in lay.crossings:
-        out.append(f"\\draw ({_f(x1 * s)},{_f(-y1 * s)}) -- ({_f(x2 * s)},{_f(-y2 * s)});")
+        out.append(f"\\draw ({x1 * s:.1f},{-y1 * s:.1f}) -- ({x2 * s:.1f},{-y2 * s:.1f});")
     for x1, x2, y in lay.cups:
         r = (x2 - x1) / 2 * s
-        out.append(f"\\draw ({_f(x1 * s)},{_f(-y * s)}) arc (180:360:{_f(r)});")
+        out.append(f"\\draw ({x1 * s:.1f},{-y * s:.1f}) arc (180:360:{r:.1f});")
     for x1, x2, y in lay.caps:
         r = (x2 - x1) / 2 * s
-        out.append(f"\\draw ({_f(x1 * s)},{_f(-y * s)}) arc (180:0:{_f(r)});")
+        out.append(f"\\draw ({x1 * s:.1f},{-y * s:.1f}) arc (180:0:{r:.1f});")
     for x1, x2, y, h, label in lay.boxes:
         out.append(
-            f"\\draw ({_f(x1 * s)},{_f((-y + h / 2) * s)}) rectangle "
-            f"({_f(x2 * s)},{_f((-y - h / 2) * s)});")
+            f"\\draw ({x1 * s:.1f},{(-y + h / 2) * s:.1f}) rectangle "
+            f"({x2 * s:.1f},{(-y - h / 2) * s:.1f});")
         cx = (x1 + x2) / 2
         out.append(
-            f"\\node at ({_f(cx * s)},{_f(-y * s)}) {{\\small {_tex_escape(label)}}};")
+            f"\\node at ({cx * s:.1f},{-y * s:.1f}) {{\\small {_tex_escape(label)}}};")
     out.append("\\end{tikzpicture}")
     return "\n".join(out) + "\n"
 

@@ -10,7 +10,10 @@ import discoccg
 from discoccg import cli
 from discoccg.cli import JobConfig, STATS_COLUMNS, build_parser, main, run
 from discoccg.corpus import corpus_text
-from tests.sentences import deep_json, np_shift_two_word_primary, right_branching
+from tests.sentences import (
+    coordination, cross_serial, deep_json, left_fc_chain, np_shift_two_word_primary,
+    right_branching,
+)
 
 ALICE = {"rule": "BA", "type": "S", "children": [
     {"word": "Alice", "type": "NP"},
@@ -333,6 +336,73 @@ def test_several_inputs_convert_in_file_order(tmp_path, capsys):
     assert "Alice" in (out / "b.diagram.json").read_text()
 
 
+def test_out_dir_files_are_written_as_each_sentence_converts(tmp_path, capsys, monkeypatch):
+    out, convert, present = tmp_path / "out", cli._convert_one, []
+
+    def logged(ident, *args):
+        present.append(sorted(p.name for p in out.iterdir()))
+        return convert(ident, *args)
+
+    monkeypatch.setattr(cli, "_convert_one", logged)
+    bad = {"rule": "BA", "type": "S", "children": [
+        {"word": "Bob", "type": "NP"}, {"word": "sleeps", "type": "S"}]}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([{"id": "a", "tree": ALICE}, {"id": "a", "tree": ALICE},
+                                {"id": "b", "tree": bad}, {"id": "c", "tree": ALICE}]))
+    assert main(["--in", str(path), "--out-dir", str(out), "--emit", "diagram,stats"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "total 4 converted 2 failed 2"
+    # a duplicate is refused before it converts; a failed sentence writes nothing
+    assert present == [[], ["a.diagram.json"], ["a.diagram.json"]]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a.diagram.json", "c.diagram.json", "stats.tsv"]
+
+
+def test_file_that_cannot_be_written_ends_the_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "s1.diagram.json").mkdir(parents=True)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    assert main(["--in", str(path), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "s1.diagram.json" in captured.err
+    assert sorted(p.name for p in out.iterdir()) == ["s0.diagram.json", "s1.diagram.json"]
+
+
+# Linux carries a process's peak RSS over to a child it starts, so the batch
+# is started from a small interpreter that reports the batch's own peak.
+PEAK_PROBE = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "discoccg.cli", *sys.argv[1:]], check=True,
+               stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_out_dir_batch_memory_does_not_grow_with_the_batch(tmp_path):
+    # long sentences, whose files are large beside their input; when a batch
+    # kept every file, ten copies peaked 10-12% above one
+    entries = [{"id": "rb", "tree": right_branching(96)},
+               {"id": "fc", "tree": left_fc_chain(96)},
+               {"id": "cross", "tree": cross_serial(12)},
+               {"id": "coord", "tree": coordination(48)}]
+    env = dict(os.environ, PYTHONPATH=str(Path(discoccg.__file__).resolve().parents[1]))
+    peaks = {}
+    for copies in (1, 10):
+        path = tmp_path / f"x{copies}.json"
+        path.write_text(json.dumps([{"id": f"{e['id']}-{c}", "tree": e["tree"]}
+                                    for c in range(copies) for e in entries]))
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_PROBE, "--in", str(path), "--out-dir",
+             str(tmp_path / f"o{copies}"), "--emit", ",".join(cli.EMITS),
+             "--planarize", "--normalize", "--strict"],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peaks[copies] = int(proc.stdout)
+    assert peaks[10] <= 1.05 * peaks[1], peaks
+
+
 def test_each_entry_is_read_after_the_previous_one_converts(tmp_path, monkeypatch):
     from discoccg import ingest
 
@@ -450,6 +520,14 @@ def test_repeated_dims_key_is_one_error_line(tmp_path, capsys, spec, entry, key)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: bad dims entry {entry!r}: {key!r} is already set\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_non_integer_dims_value_is_one_error_line(tmp_path, capsys, value):
+    assert main(["--in", _one_sentence(tmp_path), "--check-semantics", f"s=2,n={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad dims entry 'n={value}': a value must be an integer\n"
 
 
 def test_400_word_chain_converts_with_every_emit(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from discoccg.diagram import (
     compose, diagram_from_json, diagram_to_json, tensor, well_formed,
 )
 from discoccg.functor import DEFAULT_CONTEXT
+from tests.sentences import cross_serial, raw_diagram
 
 t = parse_type
 n = RObject.parse("n")
@@ -239,6 +242,34 @@ def test_json_golden_snapshot(corpus_diagrams):
     )
     assert diagram_to_json(corpus_diagrams["alice-likes-bob"]) == golden
     assert diagram_from_json(golden) == corpus_diagrams["alice-likes-bob"]
+
+
+def _reference_json(d):
+    """The wire format as ``json.dumps`` encodes the payload's dict tree."""
+    def wire(w):
+        return {"base": w.base, "z": w.z}
+
+    def gen(g):
+        if isinstance(g, WordBox):
+            return {"kind": "word", "label": g.label, "cod": [wire(w) for w in g.wires]}
+        if isinstance(g, Swap):
+            return {"kind": "swap", "w1": wire(g.w1), "w2": wire(g.w2)}
+        return {"kind": "cup" if isinstance(g, Cup) else "cap", "base": g.base, "z": g.z}
+
+    return json.dumps({"dom": [wire(w) for w in d.dom], "cod": [wire(w) for w in d.cod],
+                       "layers": [{"offset": o, "gen": gen(g)} for o, g in d.layers]},
+                      ensure_ascii=False)
+
+
+def test_json_text_is_what_json_dumps_writes(corpus_diagrams):
+    odd = Wire('q"\\é', 0)
+    labels = Diagram.build(RObject((odd,)), [
+        (1, WordBox('say "hi"\\n\u00e9\u2028\x01\U0001F600', RObject((odd.r,)))),
+        (0, Cup(odd.base, 0)), (0, Cap(odd.base, -1)), (0, Swap(odd, odd.l))])
+    cases = [*corpus_diagrams.values(), raw_diagram(cross_serial(4)), labels]
+    assert cases[-2].count(Swap) and corpus_diagrams["alice-likes-bob-raised"].count(Cap)
+    for d in cases:
+        assert diagram_to_json(d) == _reference_json(d)
 
 
 def test_json_detects_cod_mismatch(corpus_diagrams):

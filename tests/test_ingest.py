@@ -183,6 +183,51 @@ def test_unary_substitution_schema_violation_reported():
         ingest_tree(read_json(json.dumps(tree)))
 
 
+def _count_indexed_work(monkeypatch):
+    calls = {"fresh": 0, "make": 0}
+    fresh, make = ingest._fresh, ingest._IndexedOps.make
+
+    def counted_fresh(*args):
+        calls["fresh"] += 1
+        return fresh(*args)
+
+    def counted_make(self, *args):
+        calls["make"] += 1
+        return make(self, *args)
+
+    monkeypatch.setattr(ingest, "_fresh", counted_fresh)
+    monkeypatch.setattr(ingest._IndexedOps, "make", counted_make)
+    return calls
+
+
+def test_indexed_types_are_built_only_below_a_unary(monkeypatch):
+    calls = _count_indexed_work(monkeypatch)
+    raised = {"rule": "FA", "type": "S", "children": [
+        {"rule": "FTR:S", "type": "S/(S\\NP)", "children": [{"word": "Alice", "type": "NP"}]},
+        {"word": "runs", "type": "S\\NP"}]}
+    for tree in (FIG1, APPLES, raised, right_branching(8)):
+        roundtrip(tree)
+    assert calls == {"fresh": 0, "make": 0}
+    # the UNARY nodes sit below the root: only their subtrees are indexed
+    roundtrip(NOT_MUCH_TO_SAY)
+    assert calls["fresh"] > 0   # application builds no type, so ``make`` is not called
+    roundtrip({"rule": "UNARY", "type": "S", "children": [raised]})
+    assert calls["fresh"] > 0 and calls["make"] > 0
+
+
+def test_first_malformed_node_in_document_order_is_reported():
+    # the deeper bad node comes first in the document; a bad parent is
+    # reported before its bad child
+    tree = {"rule": "BA", "type": "S", "children": [
+        {"rule": "FA", "type": "NP", "children": [{"word": "the", "type": "NP/N"}, 7]},
+        {"word": "runs", "type": "S\\NP", "note": "x"}]}
+    with pytest.raises(IngestError, match="^expected an object at /children/0/children/1$"):
+        read_json(json.dumps(tree))
+    tree["children"][0]["note"] = "x"
+    with pytest.raises(IngestError, match="^unknown field 'note' at /children/0$"):
+        read_json(json.dumps(tree))
+
+
 # --- conjunction expansion ------------------------------------------------------
 
 APPLES = {"rule": "BA", "type": "NP", "children": [
