@@ -465,6 +465,9 @@ _CONJ = RuleLabel("CONJ")
 
 # C0 controls and DEL break the SVG (XML) and the one-line .biclosed outputs.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+# A lone surrogate (JSON "\ud800", or bytes kept by the surrogatepass decode)
+# has no UTF-8 encoding, so no output could hold the word.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False) -> _RNode:
@@ -482,6 +485,9 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
             raise IngestError(f"empty word at node {_fmt(path)}")
         if _CONTROL.search(raw.word):
             raise IngestError(f"word {raw.word!r} contains a control character "
+                              f"at node {_fmt(path)}")
+        if _SURROGATE.search(raw.word):
+            raise IngestError(f"word {raw.word!r} contains a lone surrogate "
                               f"at node {_fmt(path)}")
         return _RNode(raw.word, None, [], _fresh(t, ctr) if indexed else None, path, t)
 

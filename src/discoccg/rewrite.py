@@ -8,9 +8,11 @@ insertion sweep that carries a layer past a whole run of neighbours at once,
 so it is near-linear where a carry one neighbour at a time is quadratic
 (right-branching chains).  ``planarize``
 removes the swaps introduced by crossed composition by relocating the
-crossed rule's primary constituent into its secondary's wire block, the
-per-instance transformation applied recursively innermost-first.  Every step
-preserves dom, cod and tensor semantics.
+crossed rule's primary constituent, whatever its size, into its secondary's
+wire block, the per-instance transformation applied recursively
+innermost-first; the two constituents are found as wired components of the
+layers before the image.  Every step preserves dom, cod and tensor
+semantics.
 """
 
 from __future__ import annotations
@@ -318,88 +320,6 @@ def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
 # --- planarization ------------------------------------------------------------
 
 @dataclass
-class _SwapRun:
-    groups: int       # width of the block that bubbles right
-    width: int        # width of the block it crosses
-    first_offset: int
-    end: int          # layer index one past the run
-
-
-def _parse_swap_run(layers: list[Layer], start: int) -> _SwapRun | None:
-    """Parse the bubble pattern emitted by :func:`swap_blocks` starting at ``start``."""
-    if start >= len(layers) or not isinstance(layers[start][1], Swap):
-        return None
-    o = layers[start][0]
-    idx = start
-    groups = 0
-    width = None
-    while idx < len(layers) and isinstance(layers[idx][1], Swap) and layers[idx][0] == o - groups:
-        k = 0
-        while (idx < len(layers) and isinstance(layers[idx][1], Swap)
-               and layers[idx][0] == o - groups + k):
-            idx += 1
-            k += 1
-            if width is not None and k == width:
-                break
-        if width is None:
-            width = k
-        elif k != width:
-            return None
-        groups += 1
-    if width is None or groups == 0:
-        return None
-    return _SwapRun(groups, width, o, idx)
-
-
-def _closure(slice_tags, consumed, span: tuple[int, int], limit: int):
-    """Backward closure of the sub-diagram producing ``span`` at a slice.
-
-    Collects the producers of the span, their own producers, and any layer
-    before ``limit`` that consumes only in-set wires (cups and swaps fully
-    internal to the block leave no surviving outputs and must ride along).
-    Returns (layer set, full span of surviving outputs), or None when a wire
-    traces to the diagram's domain or the outputs are not contiguous: only
-    whole states can be relocated.
-    """
-    layer_set: set[int] = set()
-    queue: list[int] = []
-
-    def add(layer: int):
-        if layer not in layer_set:
-            layer_set.add(layer)
-            queue.append(layer)
-
-    for pos in range(span[0], span[1]):
-        tag = slice_tags[pos]
-        if tag[0] == "dom":
-            return None
-        add(tag[0])
-    while True:
-        while queue:
-            layer = queue.pop()
-            for sub in consumed[layer]:
-                if sub[0] == "dom":
-                    return None
-                add(sub[0])
-        absorbed = False
-        for t in range(limit):
-            if t in layer_set or not consumed[t]:
-                continue
-            if all(sub[0] != "dom" and sub[0] in layer_set for sub in consumed[t]):
-                add(t)
-                absorbed = True
-        if not absorbed and not queue:
-            break
-    positions = {p for p, tag in enumerate(slice_tags)
-                 if tag[0] != "dom" and tag[0] in layer_set}
-    positions.update(range(span[0], span[1]))
-    lo, hi = min(positions), max(positions) + 1
-    if hi - lo != len(positions):
-        return None  # outputs not contiguous: not a relocatable block
-    return layer_set, (lo, hi)
-
-
-@dataclass
 class _CrossedMatch:
     direction: str
     start: int            # first image layer
@@ -414,104 +334,102 @@ class _CrossedMatch:
     z_width: int
 
 
+def _components(consumed) -> list[int]:
+    """The wired component of each layer, named by its first layer."""
+    first = list(range(len(consumed)))
+
+    def find(i: int) -> int:
+        while first[i] != i:
+            first[i] = first[first[i]]
+            i = first[i]
+        return i
+
+    for i, tags in enumerate(consumed):
+        for src, _ in tags:
+            if src != "dom":
+                a, b = find(i), find(src)
+                first[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(consumed))]
+
+
 def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch | None:
     """Recognize a crossed-composition image whose first swap is layer ``s``.
 
-    The first swap run is terminated by the image's cup block, so its greedy
-    parse is unambiguous.  The second run may be continued seamlessly by an
-    enclosing image's swaps, so the width of the relocated block is searched
-    downward from the greedy bound, each candidate verified against a
-    regenerated image and against the constituent closures.
+    The first swap run moves ``m`` wires right past ``k`` wires; the image's
+    cup block ends it, so its greedy reading is exact.  The layers before
+    ``s`` fall into wired components.  The two constituents hold every
+    component that has a layer at or after the first layer of a component
+    producing one of those ``m + k`` wires; each joins the left or the right
+    constituent by the side of the run's middle its outputs lie on.  They
+    must be states whose outputs are contiguous, the left one's layers
+    first.  Their output spans fix every width, and the image regenerated
+    from them must be the layers from ``s`` on.
     """
-    run1 = _parse_swap_run(layers, s)
-    if run1 is None:
-        return None
+    o = layers[s][0]
+    k = 0
+    while s + k < len(layers) and isinstance(layers[s + k][1], Swap) and layers[s + k][0] == o + k:
+        k += 1
+    m = 1
+    while (s + m * k < len(layers) and isinstance(layers[s + m * k][1], Swap)
+           and layers[s + m * k][0] == o - m):
+        m += 1
+    mid = o + 1   # the boundary position where the two constituents meet
     slice_tags, consumed = _producers(dom, layers, s)
+    run_tags = slice_tags[mid - m: mid + k]
+    if any(src == "dom" for src, _ in run_tags):
+        return None
+    roots = _components(consumed)
+    # the constituents hold every component with a layer from ``lo`` on
+    lo = min(roots[src] for src, _ in run_tags)
+    i = s - 1
+    while i >= lo:
+        lo = min(lo, roots[i])
+        i -= 1
+    pos = [p for p, (src, _) in enumerate(slice_tags) if src != "dom" and src >= lo]
+    if pos[-1] + 1 - pos[0] != len(pos):
+        return None  # outputs not contiguous: not a relocatable block
+    right = {roots[slice_tags[p][0]] for p in pos if p >= mid}
+    if any(roots[slice_tags[p][0]] in right for p in pos if p < mid):
+        return None  # a component with outputs on both sides
+    blocks: tuple[list[int], list[int]] = ([], [])
+    for i in range(lo, s):
+        if any(src == "dom" for src, _ in consumed[i]):
+            return None  # a component that reads the domain cannot move
+        blocks[roots[i] in right].append(i)
+    a_layers, b_layers = blocks
+    if a_layers[-1] > b_layers[0]:
+        return None  # the left constituent's layers must come first
+    a_lo, b_hi = pos[0], pos[-1] + 1
     # the boundary at slice s, read off its producer tags
     boundary = RObject(tuple(dom[port] if src == "dom" else layers[src][1].cod[port]
                              for src, port in slice_tags))
-    m, k, o = run1.groups, run1.width, run1.first_offset
-
-    cups_start = run1.end
-    ncups = 0
-    while (cups_start + ncups < len(layers)
-           and isinstance(layers[cups_start + ncups][1], Cup)):
-        ncups += 1
-
-    def verify(direction: str, x_w: int) -> _CrossedMatch | None:
+    for direction in ("FCX", "BCX"):
         if direction == "FCX":
-            y_w, z_w = m, k
-            p = o - m + 1 - x_w
-            if p < 0:
-                return None
-            x_wires = boundary[p: p + x_w]
-            yl = boundary[p + x_w: p + x_w + y_w]
-            zr = boundary[o + 1: o + 1 + z_w]
-            y_wires = boundary[o + 1 + z_w: o + 1 + z_w + y_w]
-            if len(y_wires) != y_w:
-                return None
-            expected = (swap_blocks(yl, zr, p + x_w)
-                        + cup_block(y_wires, p + x_w + z_w)
-                        + swap_blocks(x_wires, zr, p))
-            alpha_seed = (p, p + x_w + y_w)
-            beta_seed = (o + 1, o + 1 + z_w + y_w)
+            # x y.l | z.r y: the left block is x y.l, the right one z.r y (+ trailing)
+            x_w, y_w, z_w = mid - m - a_lo, m, k
+            y_wires = boundary[mid + k: mid + k + m]
+            zr = boundary[mid: mid + k]
+            expected = (swap_blocks(boundary[mid - m: mid], zr, mid - m)
+                        + cup_block(y_wires, mid - m + k)
+                        + swap_blocks(boundary[a_lo: mid - m], zr, a_lo))
         else:
-            y_w, z_w = k, m
-            lead = o - m + 1 - k
+            # y z.l | y.r x: the left block is (trailing +) y z.l, the right one y.r x
+            x_w, y_w, z_w = b_hi - mid - k, k, m
+            lead = mid - m - k
             if lead < 0:
-                return None
-            y_wires = boundary[lead: lead + y_w]
-            zl = boundary[lead + y_w: lead + y_w + z_w]
-            yr = boundary[lead + y_w + z_w: lead + y_w + z_w + y_w]
-            x_wires = boundary[lead + 2 * y_w + z_w: lead + 2 * y_w + z_w + x_w]
-            if len(x_wires) != x_w:
-                return None
-            expected = (swap_blocks(zl, yr, lead + y_w)
+                continue
+            y_wires = boundary[lead: lead + k]
+            zl = boundary[mid - m: mid]
+            expected = (swap_blocks(zl, boundary[mid: mid + k], mid - m)
                         + cup_block(y_wires.r, lead)
-                        + swap_blocks(zl, x_wires, lead))
-            alpha_seed = (lead, lead + y_w + z_w)
-            beta_seed = (lead + y_w + z_w, lead + 2 * y_w + z_w + x_w)
+                        + swap_blocks(zl, boundary[mid + k: b_hi], lead))
+        if len(y_wires) != y_w:
+            continue
         end = s + len(expected)
-        if list(layers[s:end]) != expected:
-            return None
-        a = _closure(slice_tags, consumed, alpha_seed, s)
-        b = _closure(slice_tags, consumed, beta_seed, s)
-        if a is None or b is None:
-            return None
-        a_layers, a_span = a
-        b_layers, b_span = b
-        if a_layers & b_layers or a_span[1] != b_span[0]:
-            return None
-        # spans may exceed the seeds only where generalized trailing arguments
-        # live: right of beta for FCX, left of alpha for BCX
-        if direction == "FCX":
-            if a_span != alpha_seed or b_span[0] != beta_seed[0] or b_span[1] < beta_seed[1]:
-                return None
-        else:
-            if b_span != beta_seed or a_span[1] != alpha_seed[1] or a_span[0] > alpha_seed[0]:
-                return None
-        both = sorted(a_layers | b_layers)
-        if not both or both != list(range(min(both), s)) or max(a_layers) >= min(b_layers):
-            return None
-        a0, a1 = min(a_layers), max(a_layers) + 1
-        return _CrossedMatch(
-            direction, s, end, (a0, a1), (a1, s), a_span, b_span,
-            y_wires, x_w, y_w, z_w)
-
-    if ncups >= m:
-        run2 = _parse_swap_run(layers, cups_start + m)
-        if run2 is not None and run2.width == k and run2.first_offset == o - m:
-            for x_w in range(run2.groups, 0, -1):
-                mt = verify("FCX", x_w)
-                if mt is not None:
-                    return mt
-    if ncups >= k:
-        run2 = _parse_swap_run(layers, cups_start + k)
-        if run2 is not None and run2.groups >= m and run2.first_offset == o - k:
-            for x_w in range(run2.width, 0, -1):
-                mt = verify("BCX", x_w)
-                if mt is not None:
-                    return mt
+        if list(layers[s:end]) == expected:
+            a1 = b_layers[0]
+            return _CrossedMatch(direction, s, end, (lo, a1), (a1, s),
+                                 (a_lo, mid), (mid, b_hi), y_wires, x_w, y_w, z_w)
     return None
 
 
@@ -539,10 +457,11 @@ def planarize(d: Diagram, trace: list[RewriteStep] | None = None,
               problems: list[str] | None = None) -> Diagram:
     """Remove all swaps by relocating crossed-composition constituents.
 
-    Works on diagrams as produced by the functor (run before ``normalize``).
-    A diagram without swaps is returned itself.  If a swap does not match a
-    crossed-composition image, the problem is reported and the diagram is
-    returned unchanged.
+    Works on diagrams as produced by the functor (run before ``normalize``):
+    each crossed image, first swap first, has its primary state slid through
+    its swaps, one ``SlideBoxThroughSwap`` step per image.  A diagram without
+    swaps is returned itself.  If a swap does not match a crossed-composition
+    image, the problem is reported and the diagram is returned unchanged.
     """
     if not d.count(Swap):
         return d

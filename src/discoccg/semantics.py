@@ -151,10 +151,10 @@ class Lexicon:
         return t
 
 
-@lru_cache(maxsize=4096)
 def _draw(seed: int, text: str, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     """The SplitMix64 draw behind :meth:`Lexicon.tensor_for`, read-only
-    because every lexicon with the same seed shares it."""
+    because the lexicon keeps it; a check draws it only when
+    ``_seeded_stack`` misses, once per word box and seed."""
     count = int(np.prod(shape))
     state = (seed ^ fnv1a64(text.encode())) & _MASK
     data = np.empty(2 * count if complex_field else count)

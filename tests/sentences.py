@@ -12,7 +12,9 @@
   ``sleep`` (the benchmark's ``coord<k>``);
 - ``np_shift_two_word_primary()``: the corpus sentence ``np-shift`` with
   ``very successfully`` for ``successfully``, so that the primary of its BCX
-  rule has two words.
+  rule is a two-word constituent;
+- ``random_derivation(rng, depth)``: a valid derivation of ``S`` built
+  top-down over ``RANDOM_KINDS``, at most ``depth`` rules deep.
 
 ``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
 ``right_branching(k)``.
@@ -20,10 +22,13 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 import sys
 
 from discoccg import biclosed as bc
+from discoccg.ccgtypes import Atom, Backward, Forward
 from discoccg.functor import lower
 from discoccg.ingest import ingest_tree, read_json
 
@@ -96,6 +101,75 @@ def np_shift_two_word_primary() -> dict:
     verb = node("BCX", "(S\\NP)/NP", leaf("passed", "(S\\NP)/NP"), primary)
     return node("BA", "S", leaf("John", "NP"),
                 node("FA", "S\\NP", verb, leaf("his exam", "NP")))
+
+
+RANDOM_KINDS = ("FA", "BA", "FC", "BC", "FCX", "BCX", "GFCX:2", "GBCX:2", "FTR", "BTR")
+CROSSED_KINDS = ("FCX", "BCX", "GFCX:2", "GBCX:2")
+_ATOMS = [Atom(a) for a in ("S", "NP", "N")]
+
+
+def _small_cat(rng: random.Random, slashes: int = 2):
+    """An atom, or a slash category with up to ``slashes`` slashes."""
+    if slashes == 0 or rng.random() < 0.6:
+        return rng.choice(_ATOMS)
+    result, argument = _small_cat(rng, slashes - 1), rng.choice(_ATOMS)
+    return Forward(result, argument) if rng.random() < 0.5 else Backward(argument, result)
+
+
+def _children(kind: str, cat, rng: random.Random) -> list | None:
+    """The categories of the inputs of a ``kind`` node deriving ``cat``, left
+    to right, or None when ``cat`` does not have the kind's output shape.
+    Crossed composition peels its innermost argument against the grain."""
+    y = _small_cat(rng)
+    fwd, bwd = isinstance(cat, Forward), isinstance(cat, Backward)
+    if kind == "FA":
+        return [Forward(cat, y), y]
+    if kind == "BA":
+        return [y, Backward(y, cat)]
+    if kind == "FC" and fwd:                      # X/Y Y/Z => X/Z
+        return [Forward(cat.result, y), Forward(y, cat.argument)]
+    if kind == "BC" and bwd:                      # Y\Z X\Y => X\Z
+        return [Backward(cat.argument, y), Backward(y, cat.result)]
+    if kind == "FCX" and bwd:                     # X/Y Y\Z => X\Z
+        return [Forward(cat.result, y), Backward(cat.argument, y)]
+    if kind == "BCX" and fwd:                     # Y/Z X\Y => X/Z
+        return [Forward(y, cat.argument), Backward(y, cat.result)]
+    if kind == "GFCX:2" and fwd and isinstance(cat.result, Backward):
+        # X/Y (Y\Z2)/Z1 => (X\Z2)/Z1
+        inner = cat.result
+        return [Forward(inner.result, y), Forward(Backward(inner.argument, y), cat.argument)]
+    if kind == "GBCX:2" and bwd and isinstance(cat.result, Forward):
+        # (Y/Z2)\Z1 X\Y => (X/Z2)\Z1
+        inner = cat.result
+        return [Backward(cat.argument, Forward(y, inner.argument)), Backward(y, inner.result)]
+    if (kind == "FTR" and fwd and isinstance(cat.argument, Backward)
+            and cat.argument.result == cat.result):   # A => T/(T\A)
+        return [cat.argument.argument]
+    if (kind == "BTR" and bwd and isinstance(cat.argument, Forward)
+            and cat.argument.result == cat.result):   # A => T\(T/A)
+        return [cat.argument.argument]
+    return None
+
+
+def random_derivation(rng: random.Random, depth: int) -> dict:
+    """A random valid derivation tree of ``S``, built top-down: each node
+    draws a kind of ``RANDOM_KINDS`` whose output shape fits its category,
+    crossed kinds twice as often, and below the top two levels it is a leaf
+    with probability 1/4.  No path has more than ``depth`` rules.  Words are
+    ``w0``, ``w1``, ... left to right."""
+    words = itertools.count()
+
+    def build(cat, level: int) -> dict:
+        if level < depth and (level < 2 or rng.random() >= 0.25):
+            fits = [(kind, kids) for kind in RANDOM_KINDS
+                    for kids in [_children(kind, cat, rng)] if kids is not None]
+            kind, kids = rng.choice(fits + [f for f in fits if f[0] in CROSSED_KINDS])
+            if kind in ("FTR", "BTR"):
+                kind = f"{kind}:{cat.result.to_slash()}"
+            return node(kind, cat.to_slash(), *(build(kid, level + 1) for kid in kids))
+        return leaf(f"w{next(words)}", cat.to_slash())
+
+    return build(Atom("S"), 0)
 
 
 def raw_diagram(tree: dict):

@@ -24,7 +24,7 @@ from tests.sentences import cross_serial, left_fc_chain, right_branching
 
 CACHES = (ingest._stripped_type, ingest._rule_label, rules._applied, bc._rule_term,
           bc.to_str, DEFAULT_CONTEXT.f_obj, DEFAULT_CONTEXT.rule_image,
-          semantics._plan, semantics._seeded_stack, semantics._draw)
+          semantics._plan, semantics._seeded_stack)
 
 
 def _clear_caches():
@@ -57,10 +57,8 @@ def test_warm_run_emits_what_a_cold_run_does(tmp_path):
     assert warm.outputs == cold.outputs
     assert warm.stats_rows == cold.stats_rows
     assert warm.failures == cold.failures
-    # ``_draw`` is read only when a word's stack is missing, once per draw
     for cached in CACHES:
-        if cached is not semantics._draw:
-            assert cached.cache_info().hits > 0, cached.__wrapped__
+        assert cached.cache_info().hits > 0, cached.__wrapped__
 
 
 def test_bad_type_string_names_each_node():

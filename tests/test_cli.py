@@ -552,18 +552,39 @@ def test_dims_key_that_names_no_wire_base_is_one_error_line(tmp_path, capsys):
                             "name, [A-Za-z][A-Za-z0-9_]*\n")
 
 
-def test_two_word_crossed_primary_fails_alone_under_planarize(corpus_file, tmp_path, capsys):
-    # ROADMAP item 3: planarize relocates only a crossed primary of one word
+def test_two_word_crossed_primary_converts_under_planarize(corpus_file, tmp_path, capsys):
+    # the primary of np-shift2's BCX rule is a two-word constituent
     np_shift = next(e for e in json.loads(corpus_file.read_text()) if e["id"] == "np-shift")
     path, out = tmp_path / "np.json", tmp_path / "o"
     two_words = {"id": "np-shift2", "tree": np_shift_two_word_primary()}
     path.write_text(json.dumps([np_shift, two_words]))
     assert main(["--in", str(path), "--out-dir", str(out), "--emit", "diagram",
-                 "--planarize", "--normalize"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        "FAIL np-shift2: swap at layer 8 is not removable by state sliding",
-        "total 2 converted 1 failed 1"]
-    assert [p.name for p in out.iterdir()] == ["np-shift.diagram.json"]
+                 "--planarize", "--normalize", "--check-semantics", "*=2", "--strict"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["total 2 converted 2 failed 0"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "np-shift.diagram.json", "np-shift2.diagram.json"]
+
+
+@pytest.mark.parametrize("encoded", ["escaped", "raw"])
+def test_word_with_a_lone_surrogate_fails_alone(tmp_path, capsys, encoded):
+    # JSON "\ud800", or the bytes ED A0 80 that the reader decodes with
+    # surrogatepass: the word has no UTF-8 encoding, so no output can hold it
+    bad = json.loads(json.dumps(ALICE))
+    bad["children"][0]["word"] = "Al\ud800ice"
+    entries = [{"id": "ok", "tree": ALICE}, {"id": "bad", "tree": bad}, {"id": "ok2", "tree": ALICE}]
+    path, out = tmp_path / "in.json", tmp_path / "o"
+    if encoded == "escaped":
+        path.write_text(json.dumps(entries))
+    else:
+        path.write_bytes(json.dumps(entries, ensure_ascii=False).encode("utf-8", "surrogatepass"))
+    fail = "FAIL bad: word 'Al\\ud800ice' contains a lone surrogate at node 0"
+    assert main(["--in", str(path), "--out-dir", str(out), "--emit", "diagram"]) == 0
+    assert capsys.readouterr().out.splitlines() == [fail, "total 3 converted 2 failed 1"]
+    assert sorted(p.name for p in out.iterdir()) == ["ok.diagram.json", "ok2.diagram.json"]
+    assert main(["--in", str(path), "--emit", "diagram"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if not line.startswith("{")] == [
+        "--- ok.diagram.json", "--- ok2.diagram.json", fail, "total 3 converted 2 failed 1"]
 
 
 def test_stdout_mode_prints_svg_as_text(tmp_path, capsys):

@@ -349,6 +349,19 @@ def test_json_word_with_a_control_character_fails_at_its_node(word):
     assert str(exc.value) == f"word {word!r} contains a control character at node 1"
 
 
+@pytest.mark.parametrize("word", ["Al\ud800ice", "\udfff", "\ud83d\ude00"])
+def test_json_word_with_a_lone_surrogate_fails_at_its_node(word):
+    # json.loads joins an escaped pair into one character, so a pair counts
+    # only as bytes a surrogatepass decode keeps apart
+    tree = {"rule": "BA", "type": "S", "children": [
+        {"word": "Bob", "type": "NP"}, {"word": word, "type": "S\\NP"}]}
+    data = json.dumps(tree, ensure_ascii=False).encode("utf-8", "surrogatepass")
+    [(_, raw)] = list(read_derivations(data, "json"))
+    with pytest.raises(IngestError) as exc:
+        ingest_tree(raw)
+    assert str(exc.value) == f"word {word!r} contains a lone surrogate at node 1"
+
+
 def test_ccgbank_word_with_a_control_character_fails_at_its_node():
     text = "(BA S (LEX NP Al\u0001ice) (LEX S\\NP sleeps))"
     [(ident, raw)] = list(read_derivations(text, "ccgbank", collect_errors=True))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -15,8 +16,8 @@ from discoccg.rewrite import (
 )
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
 from tests.sentences import (
-    coordination, cross_serial, left_fc_chain, np_shift_two_word_primary, raw_diagram,
-    right_branching,
+    CROSSED_KINDS, coordination, cross_serial, leaf, left_fc_chain, node,
+    np_shift_two_word_primary, random_derivation, raw_diagram, right_branching,
 )
 
 n = RObject.parse("n")
@@ -467,13 +468,60 @@ def test_normalize_scales_to_512_adjectives(deep_recursion):
     assert d == normalize(raw_diagram(left_fc_chain(512)))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a crossed rule's primary of "
-                   "two words is not relocated")
 def test_planarize_removes_every_swap_with_a_two_word_crossed_primary():
     raw = raw_diagram(np_shift_two_word_primary())
     planar = planarize(raw)
     assert planar.count(Swap) == 0
     assert semantically_equal(raw, planar, DIMS, SEEDS)
+
+
+# A type-raised secondary of a generalized crossed rule is one component per
+# cap plus its input, and only some of them produce wires that the first swap
+# run exchanges: the others must still move with their constituent.
+RAISED_SECONDARIES = {
+    # (Y/Z2)\Z1 raised by BTR from N: T\(T/N) with T = S/NP
+    "GBCX:2": node("GBCX:2", "(N/NP)\\((S/NP)/N)",
+                   node("BTR:S/NP", "(S/NP)\\((S/NP)/N)", leaf("a", "N")), leaf("b", "N\\S")),
+    # (Y\Z2)/Z1 raised by FTR from N: T/(T\N) with T = S\NP
+    "GFCX:2": node("GFCX:2", "(N\\NP)/((S\\NP)\\N)",
+                   leaf("p", "N/S"), node("FTR:S\\NP", "(S\\NP)/((S\\NP)\\N)", leaf("a", "N"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RAISED_SECONDARIES))
+def test_planarize_relocates_past_a_type_raised_secondary(kind):
+    raw = raw_diagram(RAISED_SECONDARIES[kind])
+    trace: list[RewriteStep] = []
+    problems: list[str] = []
+    planar = planarize(raw, trace, problems)
+    assert problems == [] and planar.count(Swap) == 0
+    assert [step.kind for step in trace] == ["SlideBoxThroughSwap"]
+    assert semantically_equal(raw, planar, DIMS, SEEDS)
+
+
+def _crossed_nodes(tree: dict) -> int:
+    return (tree.get("rule") in CROSSED_KINDS) + sum(map(_crossed_nodes, tree.get("children", [])))
+
+
+def test_planarize_relocates_every_crossed_primary_of_random_derivations():
+    # primaries of any size: words, phrases, type-raised constituents, and
+    # crossed images nested in either constituent of another
+    rng = random.Random(19)
+    trees = []
+    while len(trees) < 300:
+        tree = random_derivation(rng, rng.randint(2, 6))
+        if _crossed_nodes(tree):
+            trees.append(tree)
+    for i, tree in enumerate(trees):
+        raw = raw_diagram(tree)
+        trace: list[RewriteStep] = []
+        problems: list[str] = []
+        planar = planarize(raw, trace, problems)
+        assert problems == [] and planar.count(Swap) == 0, (i, tree)
+        assert well_formed(planar) == [] and planarize(planar) == planar, (i, tree)
+        slides = sum(step.kind == "SlideBoxThroughSwap" for step in trace)
+        assert slides == _crossed_nodes(tree), (i, tree)
+        assert semantically_equal(raw, normalize(planar), DIMS, SEEDS[:3]), (i, tree)
 
 
 @pytest.mark.parametrize("k", [16, 32, 64, 128], ids=lambda k: f"cross{k}")
