@@ -6,13 +6,13 @@ adjacent inverse swaps and then sorts interchangeable layers into a canonical
 order, giving a normal form used for structural equality.  The sort is an
 insertion sweep that carries a layer past a whole run of neighbours at once,
 so it is near-linear where a carry one neighbour at a time is quadratic
-(right-branching chains).  ``planarize``
-removes the swaps introduced by crossed composition by relocating the
-crossed rule's primary constituent, whatever its size, into its secondary's
-wire block, the per-instance transformation applied recursively
-innermost-first; the two constituents are found as wired components of the
-layers before the image.  Every step preserves dom, cod and tensor
-semantics.
+(right-branching chains).  ``planarize`` removes the swaps introduced by
+crossed composition by relocating the crossed rule's primary constituent,
+whatever its size, into its secondary's wire block, the per-instance
+transformation applied recursively innermost-first; the two constituents are
+found as wired components of the layers before the image.  Both take a
+well-formed diagram, as ``Diagram.build`` and ``diagram_from_json`` make it;
+every step keeps dom, cod and tensor semantics, so no result is re-validated.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ def _producers(dom: RObject, layers: list[Layer], stop: int):
 
 def _find_snakes(dom: RObject, layers: list[Layer]):
     """Yield yankable cap/cup pairs as (cap_layer, cup_layer, chirality)."""
-    if not any(isinstance(g, Cap) for _, g in layers):
-        return
     _, consumed = _producers(dom, layers, len(layers))
     consumer = {tag: (j, slot) for j, tags in enumerate(consumed)
                 for slot, tag in enumerate(tags)}
@@ -272,8 +270,7 @@ def _cancel_swaps(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
     for i in range(len(layers) - 1):
         o1, g1 = layers[i]
         o2, g2 = layers[i + 1]
-        if (isinstance(g1, Swap) and isinstance(g2, Swap) and o1 == o2
-                and g2 == Swap(g1.w2, g1.w1)):
+        if isinstance(g1, Swap) and o1 == o2 and g2 == Swap(g1.w2, g1.w1):
             if trace is not None:
                 trace.append(RewriteStep("SwapCancel", i, o1))
             del layers[i + 1]
@@ -283,27 +280,30 @@ def _cancel_swaps(layers: list[Layer], trace: list[RewriteStep] | None) -> bool:
 
 
 def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
-    """Rewrite to the canonical fixed point: no snakes, no adjacent inverse
-    swaps, interchangeable layers in sorted order.  Preserves dom, cod and
-    semantics; idempotent.  The sort runs again only after a snake or a swap
-    pair is removed, or when its last sweep was not settled."""
+    """Rewrite a well-formed diagram to the canonical fixed point: no snakes,
+    no adjacent inverse swaps, interchangeable layers in sorted order.  Each
+    step keeps dom, cod and semantics; idempotent.  The sort reruns only after
+    a snake or a swap pair is removed, or when its last sweep was unsettled."""
     layers = list(d.layers)
     shapes = _shapes(layers)
+    kinds = {type(g) for _, g in layers}   # no step makes a cap or a swap
     budget = 10 * (len(layers) + 1) ** 2
     steps = 0
     settled = False   # the layers are a fixed point of the sort
     while True:
         removed = None
-        for snake in _find_snakes(d.dom, layers):
+        for snake in _find_snakes(d.dom, layers) if Cap in kinds else ():
             removed = _remove_snake(layers, *snake)
             if removed is not None:
                 if trace is not None:
                     trace.append(RewriteStep(snake[2], snake[0], layers[snake[0]][0]))
                 layers = removed
+                kinds = {type(g) for _, g in layers}
                 settled = False
                 break
         if removed is None:
-            if _cancel_swaps(layers, trace):
+            if Swap in kinds and _cancel_swaps(layers, trace):
+                kinds = {type(g) for _, g in layers}
                 settled = False
                 continue
             if settled:
@@ -314,7 +314,7 @@ def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
         steps += 1
         if steps > budget:
             raise RewriteError("normalize exceeded its step budget")
-    return Diagram.build(d.dom, layers)
+    return Diagram(d.dom, d.cod, tuple(layers))
 
 
 # --- planarization ------------------------------------------------------------
@@ -457,11 +457,11 @@ def planarize(d: Diagram, trace: list[RewriteStep] | None = None,
               problems: list[str] | None = None) -> Diagram:
     """Remove all swaps by relocating crossed-composition constituents.
 
-    Works on diagrams as produced by the functor (run before ``normalize``):
-    each crossed image, first swap first, has its primary state slid through
-    its swaps, one ``SlideBoxThroughSwap`` step per image.  A diagram without
-    swaps is returned itself.  If a swap does not match a crossed-composition
-    image, the problem is reported and the diagram is returned unchanged.
+    Works on well-formed diagrams as the functor makes them (run before
+    ``normalize``): each crossed image, first swap first, has its primary
+    state slid through its swaps, one ``SlideBoxThroughSwap`` step per image,
+    keeping dom and cod.  A diagram without swaps is returned itself; a swap
+    that is no crossed image is reported, and the diagram returned unchanged.
     """
     if not d.count(Swap):
         return d
@@ -483,7 +483,7 @@ def planarize(d: Diagram, trace: list[RewriteStep] | None = None,
         layers = _apply_crossed(layers, mt)
     if trace is not None:
         trace.extend(local_trace)
-    return Diagram.build(d.dom, layers)
+    return Diagram(d.dom, d.cod, tuple(layers))
 
 
 def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from discoccg import biclosed as bc
+from discoccg import biclosed as bc, rewrite
 from discoccg.diagram import (
     Cap, Cup, Diagram, DiagramError, EMPTY, RObject, Swap, Wire, WordBox,
     well_formed,
@@ -293,6 +293,9 @@ def _reference_normalize(d: Diagram, trace=None) -> Diagram:
 
 
 def _assert_matches_reference(d: Diagram, ident):
+    """``normalize`` equals the reference, which ends in ``Diagram.build``:
+    so every test through here also checks that normalize's output is
+    well-formed, with the cod it carries."""
     from collections import Counter
 
     got, expected = [], []
@@ -518,6 +521,7 @@ def test_planarize_relocates_every_crossed_primary_of_random_derivations():
         problems: list[str] = []
         planar = planarize(raw, trace, problems)
         assert problems == [] and planar.count(Swap) == 0, (i, tree)
+        assert planar.dom == raw.dom and planar.cod == raw.cod, (i, tree)
         assert well_formed(planar) == [] and planarize(planar) == planar, (i, tree)
         slides = sum(step.kind == "SlideBoxThroughSwap" for step in trace)
         assert slides == _crossed_nodes(tree), (i, tree)
@@ -532,3 +536,31 @@ def test_cross_serial_clauses_planarize_and_normalize(k):
     norm = normalize(planar)
     assert len(norm.layers) == 4 * k + 1
     assert semantically_equal(raw, norm, DIMS, SEEDS)
+
+
+def test_rewrites_keep_their_boundaries_without_rebuilding(corpus_diagrams, monkeypatch):
+    # the functor's Diagram.build is the one validation: planarize and
+    # normalize carry the dom and cod they are given
+    rng = random.Random(23)
+    given = [*corpus_diagrams.values(), raw_diagram(cross_serial(8)),
+             raw_diagram(np_shift_two_word_primary()),
+             *(raw_diagram(random_derivation(rng, rng.randint(2, 6))) for _ in range(100))]
+    # these shapes hold no cap and no swap
+    chains = [raw_diagram(shape(k)) for shape in (right_branching, left_fc_chain, coordination)
+              for k in (2, 7, 64)]
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(Diagram, "build", staticmethod(counted("build", Diagram.build)))
+    for d in given:
+        normalize(d)
+        normalize(planarize(d))
+    assert calls == []
+    monkeypatch.setattr(rewrite, "_find_snakes", counted("snakes", rewrite._find_snakes))
+    monkeypatch.setattr(rewrite, "_cancel_swaps", counted("swaps", rewrite._cancel_swaps))
+    for d in chains:
+        assert not d.count(Cap) and not d.count(Swap)
+        normalize(planarize(d))
+    assert calls == []
