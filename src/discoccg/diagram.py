@@ -5,7 +5,8 @@ A wire is a base symbol plus a winding number z (0 plain, +1 right adjoint,
 -1 left adjoint, iterating).  A diagram is a list of layers; each layer
 applies one generator (word box, cup, cap or swap) at an offset, with
 identities everywhere else.  Composition is layer concatenation, tensoring is
-whiskering.
+whiskering.  ``crossed_image`` is the one builder of the crossed-composition
+image: the functor emits it, and planarize regenerates it to recognize one.
 
 >>> n = RObject.parse("n")
 >>> (n.r.l, n.l.r) == (n, n)
@@ -291,6 +292,26 @@ def swap_blocks(left: RObject, right: RObject, start: int) -> list[Layer]:
             layers.append((start + pos, Swap(wires[pos], wires[pos + 1])))
             wires[pos], wires[pos + 1] = wires[pos + 1], wires[pos]
     return layers
+
+
+def crossed_image(direction: str, x: RObject, y: RObject, z: RObject,
+                  start: int) -> list[Layer]:
+    """The swap-cup-swap image of crossed composition, the rule's symmetry in
+    the compact closed category.
+
+    FCX on ``x y.l | z.r y``, ``x`` at ``start``: swap ``y.l`` past
+    ``z.r``, cup ``y.l`` against ``y``, then swap ``x`` past ``z.r``.  BCX
+    is its mirror, on ``y z.l | y.r x`` with ``y`` at ``start``.  Wires
+    either side (the trailing arguments of the generalized rules) ride
+    through on identities.
+    """
+    if direction == "FCX":
+        return (swap_blocks(y.l, z.r, start + len(x))
+                + cup_block(y, start + len(x) + len(z))
+                + swap_blocks(x, z.r, start))
+    return (swap_blocks(z.l, y.r, start + len(y))
+            + cup_block(y.r, start)
+            + swap_blocks(z.l, x, start))
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -5,7 +5,8 @@ Words become word boxes, composition and tensor are mapped structurally, and
 currying/uncurrying become wire bending with caps and cups.  Terms annotated
 with a CCG rule are lowered to the rule's direct image (application and
 composition as cup blocks, type-raising as a cap block, crossed composition
-as a swap-cup-swap sandwich); unannotated curry/uncurry nodes take the
+as the swap-cup-swap image of ``diagram.crossed_image``, the one builder that
+planarize also regenerates); unannotated curry/uncurry nodes take the
 generic construction, which agrees with the direct images up to diagram
 normal form (checked by :func:`verify_functor_laws`).
 
@@ -23,7 +24,7 @@ from .biclosed import BObject, BTerm
 from .ccgtypes import ATOM_NAME, Atom, Backward, Forward
 from .diagram import (
     DEFAULT_ATOM_MAP, EMPTY, Diagram, DiagramError, Layer, RObject, WordBox,
-    Wire, cap_block, cup_block, swap_blocks,
+    Wire, cap_block, crossed_image, cup_block,
 )
 from .rules import RuleLabel
 
@@ -153,31 +154,13 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
             a = f_obj(t.inner.cod.argument)
             todo += [cup_block(a.r, at), (t.inner, at + len(a))]
         elif isinstance(t, bc.CrossBox):
-            layers += _crossed_image(t, ctx, at)
+            x, y, z = f_obj(t.x), f_obj(t.y), f_obj(t.z)
+            if t.direction == "BCX":   # the trailing arguments lead: start at y
+                at += len(f_obj(t.dom)) - 2 * len(y) - len(z) - len(x)
+            layers += crossed_image(t.direction, x, y, z, at)
         else:
             raise LoweringError(f"cannot lower term {t!r}")
     return Diagram.build(f_obj(term.dom), layers)
-
-
-# --- crossed images -----------------------------------------------------------
-
-def _crossed_image(term: bc.CrossBox, ctx: LoweringContext, at: int) -> list[Layer]:
-    """Swap-cup-swap image of crossed composition, its domain at offset ``at``.
-
-    FCX on ``f(X) f(Y).l | f(Z).r f(Y)``: swap the two middle blocks, cup
-    ``f(Y).l`` against ``f(Y)``, then swap ``f(X)`` past ``f(Z).r``.  The cup
-    fires before the final swap.  BCX is the horizontal mirror.  Trailing
-    arguments of the generalized rules ride through on identity wires.
-    """
-    x, y, z = ctx.f_obj(term.x), ctx.f_obj(term.y), ctx.f_obj(term.z)
-    if term.direction == "FCX":
-        return (swap_blocks(y.l, z.r, at + len(x))
-                + cup_block(y, at + len(x) + len(z))
-                + swap_blocks(x, z.r, at))
-    lead = at + len(ctx.f_obj(term.dom)) - (2 * len(y) + len(z) + len(x))
-    return (swap_blocks(z.l, y.r, lead + len(y))
-            + cup_block(y.r, lead)
-            + swap_blocks(z.l, x, lead))
 
 
 # --- law checking ------------------------------------------------------------

@@ -286,6 +286,9 @@ def _parse_type(text: str, path: tuple) -> CcgType:
         return _stripped_type(text)
     except TypeParseError as exc:
         raise IngestError(f"bad type {text!r} at node {_fmt(path)}: {exc}") from None
+    except RecursionError:   # the parser recurses once per level; no echo of the text
+        raise IngestError(f"bad type at node {_fmt(path)}: "
+                          f"{_too_deep('nested too deeply to parse')}") from None
 
 
 @lru_cache(maxsize=4096)

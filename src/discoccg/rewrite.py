@@ -10,9 +10,10 @@ so it is near-linear where a carry one neighbour at a time is quadratic
 crossed composition by relocating the crossed rule's primary constituent,
 whatever its size, into its secondary's wire block, the per-instance
 transformation applied recursively innermost-first; the two constituents are
-found as wired components of the layers before the image.  Both take a
-well-formed diagram, as ``Diagram.build`` and ``diagram_from_json`` make it;
-every step keeps dom, cod and tensor semantics, so no result is re-validated.
+found as wired components of the layers before the image, and the image is
+regenerated with ``diagram.crossed_image``, its one builder, to recognize it.
+Both take a well-formed diagram, as ``Diagram.build`` and ``diagram_from_json``
+make it; every step keeps dom, cod and semantics, so no result is re-validated.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diagram import (
-    Cap, Cup, Diagram, DiagramError, Layer, RObject, Swap, WordBox,
-    cup_block, swap_blocks,
+    Cap, Cup, Diagram, DiagramError, Layer, RObject, Swap, WordBox, crossed_image,
 )
 
 
@@ -319,21 +319,6 @@ def normalize(d: Diagram, trace: list[RewriteStep] | None = None) -> Diagram:
 
 # --- planarization ------------------------------------------------------------
 
-@dataclass
-class _CrossedMatch:
-    direction: str
-    start: int            # first image layer
-    end: int              # one past the last image layer
-    alpha: tuple[int, int]   # layer range of the left constituent
-    beta: tuple[int, int]    # layer range of the right constituent
-    alpha_span: tuple[int, int]
-    beta_span: tuple[int, int]
-    y_wires: RObject
-    x_width: int
-    y_width: int
-    z_width: int
-
-
 def _components(consumed) -> list[int]:
     """The wired component of each layer, named by its first layer."""
     first = list(range(len(consumed)))
@@ -352,8 +337,10 @@ def _components(consumed) -> list[int]:
     return [find(i) for i in range(len(consumed))]
 
 
-def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch | None:
-    """Recognize a crossed-composition image whose first swap is layer ``s``.
+def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> list[Layer] | None:
+    """Relocate the crossed-composition image whose first swap is layer
+    ``s``: the layers with its constituents moved and its swaps gone, or
+    None when there is no such image.
 
     The first swap run moves ``m`` wires right past ``k`` wires; the image's
     cup block ends it, so its greedy reading is exact.  The layers before
@@ -362,8 +349,10 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch |
     producing one of those ``m + k`` wires; each joins the left or the right
     constituent by the side of the run's middle its outputs lie on.  They
     must be states whose outputs are contiguous, the left one's layers
-    first.  Their output spans fix every width, and the image regenerated
-    from them must be the layers from ``s`` on.
+    first.  Their output spans fix ``x``, ``y`` and ``z``, and the image
+    ``crossed_image`` regenerates from them must be the layers from ``s`` on.
+    The image is replaced by its own cup block, after the constituents in
+    their planar order.
     """
     o = layers[s][0]
     k = 0
@@ -403,54 +392,32 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> _CrossedMatch |
     # the boundary at slice s, read off its producer tags
     boundary = RObject(tuple(dom[port] if src == "dom" else layers[src][1].cod[port]
                              for src, port in slice_tags))
-    for direction in ("FCX", "BCX"):
+    alpha, beta = layers[lo:b_layers[0]], layers[b_layers[0]:s]
+    for direction, y_width in (("FCX", m), ("BCX", k)):
         if direction == "FCX":
             # x y.l | z.r y: the left block is x y.l, the right one z.r y (+ trailing)
-            x_w, y_w, z_w = mid - m - a_lo, m, k
-            y_wires = boundary[mid + k: mid + k + m]
-            zr = boundary[mid: mid + k]
-            expected = (swap_blocks(boundary[mid - m: mid], zr, mid - m)
-                        + cup_block(y_wires, mid - m + k)
-                        + swap_blocks(boundary[a_lo: mid - m], zr, a_lo))
+            start, x = a_lo, boundary[a_lo: mid - m]
+            y, z = boundary[mid + k: mid + k + m], boundary[mid: mid + k].l
         else:
             # y z.l | y.r x: the left block is (trailing +) y z.l, the right one y.r x
-            x_w, y_w, z_w = b_hi - mid - k, k, m
-            lead = mid - m - k
-            if lead < 0:
-                continue
-            y_wires = boundary[lead: lead + k]
-            zl = boundary[mid - m: mid]
-            expected = (swap_blocks(zl, boundary[mid: mid + k], mid - m)
-                        + cup_block(y_wires.r, lead)
-                        + swap_blocks(zl, boundary[mid + k: b_hi], lead))
-        if len(y_wires) != y_w:
+            start, x = mid - m - k, boundary[mid + k: b_hi]
+            y, z = boundary[max(start, 0): mid - m], boundary[mid - m: mid].r
+        if len(y) != y_width:
+            continue   # the boundary has no room for y
+        image = crossed_image(direction, x, y, z, start)
+        end = s + len(image)
+        if layers[s:end] != image:
             continue
-        end = s + len(expected)
-        if list(layers[s:end]) == expected:
-            a1 = b_layers[0]
-            return _CrossedMatch(direction, s, end, (lo, a1), (a1, s),
-                                 (a_lo, mid), (mid, b_hi), y_wires, x_w, y_w, z_w)
+        if direction == "FCX":
+            # the primary x y.l slides right past z.r, the secondary left past x y.l
+            moved = ([(q - len(x) - len(y), g) for q, g in beta]
+                     + [(q + len(z), g) for q, g in alpha])
+        else:
+            # the primary y.r x slides left past z.l
+            moved = alpha + [(q - len(z), g) for q, g in beta]
+        cups = [layer for layer in image if isinstance(layer[1], Cup)]
+        return layers[:lo] + moved + cups + layers[end:]
     return None
-
-
-def _apply_crossed(layers: list[Layer], mt: _CrossedMatch) -> list[Layer]:
-    alpha = layers[mt.alpha[0]:mt.alpha[1]]
-    beta = layers[mt.beta[0]:mt.beta[1]]
-    prefix = layers[:mt.alpha[0]]
-    suffix = layers[mt.end:]
-    if mt.direction == "FCX":
-        # insert the primary (alpha) between the secondary's z.r and y blocks
-        a_width = mt.alpha_span[1] - mt.alpha_span[0]
-        shifted_beta = [(o - a_width, g) for o, g in beta]
-        shifted_alpha = [(o + mt.z_width, g) for o, g in alpha]
-        p = mt.alpha_span[0]
-        cups = cup_block(mt.y_wires, p + mt.z_width + mt.x_width)
-        return prefix + shifted_beta + shifted_alpha + cups + suffix
-    # BCX: insert the primary (beta) between the secondary's y and z.l blocks
-    shifted_beta = [(o - mt.z_width, g) for o, g in beta]
-    lead = mt.beta_span[0] - mt.y_width - mt.z_width
-    cups = cup_block(mt.y_wires.r, lead)
-    return prefix + list(alpha) + shifted_beta + cups + suffix
 
 
 def planarize(d: Diagram, trace: list[RewriteStep] | None = None,
@@ -473,14 +440,14 @@ def planarize(d: Diagram, trace: list[RewriteStep] | None = None,
         if swap_at is None:
             break
         guard -= 1
-        mt = _match_crossed(d.dom, layers, swap_at) if guard > 0 else None
-        if mt is None:
+        relocated = _match_crossed(d.dom, layers, swap_at) if guard > 0 else None
+        if relocated is None:
             if problems is not None:
                 problems.append(
                     f"swap at layer {swap_at} is not removable by state sliding")
             return d
-        local_trace.append(RewriteStep("SlideBoxThroughSwap", mt.start, layers[mt.start][0]))
-        layers = _apply_crossed(layers, mt)
+        local_trace.append(RewriteStep("SlideBoxThroughSwap", swap_at, layers[swap_at][0]))
+        layers = relocated
     if trace is not None:
         trace.extend(local_trace)
     return Diagram(d.dom, d.cod, tuple(layers))

@@ -14,7 +14,9 @@
   ``very successfully`` for ``successfully``, so that the primary of its BCX
   rule is a two-word constituent;
 - ``random_derivation(rng, depth)``: a valid derivation of ``S`` built
-  top-down over ``RANDOM_KINDS``, at most ``depth`` rules deep.
+  top-down over ``RANDOM_KINDS`` (application, harmonic composition,
+  crossed composition of degrees 1 to 4 and type-raising), at most
+  ``depth`` rules deep.
 
 ``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
 ``right_branching(k)``.
@@ -103,8 +105,8 @@ def np_shift_two_word_primary() -> dict:
                 node("FA", "S\\NP", verb, leaf("his exam", "NP")))
 
 
-RANDOM_KINDS = ("FA", "BA", "FC", "BC", "FCX", "BCX", "GFCX:2", "GBCX:2", "FTR", "BTR")
-CROSSED_KINDS = ("FCX", "BCX", "GFCX:2", "GBCX:2")
+CROSSED_KINDS = ("FCX", "BCX", "GFCX:2", "GBCX:2", "GFCX:3", "GBCX:3", "GFCX:4", "GBCX:4")
+RANDOM_KINDS = ("FA", "BA", "FC", "BC", *CROSSED_KINDS, "FTR", "BTR")
 _ATOMS = [Atom(a) for a in ("S", "NP", "N")]
 
 
@@ -114,6 +116,30 @@ def _small_cat(rng: random.Random, slashes: int = 2):
         return rng.choice(_ATOMS)
     result, argument = _small_cat(rng, slashes - 1), rng.choice(_ATOMS)
     return Forward(result, argument) if rng.random() < 0.5 else Backward(argument, result)
+
+
+def _crossed_children(cat, y, forward: bool, degree: int) -> list | None:
+    """The inputs of forward (FCX, GFCX) or backward (BCX, GBCX) crossed
+    composition of ``degree`` deriving ``cat``: its ``degree - 1`` outer
+    arguments, under the rule's own slash, are the secondary's trailing
+    arguments, and the next one, under the other slash, is the argument
+    peeled against the grain."""
+    own, other = (Forward, Backward) if forward else (Backward, Forward)
+    trailing = []   # outermost first
+    for _ in range(degree - 1):
+        if not isinstance(cat, own):
+            return None
+        trailing.append(cat.argument)
+        cat = cat.result
+    if not isinstance(cat, other):
+        return None
+    if forward:   # degree 3: X/Y ((Y\Z)/A)/B => ((X\Z)/A)/B
+        primary, secondary = Forward(cat.result, y), Backward(cat.argument, y)
+    else:         # degree 3: ((Y/Z)\A)\B X\Y => ((X/Z)\A)\B
+        secondary, primary = Forward(y, cat.argument), Backward(y, cat.result)
+    for a in reversed(trailing):
+        secondary = Forward(secondary, a) if forward else Backward(a, secondary)
+    return [primary, secondary] if forward else [secondary, primary]
 
 
 def _children(kind: str, cat, rng: random.Random) -> list | None:
@@ -130,18 +156,9 @@ def _children(kind: str, cat, rng: random.Random) -> list | None:
         return [Forward(cat.result, y), Forward(y, cat.argument)]
     if kind == "BC" and bwd:                      # Y\Z X\Y => X\Z
         return [Backward(cat.argument, y), Backward(y, cat.result)]
-    if kind == "FCX" and bwd:                     # X/Y Y\Z => X\Z
-        return [Forward(cat.result, y), Backward(cat.argument, y)]
-    if kind == "BCX" and fwd:                     # Y/Z X\Y => X/Z
-        return [Forward(y, cat.argument), Backward(y, cat.result)]
-    if kind == "GFCX:2" and fwd and isinstance(cat.result, Backward):
-        # X/Y (Y\Z2)/Z1 => (X\Z2)/Z1
-        inner = cat.result
-        return [Forward(inner.result, y), Forward(Backward(inner.argument, y), cat.argument)]
-    if kind == "GBCX:2" and bwd and isinstance(cat.result, Forward):
-        # (Y/Z2)\Z1 X\Y => (X/Z2)\Z1
-        inner = cat.result
-        return [Backward(cat.argument, Forward(y, inner.argument)), Backward(y, inner.result)]
+    if kind in CROSSED_KINDS:                     # FCX: X/Y Y\Z => X\Z
+        head, _, degree = kind.partition(":")
+        return _crossed_children(cat, y, head.endswith("FCX"), int(degree or 1))
     if (kind == "FTR" and fwd and isinstance(cat.argument, Backward)
             and cat.argument.result == cat.result):   # A => T/(T\A)
         return [cat.argument.argument]

@@ -295,6 +295,20 @@ def test_too_deep_json_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "o2").exists()
 
 
+def test_type_too_deep_to_parse_is_one_fail_line(tmp_path, capsys):
+    # a category nested past the parser's recursion fails at its node and
+    # names the nesting; the next sentence still converts
+    deep = {"word": "w", "type": "(" * 600 + "S" + ")" * 600}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps([{"id": "deep600", "tree": deep}, {"id": "fig1", "tree": ALICE}]))
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL deep600: bad type at node root: nested too deeply to parse (more levels "
+        f"than the recursion limit of {sys.getrecursionlimit()})",
+        "total 2 converted 1 failed 1"]
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["fig1.diagram.json"]
+
+
 def _no_conversion(monkeypatch):
     def convert(*args):
         raise AssertionError("a sentence was converted")

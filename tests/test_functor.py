@@ -7,7 +7,8 @@ import pytest
 from discoccg import biclosed as bc
 from discoccg.ccgtypes import Backward, parse_type
 from discoccg.diagram import (
-    Cap, Cup, Diagram, RObject, Swap, WordBox, cap_block, cup_block, well_formed,
+    Cap, Cup, Diagram, RObject, Swap, WordBox, cap_block, crossed_image, cup_block,
+    well_formed,
 )
 from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower, verify_functor_laws
 from discoccg.ingest import ingest_tree, read_json
@@ -48,6 +49,32 @@ def test_bruce_structure(corpus_diagrams):
     assert d.count(Cap) == 1
     assert d.count(Swap) == 4
     assert d.cod == RObject.parse("s")
+
+
+def test_crossed_image_layers():
+    # FCX on s n.l | n.r n: swap n.l past n.r, cup n.l n, swap s past n.r
+    n, s = RObject.parse("n"), RObject.parse("s")
+    assert crossed_image("FCX", s, n, n, 0) == [
+        (1, Swap(n.l[0], n.r[0])), (2, Cup("n", -1)), (0, Swap(s[0], n.r[0]))]
+    # BCX on n n.l | n.r s, its mirror
+    assert crossed_image("BCX", s, n, n, 0) == [
+        (1, Swap(n.l[0], n.r[0])), (0, Cup("n", 0)), (0, Swap(n.l[0], s[0]))]
+
+
+@pytest.mark.parametrize("trailing", [(), ("PP",), ("PP", "S\\NP")],
+                         ids=["degree1", "degree2", "degree3"])
+@pytest.mark.parametrize("direction", ["FCX", "BCX"])
+def test_crossed_image_is_the_lowering_of_a_cross_box(direction, trailing):
+    # multi-wire x, y and z: f(S/NP) = s n.l, f(S\NP) = n.r s, f(NP/N) = n n.l
+    f = DEFAULT_CONTEXT.f_obj
+    x, y, z = t("S/NP"), t("S\\NP"), t("NP/N")
+    args = tuple(t(a) for a in trailing)
+    term = bc.cross_box(direction, x, y, z, args)
+    start = 0 if direction == "FCX" else sum(len(f(a)) for a in args)   # BCX: y leads
+    d = lower(term)
+    assert d.layers == tuple(crossed_image(direction, f(x), f(y), f(z), start))
+    assert (d.dom, d.cod) == (f(term.dom), f(term.cod))
+    assert (d.count(Swap), d.count(Cup)) == (2 * 2 + 2 * 2, 2)
 
 
 def test_declarative_sentences_end_on_s(corpus, corpus_diagrams):

@@ -432,6 +432,28 @@ def test_entry_too_deep_to_read_fails_alone(monkeypatch):
         list(read_derivations(json.dumps([FIG1, FIG1]), "json"))
 
 
+DEEP_NP = "(" * 600 + "NP" + ")" * 600   # too deep for the recursive type parser
+
+
+def test_type_too_deep_to_parse_fails_at_its_node():
+    too_deep = ("nested too deeply to parse (more levels than the recursion limit "
+                f"of {sys.getrecursionlimit()})")
+    tree = json.loads(json.dumps(FIG1))
+    tree["children"][0]["type"] = DEEP_NP
+    with pytest.raises(IngestError) as exc:
+        roundtrip(tree)
+    assert str(exc.value) == f"bad type at node 0: {too_deep}"   # the text is not echoed
+    # a raising rule's target takes the same path
+    raised = {"rule": f"FTR:{DEEP_NP}", "type": "S/(S\\NP)",
+              "children": [{"word": "Alice", "type": "NP"}]}
+    with pytest.raises(IngestError) as exc:
+        roundtrip({"rule": "FA", "type": "S", "children": [raised, FIG1["children"][1]]})
+    assert str(exc.value) == f"bad type at node 0: {too_deep}"
+    # the failure is not cached: the sentence converts once the type is flat
+    tree["children"][0]["type"] = "NP"
+    assert roundtrip(tree) == roundtrip(FIG1)
+
+
 def test_too_deep_list_is_split_outside_strings():
     deep = deep_json(600)[1:-1]
     tricky = {"word": "a,]}[{\\\"", "type": "NP"}

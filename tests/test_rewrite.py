@@ -6,7 +6,7 @@ import pytest
 from discoccg import biclosed as bc, rewrite
 from discoccg.diagram import (
     Cap, Cup, Diagram, DiagramError, EMPTY, RObject, Swap, Wire, WordBox,
-    well_formed,
+    crossed_image, well_formed,
 )
 from discoccg.functor import lower
 from discoccg.ingest import ingest_tree, read_json
@@ -159,6 +159,20 @@ def test_planarize_reports_foreign_swaps():
     problems: list[str] = []
     assert planarize(d, problems=problems) == d
     assert problems and "not removable" in problems[0]
+
+
+def test_planarize_reports_a_crossed_image_with_its_cup_moved():
+    # the FCX image on s n.l | n.r n, a trailing n.r beside it, planarizes;
+    # with its cup moved one offset right, onto n n.r, it is no image
+    s, n = RObject.parse("s"), RObject.parse("n")
+    words = [(0, WordBox("A", s @ n.l)), (2, WordBox("B", n.r @ n @ n.r))]
+    image = crossed_image("FCX", s, n, n, 0)
+    assert image[1] == (2, Cup("n", -1))
+    assert planarize(Diagram.build(EMPTY, words + image)).count(Swap) == 0
+    d = Diagram.build(EMPTY, words + [image[0], (3, Cup("n", 0)), image[2]])
+    problems: list[str] = []
+    assert planarize(d, problems=problems) is d
+    assert problems == ["swap at layer 2 is not removable by state sliding"]
 
 
 def test_diagrams_equal_reflexive(corpus_diagrams):
@@ -502,19 +516,29 @@ def test_planarize_relocates_past_a_type_raised_secondary(kind):
     assert semantically_equal(raw, planar, DIMS, SEEDS)
 
 
+def _crossed_rules(tree: dict) -> list[str]:
+    """The crossed rule labels of a tree's nodes."""
+    here = [tree["rule"]] if tree.get("rule") in CROSSED_KINDS else []
+    return here + [r for child in tree.get("children", []) for r in _crossed_rules(child)]
+
+
 def _crossed_nodes(tree: dict) -> int:
-    return (tree.get("rule") in CROSSED_KINDS) + sum(map(_crossed_nodes, tree.get("children", [])))
+    return len(_crossed_rules(tree))
 
 
 def test_planarize_relocates_every_crossed_primary_of_random_derivations():
     # primaries of any size: words, phrases, type-raised constituents, and
-    # crossed images nested in either constituent of another
+    # crossed images nested in either constituent of another; the draw goes
+    # on past 300 trees until every crossed kind, trailing arguments of
+    # degrees 2 to 4 included, has been seen
     rng = random.Random(19)
-    trees = []
-    while len(trees) < 300:
+    trees, unseen = [], set(CROSSED_KINDS)
+    while len(trees) < 300 or unseen:
         tree = random_derivation(rng, rng.randint(2, 6))
-        if _crossed_nodes(tree):
+        rules = set(_crossed_rules(tree))
+        if rules and (len(trees) < 300 or rules & unseen):
             trees.append(tree)
+            unseen -= rules
     for i, tree in enumerate(trees):
         raw = raw_diagram(tree)
         trace: list[RewriteStep] = []
