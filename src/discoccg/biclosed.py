@@ -46,22 +46,39 @@ UNIT = Unit()
 def to_str(o: BObject) -> str:
     """The object notation of ``.biclosed`` files: unlike ``to_slash``, both
     sides of a hom are bracketed when they are homs, as in ``(S\\NP)/NP``;
-    ``I`` is the unit and ``(A@B)`` a tensor.  Memoized per object."""
-    cls = type(o)
-    if cls is Atom:
-        return o.name
-    if cls is Forward:
-        return f"{_wrap(o.result)}/{_wrap(o.argument)}"
-    if cls is Backward:
-        return f"{_wrap(o.result)}\\{_wrap(o.argument)}"
-    if cls is TensorObj:
-        return "(" + "@".join(map(_wrap, o.parts)) + ")"
-    return "I"
+    ``I`` is the unit and ``(A@B)`` a tensor.  Memoized per object.
+
+    The parts are written into one list, walking the object with an explicit
+    stack of pending subobjects and strings, and joined once."""
+    parts: list[str] = []
+    todo: list[BObject | str] = [o]
+    while todo:
+        o = todo.pop()
+        cls = type(o)
+        if cls is str:
+            parts.append(o)
+        elif cls is Atom:
+            parts.append(o.name)
+        elif cls is Forward or cls is Backward:
+            todo += _wrapped(o.argument)
+            todo.append("/" if cls is Forward else "\\")
+            todo += _wrapped(o.result)
+        elif cls is TensorObj:
+            todo.append(")")
+            for i, part in enumerate(reversed(o.parts)):
+                if i:
+                    todo.append("@")
+                todo += _wrapped(part)
+            todo.append("(")
+        else:
+            parts.append("I")
+    return "".join(parts)
 
 
-def _wrap(o: BObject) -> str:
+def _wrapped(o: BObject) -> tuple[BObject | str, ...]:
+    """``o`` for ``to_str``'s stack, last first: bracketed when it is a hom."""
     cls = type(o)
-    return f"({to_str(o)})" if cls is Forward or cls is Backward else to_str(o)
+    return (")", o, "(") if cls is Forward or cls is Backward else (o,)
 
 
 def factors(o: BObject) -> tuple[BObject, ...]:

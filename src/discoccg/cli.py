@@ -6,6 +6,12 @@ failure and never aborts the batch.  Ids are unique per batch: a repeated id
 fails, so no sentence overwrites another's files.  Identical input and
 configuration give byte-identical outputs.
 
+With an output directory, each sentence's files are written in input order
+as it converts: in process at first, then, once those writes have taken
+longer than starting a process (``HANDOFF_S``), by one helper process
+(``_writer.py``) that creates them while the next sentences convert.  Every
+file is on disk when :func:`run` returns.
+
 When both rewrites are requested, planarization runs before normalization
 (planarization recognizes the raw crossed-composition images)."""
 
@@ -13,7 +19,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
+import os
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +40,11 @@ EMITS = ("biclosed", "diagram", "tikz", "svg", "stats")
 
 STATS_COLUMNS = ("id", "words", "rule-histogram", "cups", "caps",
                  "swaps_before", "swaps_after", "layers")
+
+# Seconds of in-process file writes after which the rest of a batch's files
+# go to a writer process: ``python -I -S`` starts in about 10 ms, and
+# starting it beside a small batch's conversion cost that batch about 20 ms.
+HANDOFF_S = 0.03
 
 
 @dataclass
@@ -67,7 +81,7 @@ class ExitReport:
     failed: int = 0
     failures: list[tuple[str, str]] = field(default_factory=list)
     # the emitted files, kept for standard output only: with an output
-    # directory each sentence's files are written as it converts
+    # directory each sentence's files are written once it converts
     outputs: dict[str, str | bytes] = field(default_factory=dict)
     stats_rows: list[tuple] = field(default_factory=list)
 
@@ -129,32 +143,48 @@ def run(cfg: JobConfig) -> ExitReport:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     seen: set[str] = set()
-    for ident, raw in itertools.chain.from_iterable(readers):
-        report.total += 1
-        try:
-            if ident in seen:
-                raise ValueError(f"duplicate id {ident!r}: ids name output files")
-            seen.add(ident)
-            if isinstance(raw, IngestError):
-                raise raw
-            outputs, stats = _convert_one(ident, raw, cfg, ctx, dims)
-        except Exception as exc:
-            # a sentence fails alone, whatever the exception; a ValueError
-            # (every input, rule and diagram error here is one) keeps its
-            # bare message, and any other error is named by its class
-            report.failed += 1
-            message = str(exc) if isinstance(exc, ValueError) \
-                else f"{type(exc).__name__}: {exc}"
-            report.failures.append((ident, message))
-            continue
-        report.converted += 1
-        if out_dir is None:
-            report.outputs.update(outputs)
-        else:
+    writer: _Writer | None = None
+    # the hand-off threshold, and the seconds spent writing in process so far
+    handoff, write_s = HANDOFF_S, 0.0
+    try:
+        for ident, raw in itertools.chain.from_iterable(readers):
+            report.total += 1
+            try:
+                if ident in seen:
+                    raise ValueError(f"duplicate id {ident!r}: ids name output files")
+                seen.add(ident)
+                if isinstance(raw, IngestError):
+                    raise raw
+                outputs, stats = _convert_one(ident, raw, cfg, ctx, dims)
+            except Exception as exc:
+                # a sentence fails alone, whatever the exception; a ValueError
+                # (every input, rule and diagram error here is one) keeps its
+                # bare message, and any other error is named by its class
+                report.failed += 1
+                message = str(exc) if isinstance(exc, ValueError) \
+                    else f"{type(exc).__name__}: {exc}"
+                report.failures.append((ident, message))
+                continue
+            report.converted += 1
             # outside the ``try``: a file that cannot be written ends the run
-            _write_files(out_dir, outputs)
-        if stats is not None:
-            report.stats_rows.append(stats)
+            if out_dir is None:
+                report.outputs.update(outputs)
+            else:
+                if writer is None and write_s > handoff:
+                    writer = _Writer.start()
+                    if writer is None:   # no process can be spawned here
+                        handoff = math.inf
+                if writer is not None:
+                    writer.send(out_dir, outputs)
+                else:
+                    start = time.perf_counter()
+                    _write_files(out_dir, outputs)
+                    write_s += time.perf_counter() - start
+            if stats is not None:
+                report.stats_rows.append(stats)
+    finally:
+        if writer is not None:
+            writer.close()
     return report
 
 
@@ -204,6 +234,86 @@ def _write_files(out_dir: Path, outputs: dict[str, str | bytes]) -> None:
             target.write_bytes(payload)
         else:
             target.write_text(payload, encoding="utf-8")
+
+
+class _Writer:
+    """A writer process (``_writer.py``) that creates the files it is sent, in
+    order, while this process converts the next sentences.
+
+    Each file goes down a pipe as a frame: the path and the payload, each
+    after its length.  When the writer falls 1 MiB behind, :meth:`send`
+    blocks, so a batch never holds more than that.  The writer stops at the
+    first file it cannot create and reports it on a second pipe; the
+    :meth:`send` that finds it gone, or :meth:`close`, raises that error as
+    writing the file in process would have."""
+
+    def __init__(self, pid: int, data: int, status: int):
+        self.pid: int | None = pid
+        self.data, self.status = data, status
+
+    @classmethod
+    def start(cls) -> _Writer | None:
+        """A started writer, or None where no process can be spawned."""
+        if not sys.executable or not hasattr(os, "posix_spawn"):
+            return None
+        data_r, data_w = os.pipe()
+        status_r, status_w = os.pipe()
+        try:
+            import fcntl
+            fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (ImportError, AttributeError, OSError):
+            pass   # a smaller pipe only blocks the conversion sooner
+        script = os.path.join(os.path.dirname(__file__), "_writer.py")
+        try:
+            os.set_inheritable(data_r, True)
+            os.set_inheritable(status_w, True)
+            # its own process group: a terminal's interrupt stops the
+            # conversion, whose ``finally`` lets the writer finish and exit
+            pid = os.posix_spawn(
+                sys.executable, [sys.executable, "-I", "-S", script, str(data_r), str(status_w)],
+                os.environ, setpgroup=0)
+        except OSError:
+            os.close(data_w)
+            os.close(status_r)
+            return None
+        finally:
+            os.close(data_r)
+            os.close(status_w)
+        return cls(pid, data_w, status_r)
+
+    def send(self, out_dir: Path, outputs: dict[str, str | bytes]) -> None:
+        frames = []
+        for name, payload in outputs.items():
+            path = os.fsencode(out_dir / name)
+            if isinstance(payload, str):
+                payload = payload.encode("utf-8")
+            frames += [len(path).to_bytes(4, "little"), path,
+                       len(payload).to_bytes(8, "little"), payload]
+        view = memoryview(b"".join(frames))
+        try:
+            while view:
+                view = view[os.write(self.data, view):]
+        except BrokenPipeError:
+            self.close()   # the writer stopped: raise its error
+            raise
+
+    def close(self) -> None:
+        """Wait until every file sent is written and reap the writer; raise
+        the error of a file it could not write."""
+        if self.pid is None:
+            return
+        os.close(self.data)
+        with open(self.status, "rb") as status:
+            failure = status.read()
+        _, wait_status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if failure:
+            errno, strerror, path = failure.split(b"\0", 2)
+            raise OSError(int(errno), strerror.decode("utf-8", "surrogateescape"),
+                          os.fsdecode(path))
+        if wait_status:
+            raise OSError(f"the output writer exited with status "
+                          f"{os.waitstatus_to_exitcode(wait_status)}")
 
 
 def write_report(report: ExitReport, cfg: JobConfig, out=None) -> None:

@@ -127,17 +127,29 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
         if isinstance(item, list):
             layers += item
             continue
-        t, at = item
+        if len(item) == 3:   # a tensor's right factor, placed past its left factor
+            t, at, left = item
+            at += len(f_obj(left.cod))
+        else:
+            t, at = item
         if use_rule_images and _has_rule_image(t):
             layers += [(o + at, g) for o, g in ctx.rule_image(t.rule, t.dom)]
         elif isinstance(t, bc.Word):
-            layers.append((at, WordBox(t.label, f_obj(t.cod))))
+            try:
+                cod = f_obj(t.cod)
+            except DiagramError as exc:   # a wire wound past MAX_WINDING
+                raise LoweringError(
+                    f"cannot lower word {t.label!r}: the functor cannot wind a wire "
+                    f"that far ({exc})") from None
+            layers.append((at, WordBox(t.label, cod)))
         elif isinstance(t, bc.IdTerm):
             pass
         elif isinstance(t, bc.ComposeTerm):
             todo += [(t.g, at), (t.f, at)]
         elif isinstance(t, bc.TensorTerm):
-            todo += [(t.right, at + len(f_obj(t.left.cod))), (t.left, at)]
+            # the left factor goes first, so each word's category is first
+            # mapped at its own branch, which names the word if that fails
+            todo += [(t.right, at, t.left), (t.left, at)]
         elif isinstance(t, bc.CurryR):
             # bend the trailing b of the inner domain into b.l on the codomain
             layers += cap_block(f_obj(bc.factors(t.inner.dom)[-1]), at + len(f_obj(t.dom)))

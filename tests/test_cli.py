@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -309,6 +311,40 @@ def test_type_too_deep_to_parse_is_one_fail_line(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "o").iterdir()] == ["fig1.diagram.json"]
 
 
+def test_left_nested_category_prints_in_its_biclosed_file(tmp_path, capsys):
+    # 450 left-nested slashes convert with the biclosed printer; 600 levels
+    # still fail at the category parser
+    def left(n):
+        return {"word": "w", "type": "(" * n + "S" + "/NP)" * n}
+
+    path = tmp_path / "left.json"
+    path.write_text(json.dumps([{"id": "left450", "tree": left(450)},
+                                {"id": "left600", "tree": left(600)}]))
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o"),
+                 "--emit", "biclosed,diagram"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL left600: bad type at node root: nested too deeply to parse (more levels "
+        f"than the recursion limit of {sys.getrecursionlimit()})",
+        "total 2 converted 1 failed 1"]
+    biclosed = (tmp_path / "o" / "left450.biclosed").read_text()
+    assert biclosed == f'(word "w" {"(" * 449}S/NP{")/NP" * 449})\n'
+
+
+def test_word_wound_too_far_fails_alone(tmp_path, capsys):
+    cat = "S/NP"
+    for _ in range(99):
+        cat = f"S/({cat})"
+    path = tmp_path / "wound.json"
+    path.write_text(json.dumps([{"id": "slash100", "tree": {"word": "w", "type": cat}},
+                                {"id": "fig1", "tree": ALICE}]))
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL slash100: cannot lower word 'w': the functor cannot wind a wire that far "
+        "(winding -7 on n exceeds |z| <= 6)",
+        "total 2 converted 1 failed 1"]
+    assert [p.name for p in (tmp_path / "o").iterdir()] == ["fig1.diagram.json"]
+
+
 def _no_conversion(monkeypatch):
     def convert(*args):
         raise AssertionError("a sentence was converted")
@@ -351,6 +387,8 @@ def test_several_inputs_convert_in_file_order(tmp_path, capsys):
 
 
 def test_out_dir_files_are_written_as_each_sentence_converts(tmp_path, capsys, monkeypatch):
+    """A batch this small never hands its files to a writer process: each
+    sentence's files are on disk before the next sentence converts."""
     out, convert, present = tmp_path / "out", cli._convert_one, []
 
     def logged(ident, *args):
@@ -382,6 +420,115 @@ def test_file_that_cannot_be_written_ends_the_run(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "s1.diagram.json" in captured.err
     assert sorted(p.name for p in out.iterdir()) == ["s0.diagram.json", "s1.diagram.json"]
+
+
+def _force_handoff(monkeypatch) -> list:
+    """Hand every file of the next runs to a writer process; the returned
+    list gathers what each ``_Writer.start`` returned."""
+    started, start = [], cli._Writer.start
+
+    def counted():
+        started.append(start())
+        return started[-1]
+
+    monkeypatch.setattr(cli, "HANDOFF_S", -1.0)
+    monkeypatch.setattr(cli._Writer, "start", counted)
+    return started
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _files(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_writer_process_writes_the_files_written_in_process(corpus_file, tmp_path, capsys,
+                                                            monkeypatch):
+    args = ["--in", str(corpus_file), "--emit", ",".join(cli.EMITS), "--planarize",
+            "--normalize", "--check-semantics", "n=2,s=2,*=2", "--seed", "7", "--strict"]
+    assert main(args + ["--out-dir", str(tmp_path / "in-process")]) == 0
+    in_process = capsys.readouterr()
+    started = _force_handoff(monkeypatch)
+    assert main(args + ["--out-dir", str(tmp_path / "handed-off")]) == 0
+    _assert_no_child_left()
+    assert len(started) == 1 and started[0] is not None
+    assert capsys.readouterr() == in_process
+    assert _files(tmp_path / "handed-off") == _files(tmp_path / "in-process")
+    assert len(_files(tmp_path / "in-process")) == 4 * 28 + 1
+
+
+def test_writer_process_error_ends_the_run_as_in_process(tmp_path, capsys, monkeypatch):
+    started = _force_handoff(monkeypatch)
+    out = tmp_path / "out"
+    (out / "s1.diagram.json").mkdir(parents=True)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    assert main(["--in", str(path), "--out-dir", str(out)]) == 2
+    _assert_no_child_left()
+    assert len(started) == 1 and started[0] is not None
+    error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                              str(out / "s1.diagram.json"))
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert sorted(p.name for p in out.iterdir()) == ["s0.diagram.json", "s1.diagram.json"]
+
+
+def test_writer_that_stopped_fails_the_next_send(tmp_path):
+    (tmp_path / "bad").mkdir()
+    writer = cli._Writer.start()
+    with pytest.raises(IsADirectoryError) as info:
+        writer.send(tmp_path, {"ok": "x", "bad": "y", "late": b"z"})
+        for _ in range(1000):   # sends until one finds the writer gone
+            time.sleep(0.01)
+            writer.send(tmp_path, {"later": "w"})
+        writer.close()
+    _assert_no_child_left()
+    assert isinstance(info.value.__context__, BrokenPipeError)
+    assert info.value.filename == str(tmp_path / "bad")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "ok"]
+    writer.close()   # closing again does nothing
+
+
+def test_writer_process_writes_nothing_for_a_failed_sentence(tmp_path, capsys, monkeypatch):
+    started = _force_handoff(monkeypatch)
+    bad = {"rule": "BA", "type": "S", "children": [
+        {"word": "Bob", "type": "NP"}, {"word": "sleeps", "type": "S"}]}
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps([{"id": "a", "tree": ALICE}, {"id": "a", "tree": ALICE},
+                                {"id": "b", "tree": bad}, {"id": "c", "tree": ALICE}]))
+    assert main(["--in", str(path), "--out-dir", str(out), "--emit", "diagram,stats"]) == 0
+    _assert_no_child_left()
+    assert len(started) == 1 and started[0] is not None
+    assert capsys.readouterr().out.splitlines()[-1] == "total 4 converted 2 failed 2"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "a.diagram.json", "c.diagram.json", "stats.tsv"]
+
+
+def test_writer_process_takes_any_out_dir_name(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([ALICE, ALICE]))
+    args = ["--in", str(path), "--emit", "diagram,svg"]
+    assert main(args + ["--out-dir", str(tmp_path / "plain")]) == 0
+    _force_handoff(monkeypatch)
+    assert main(args + ["--out-dir", str(tmp_path / "a b\nc")]) == 0
+    _assert_no_child_left()
+    capsys.readouterr()
+    assert _files(tmp_path / "a b\nc") == _files(tmp_path / "plain")
+
+
+def test_without_posix_spawn_files_are_written_in_process(tmp_path, capsys, monkeypatch):
+    started = _force_handoff(monkeypatch)
+    monkeypatch.delattr(os, "posix_spawn")
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    assert main(["--in", str(path), "--out-dir", str(out)]) == 0
+    # one attempt, then the batch stays in process
+    assert started == [None]
+    assert capsys.readouterr().out == "total 3 converted 3 failed 0\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "s0.diagram.json", "s1.diagram.json", "s2.diagram.json"]
 
 
 # Linux carries a process's peak RSS over to a child it starts, so the batch

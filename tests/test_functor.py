@@ -10,7 +10,9 @@ from discoccg.diagram import (
     Cap, Cup, Diagram, RObject, Swap, WordBox, cap_block, crossed_image, cup_block,
     well_formed,
 )
-from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower, verify_functor_laws
+from discoccg.functor import (
+    DEFAULT_CONTEXT, LoweringContext, LoweringError, lower, verify_functor_laws,
+)
 from discoccg.ingest import ingest_tree, read_json
 from discoccg.rules import FA
 from tests.sentences import right_branching
@@ -254,6 +256,31 @@ def test_lowering_needs_no_recursion():
     assert well_formed(d) == []
     assert len(d.dom) == 0 and d.cod == RObject.parse("s")
     assert d.count(WordBox) == 2048 + 4
+
+
+def wound(n: int) -> str:
+    """``S/(S/(…/(S/NP)…))`` with n slashes: the functor winds its NP n times."""
+    cat = "S/NP"
+    for _ in range(n - 1):
+        cat = f"S/({cat})"
+    return cat
+
+
+@pytest.mark.parametrize("place", ["alone", "left", "right"])
+def test_word_wound_too_far_is_named(place):
+    deep, bob = bc.word("w", t(wound(100))), bc.word("Bob", t("NP"))
+    term = {"alone": deep, "left": bc.tensor_term(deep, bob),
+            "right": bc.tensor_term(bob, deep)}[place]
+    with pytest.raises(LoweringError) as info:
+        lower(term)
+    # the word and the functor are named, and the category is not echoed
+    assert str(info.value) == ("cannot lower word 'w': the functor cannot wind a wire "
+                               "that far (winding -7 on n exceeds |z| <= 6)")
+
+
+def test_word_wound_to_the_limit_lowers():
+    d = lower(bc.word("w", t(wound(6))))
+    assert str(d.cod) == "s s.l.l s.l.l.l.l n.l.l.l.l.l.l s.l.l.l.l.l s.l.l.l s.l"
 
 
 def test_lowering_well_formed_everywhere(corpus_diagrams):
