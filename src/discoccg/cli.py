@@ -45,6 +45,9 @@ STATS_COLUMNS = ("id", "words", "rule-histogram", "cups", "caps",
 # go to a writer process: ``python -I -S`` starts in about 10 ms, and
 # starting it beside a small batch's conversion cost that batch about 20 ms.
 HANDOFF_S = 0.03
+# Seconds a started writer has to report that it runs before the batch stays
+# in process instead.
+WRITER_READY_S = 5.0
 
 
 @dataclass
@@ -242,10 +245,11 @@ class _Writer:
 
     Each file goes down a pipe as a frame: the path and the payload, each
     after its length.  When the writer falls 1 MiB behind, :meth:`send`
-    blocks, so a batch never holds more than that.  The writer stops at the
-    first file it cannot create and reports it on a second pipe; the
-    :meth:`send` that finds it gone, or :meth:`close`, raises that error as
-    writing the file in process would have."""
+    blocks, so a batch never holds more than that.  The writer sends one
+    byte on a second pipe once it runs; later it stops at the first file it
+    cannot create and reports it there, and the :meth:`send` that finds it
+    gone, or :meth:`close`, raises that error as writing the file in process
+    would have."""
 
     def __init__(self, pid: int, data: int, status: int):
         self.pid: int | None = pid
@@ -253,8 +257,10 @@ class _Writer:
 
     @classmethod
     def start(cls) -> _Writer | None:
-        """A started writer, or None where no process can be spawned."""
-        if not sys.executable or not hasattr(os, "posix_spawn"):
+        """A started writer, or None where no process can be spawned or the
+        interpreter cannot run the writer's script."""
+        script = os.path.join(os.path.dirname(__file__), "_writer.py")
+        if not sys.executable or not hasattr(os, "posix_spawn") or not os.path.isfile(script):
             return None
         data_r, data_w = os.pipe()
         status_r, status_w = os.pipe()
@@ -263,7 +269,6 @@ class _Writer:
             fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, 1 << 20)
         except (ImportError, AttributeError, OSError):
             pass   # a smaller pipe only blocks the conversion sooner
-        script = os.path.join(os.path.dirname(__file__), "_writer.py")
         try:
             os.set_inheritable(data_r, True)
             os.set_inheritable(status_w, True)
@@ -279,6 +284,17 @@ class _Writer:
         finally:
             os.close(data_r)
             os.close(status_w)
+        # no file is sent before the writer's first byte: a ``sys.executable``
+        # that cannot run the script (a frozen program, say) exits or hangs
+        import select
+        if not (select.select([status_r], [], [], WRITER_READY_S)[0]
+                and os.read(status_r, 1) == b"+"):
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(data_w)
+            os.close(status_r)
+            return None
         return cls(pid, data_w, status_r)
 
     def send(self, out_dir: Path, outputs: dict[str, str | bytes]) -> None:

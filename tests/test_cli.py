@@ -531,6 +531,28 @@ def test_without_posix_spawn_files_are_written_in_process(tmp_path, capsys, monk
         "s0.diagram.json", "s1.diagram.json", "s2.diagram.json"]
 
 
+@pytest.mark.parametrize("case", ["no script", "exits", "hangs"])
+def test_writer_that_cannot_run_leaves_the_files_in_process(case, tmp_path, capsys,
+                                                            monkeypatch):
+    started = _force_handoff(monkeypatch)
+    if case == "no script":   # the package's .py files were stripped, say
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.pyc"))
+    else:   # ``sys.executable`` is a program that cannot run the script
+        program = tmp_path / "program"
+        program.write_text("#!/bin/sh\n" + ("exit 2\n" if case == "exits" else "sleep 60\n"))
+        program.chmod(0o755)
+        monkeypatch.setattr(sys, "executable", str(program))
+        monkeypatch.setattr(cli, "WRITER_READY_S", 0.5)
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    assert main(["--in", str(path), "--out-dir", str(out)]) == 0
+    _assert_no_child_left()
+    assert started == [None]
+    assert capsys.readouterr().out == "total 3 converted 3 failed 0\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "s0.diagram.json", "s1.diagram.json", "s2.diagram.json"]
+
+
 # Linux carries a process's peak RSS over to a child it starts, so the batch
 # is started from a small interpreter that reports the batch's own peak.
 PEAK_PROBE = """
