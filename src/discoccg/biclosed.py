@@ -11,7 +11,9 @@ this level: terms are faithful proof trees, and equality questions live at the
 diagram level.
 
 Order-preserving CCG rules are constructed purely by currying/uncurrying
-identities; crossed composition has no such construction and is added as a
+identities: one builder makes composition of any degree in either direction,
+forward through the right hom and backward, its mirror image, through the
+left hom.  Crossed composition has no such construction and is added as a
 generator (:class:`CrossBox`).
 """
 
@@ -248,18 +250,8 @@ def cross_box(direction: str, x: BObject, y: BObject, z: BObject,
     return CrossBox(dom, out, direction=direction, x=x, y=y, z=z, trailing=trailing)
 
 
-def annotate(term: BTerm, rule: RuleLabel) -> BTerm:
+def annotate(term: BTerm, rule: RuleLabel | None) -> BTerm:
     return replace(term, rule=rule)
-
-
-def fa_term(x: BObject, y: BObject) -> BTerm:
-    """Evaluation ``(X ⤙ Y) ⊗ Y → X`` as the right-uncurried identity."""
-    return uncurry_r(id_term(Forward(x, y)))
-
-
-def ba_term(y: BObject, x: BObject) -> BTerm:
-    """Evaluation ``Y ⊗ (Y ⤚ X) → X`` as the left-uncurried identity."""
-    return uncurry_l(id_term(Backward(y, x)))
 
 
 def rule_term(rule: RuleLabel, inputs: list[CcgType]) -> BTerm:
@@ -289,50 +281,40 @@ def _rule_term(rule: RuleLabel, inputs: tuple[CcgType, ...]) -> BTerm:
         # ``peel`` lists the arguments outermost first; ``trailing`` innermost first
         term = cross_box("FCX" if schema.forward else "BCX", fn.result,
                          fn.argument, args[-1], tuple(reversed(args[:-1])))
-    elif schema.forward:
-        term = _gfc_term(inputs, rule.composition_degree)
     else:
-        term = _gbc_term(inputs, rule.composition_degree)
+        term = _composition_term(inputs, rule.composition_degree, schema.forward)
     return annotate(term, rule)
 
 
-def _gfc_term(inputs: list[CcgType], n: int) -> BTerm:
-    """Forward composition of degree ``n``; degree 0 is application."""
-    fn, secondary = inputs
-    x, y = fn.result, fn.argument
-    arg_objs = peel(secondary, n)[1]
-    # Uncurried chain (X⤙Y) ⊗ R ⊗ A1 ⊗ ... ⊗ An → X, evaluated outermost-first.
+def _composition_term(inputs: tuple[CcgType, ...], n: int, forward: bool) -> BTerm:
+    """Composition of degree ``n``; degree 0 is application.
+
+    Forward, the uncurried chain ``(X⤙Y) ⊗ R ⊗ A1 ⊗ ... ⊗ An → X`` is
+    evaluated outermost-first through the right hom, then curried back
+    ``n`` times.  Backward is its mirror image: the primary stands right of
+    the secondary, the peeled arguments ride on the left, and evaluation and
+    currying go through the left hom.  A hom is evaluated by its uncurried
+    identity, ``(X ⤙ Y) ⊗ Y → X`` or ``Y ⊗ (Y ⤚ X) → X``."""
+    fn, secondary = inputs if forward else inputs[::-1]
+    uncurry, curry = (uncurry_r, curry_r) if forward else (uncurry_l, curry_l)
+
+    def beside(inner: BTerm, outer: BTerm) -> BTerm:
+        """``outer`` on the side of ``inner`` away from the primary."""
+        return tensor_term(inner, outer) if forward else tensor_term(outer, inner)
+
+    args = peel(secondary, n)[1]
     spine = secondary
     chain: BTerm | None = None
-    for j, a in enumerate(arg_objs):
-        step: BTerm = tensor_term(id_term(Forward(x, y)), fa_term(spine.result, a))
-        for rest in arg_objs[j + 1:]:
-            step = tensor_term(step, id_term(rest))
+    for j in range(n):   # evaluate the spine's outermost argument, args[j]
+        step = beside(id_term(fn), uncurry(id_term(spine)))
+        for rest in args[j + 1:]:
+            step = beside(step, id_term(rest))
         chain = step if chain is None else compose(step, chain)
         spine = spine.result
-    chain = compose(fa_term(x, y), chain) if chain is not None else fa_term(x, y)
+    evaluate = uncurry(id_term(fn))
+    chain = evaluate if chain is None else compose(evaluate, chain)
     for _ in range(n):
-        chain = curry_r(chain)
-    return chain
-
-
-def _gbc_term(inputs: list[CcgType], n: int) -> BTerm:
-    """Backward composition of degree ``n``; degree 0 is application."""
-    secondary, fn = inputs
-    y, x = fn.argument, fn.result
-    arg_objs = peel(secondary, n)[1]
-    # Chain An ⊗ ... ⊗ A1 ⊗ L ⊗ (Y⤚X) → X.
-    spine = secondary
-    chain: BTerm | None = None
-    for j, a in enumerate(arg_objs):
-        step = tensor_term(ba_term(a, spine.result), id_term(Backward(y, x)))
-        for rest in arg_objs[j + 1:]:
-            step = tensor_term(id_term(rest), step)
-        chain = step if chain is None else compose(step, chain)
-        spine = spine.result
-    chain = compose(ba_term(y, x), chain) if chain is not None else ba_term(y, x)
-    for _ in range(n):
-        chain = curry_l(chain)
+        chain = curry(chain)
     return chain
 
 

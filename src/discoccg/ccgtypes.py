@@ -1,10 +1,11 @@
 # -*- coding: utf-8 -*-
 """Categorial types: atoms, slash types, parsing and printing.
 
-Two concrete syntaxes are supported.  Slash notation follows the CCGBank
-convention (slashes associate to the left, so ``S\\NP/NP == (S\\NP)/NP``).
-Arrow notation uses ``⤙``/``⤚`` and requires explicit parentheses for
-every nested type.
+Two concrete syntaxes share one grammar, ``term (op term)*``, and differ
+only in their operators.  Slash notation follows the CCGBank convention
+(slashes associate to the left, so ``S\\NP/NP == (S\\NP)/NP``).  Arrow
+notation uses ``⤙``/``⤚`` and takes one operator per bracket, so every
+nested type is parenthesized.
 
 >>> parse_type("(S\\\\NP)/NP")
 Forward(result=Backward(argument=Atom(name='NP'), result=Atom(name='S')), argument=Atom(name='NP'))
@@ -113,7 +114,9 @@ def _wrap_arrows(t: CcgType) -> str:
 
 # An atom's name after ``strip_features``; ``--atom-map`` keys and bases too.
 ATOM_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\[[A-Za-z0-9,]*\])?")
+# One token after any whitespace: an atom with its feature brackets, or any
+# other single character.
+_TOKEN = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*(?:\[[A-Za-z0-9,]*\])?)|(\S))")
 _FEATURE_RE = re.compile(r"\[[^\]]*\]")
 
 
@@ -132,99 +135,59 @@ def strip_features(t: CcgType) -> CcgType:
     return Backward(strip_features(t.argument), strip_features(t.result))
 
 
-class _Scanner:
-    """Tokenizer that reports positions as UTF-8 byte offsets."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def byte_offset(self, pos: int | None = None) -> int:
-        return len(self.text[: self.pos if pos is None else pos].encode("utf-8"))
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def atom(self) -> Atom:
-        m = _ATOM_RE.match(self.text, self.pos)
-        if not m:
-            raise TypeParseError("unknown token", self.byte_offset())
-        self.pos = m.end()
-        return Atom(m.group())
+# Each notation's operators: the type built from the left and right operand.
+_SLASHES = {"/": Forward, "\\": lambda result, argument: Backward(argument, result)}
+_ARROWS = {"⤙": Forward, "⤚": Backward}
 
 
 def parse_type(text: str) -> CcgType:
     """Parse a categorial type in slash or arrow notation.
 
-    Raises :class:`TypeParseError` with a byte offset on unbalanced
-    parentheses, unknown tokens or empty input.
+    Both notations share one grammar over one token stream,
+    ``expr := term (op term)*`` and ``term := atom | "(" expr ")"``; slash
+    operators chain to the left, and arrow notation takes one operator per
+    bracket.  Raises :class:`TypeParseError` with a byte offset on
+    unbalanced parentheses, unknown tokens or empty input.
     """
     if not text.strip():
         raise TypeParseError("empty input", 0)
-    if "⤙" in text or "⤚" in text:
-        if "/" in text or "\\" in text:
-            raise TypeParseError("mixed slash and arrow notation", 0)
-        return _parse(text, _arrow_expr)
-    return _parse(text, _slash_expr)
+    arrows = "⤙" in text or "⤚" in text
+    if arrows and ("/" in text or "\\" in text):
+        raise TypeParseError("mixed slash and arrow notation", 0)
+    ops = _ARROWS if arrows else _SLASHES
+    # (atom, other) per token, one of them empty; both empty past the end
+    tokens = _TOKEN.findall(text) + [("", "")]
+    at = 0
 
+    def fail(message: str, i: int):
+        starts = [m.start(m.lastindex) for m in _TOKEN.finditer(text)] + [len(text)]
+        raise TypeParseError(message, len(text[:starts[i]].encode("utf-8")))
 
-def _parse(text: str, expr) -> CcgType:
-    """Parse all of ``text`` with ``expr``, the slash or the arrow grammar."""
-    sc = _Scanner(text)
-    t = expr(sc)
-    sc.skip_ws()
-    if sc.pos != len(text):
-        if text[sc.pos] == ")":
-            raise TypeParseError("unbalanced parenthesis", sc.byte_offset())
-        raise TypeParseError("unknown token", sc.byte_offset())
-    return t
-
-
-def _slash_expr(sc: _Scanner) -> CcgType:
-    t = _term(sc, _slash_expr)
-    while True:
-        c = sc.peek()
-        if c == "/":
-            sc.pos += 1
-            t = Forward(t, _term(sc, _slash_expr))
-        elif c == "\\":
-            sc.pos += 1
-            t = Backward(_term(sc, _slash_expr), t)
-        else:
-            return t
-
-
-def _arrow_expr(sc: _Scanner) -> CcgType:
-    left = _term(sc, _arrow_expr)
-    c = sc.peek()
-    if c in ("⤙", "⤚"):
-        sc.pos += 1
-        right = _term(sc, _arrow_expr)
-        result = Forward(left, right) if c == "⤙" else Backward(left, right)
-        nxt = sc.peek()
-        if nxt in ("⤙", "⤚"):
-            # Arrow notation carries no precedence; chains must be bracketed.
-            raise TypeParseError("arrow chain requires parentheses", sc.byte_offset())
-        return result
-    return left
-
-
-def _term(sc: _Scanner, expr) -> CcgType:
-    """An atom, or a parenthesized ``expr``."""
-    c = sc.peek()
-    if c is None:
-        raise TypeParseError("unexpected end of input", sc.byte_offset())
-    if c == "(":
-        open_at = sc.pos
-        sc.pos += 1
-        t = expr(sc)
-        if sc.peek() != ")":
-            raise TypeParseError("unbalanced parenthesis", sc.byte_offset(open_at))
-        sc.pos += 1
+    def expr() -> CcgType:
+        nonlocal at
+        t = first = term()
+        while (op := tokens[at][1]) in ops:
+            if arrows and t is not first:
+                fail("arrow chain requires parentheses", at)
+            at += 1
+            t = ops[op](t, term())
         return t
-    return sc.atom()
+
+    def term() -> CcgType:
+        nonlocal at
+        i, at = at, at + 1
+        atom, other = tokens[i]
+        if atom:
+            return Atom(atom)
+        if other != "(":
+            fail("unknown token" if other else "unexpected end of input", i)
+        t = expr()
+        if tokens[at][1] != ")":
+            fail("unbalanced parenthesis", i)
+        at += 1
+        return t
+
+    t = expr()
+    if any(tokens[at]):
+        fail("unbalanced parenthesis" if tokens[at][1] == ")" else "unknown token", at)
+    return t

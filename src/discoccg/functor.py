@@ -106,16 +106,16 @@ def _has_rule_image(term: BTerm) -> bool:
     return term.rule is not None and not term.rule.schema.crossed
 
 
-def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
-          use_rule_images: bool = True) -> Diagram:
+def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
     """Lower a biclosed term to a string diagram.
 
     One walk with an explicit stack appends every generator at its final
     offset to one layer list, which is validated once: composition emits
     ``f`` then ``g``, tensor shifts the right factor past ``f(left.cod)``,
     curry emits its caps before the inner term and uncurry its cups after it.
-    ``use_rule_images=False`` forces the generic curry/uncurry construction
-    even on rule-annotated terms (used by the law checker).
+    A rule-annotated term goes out as its rule's direct image; without the
+    annotation (``biclosed.annotate(term, None)``) it takes the generic
+    curry/uncurry construction.
     """
     f_obj = ctx.f_obj
     layers: list[Layer] = []
@@ -132,7 +132,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT, *,
             at += len(f_obj(left.cod))
         else:
             t, at = item
-        if use_rule_images and _has_rule_image(t):
+        if _has_rule_image(t):
             layers += [(o + at, g) for o, g in ctx.rule_image(t.rule, t.dom)]
         elif isinstance(t, bc.Word):
             try:
@@ -204,6 +204,6 @@ def verify_functor_laws(samples: list[BTerm],
         elif isinstance(term, bc.TensorTerm):
             out.append(LawReport(i, "tensor", d == lower(term.left, ctx) @ lower(term.right, ctx)))
         if _has_rule_image(term):
-            generic = lower(term, ctx, use_rule_images=False)
+            generic = lower(bc.annotate(term, None), ctx)
             out.append(LawReport(i, "rule-image-vs-generic", diagrams_equal(d, generic)))
     return out

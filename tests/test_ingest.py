@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import sys
 import tracemalloc
 
@@ -17,7 +18,7 @@ from discoccg.rules import (
     BA, FA, Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, apply_rule, combine, leaves,
     validate,
 )
-from tests.sentences import deep_json, right_branching
+from tests.sentences import deep_json, random_derivation, right_branching
 
 t = parse_type
 
@@ -497,39 +498,14 @@ def test_bytes_with_a_utf8_bom_read():
 
 # --- generated valid trees round-trip through ingestion -------------------------
 
-from tests.test_types import types  # noqa: E402
-
-
-def derivations(depth=3):
-    """Random valid derivations: each step wraps a tree as the argument of a
-    fresh application with a leaf functor typed to fit."""
-    from discoccg.ccgtypes import Backward, Forward
-    from discoccg.rules import BA, FA, Binary
-
-    word = st.sampled_from(["w1", "w2", "w3", "alpha", "beta"])
-    base = st.builds(Leaf, word, types(2))
-
-    def combine(kids):
-        def wrap(args):
-            node, x, w, forward = args
-            if forward:
-                fn = Leaf(w, Forward(x, node.cat))
-                return Binary(FA, fn, node, x)
-            fn = Leaf(w, Backward(node.cat, x))
-            return Binary(BA, node, fn, x)
-
-        return st.tuples(kids, types(2), word, st.booleans()).map(wrap)
-
-    return st.recursive(base, combine, max_leaves=2 ** depth)
-
-
-@settings(max_examples=200, deadline=None)
-@given(derivations())
-def test_validate_after_ingest_on_generated_trees(d):
-    assert validate(d) == []
-    again = ingest_tree(read_json(json.dumps(derivation_to_json(d))))
-    assert validate(again) == []
-    assert again == d
+def test_validate_after_ingest_on_generated_trees():
+    rng = random.Random(29)
+    for i in range(300):
+        tree = random_derivation(rng, rng.randint(2, 6))
+        d = ingest_tree(read_json(json.dumps(tree)))
+        assert validate(d) == [], (i, tree)
+        again = ingest_tree(read_json(json.dumps(derivation_to_json(d))))
+        assert validate(again) == [] and again == d, (i, tree)
 
 
 # --- unary resolution against the substituting reference -------------------------

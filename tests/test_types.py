@@ -42,6 +42,35 @@ def test_arrow_chain_requires_parens():
     ("S)", "unbalanced parenthesis", 1),
     ("S//NP", "unknown token", 2),
     ("S ⤙ /", "mixed slash and arrow", 0),
+    # the full messages of both notations, offsets counted in UTF-8 bytes
+    ("(S NP)", "unbalanced parenthesis", 0),
+    ("S/(NP", "unbalanced parenthesis", 2),
+    ("(S))", "unbalanced parenthesis", 3),
+    ("( ( S", "unbalanced parenthesis", 2),
+    ("(S[dcl]", "unbalanced parenthesis", 0),
+    ("S ⤙ (NP", "unbalanced parenthesis", 6),
+    ("S ⤙ NP)", "unbalanced parenthesis", 8),
+    ("(S ⤙ NP", "unbalanced parenthesis", 0),
+    ("S NP", "unknown token", 2),
+    ("/NP", "unknown token", 0),
+    ("()", "unknown token", 1),
+    ("S[", "unknown token", 1),
+    ("S[dcl", "unknown token", 1),
+    ("S[dcl]]", "unknown token", 6),
+    ("S ⤙ NP NP", "unknown token", 9),
+    ("⤚ S", "unknown token", 0),
+    ("S ⤙ ()", "unknown token", 7),
+    ("é ⤙ NP", "unknown token", 0),
+    ("S ⤙ NP é", "unknown token", 9),
+    ("S/", "unexpected end of input", 2),
+    ("S[dcl]/", "unexpected end of input", 7),
+    ("S ⤙", "unexpected end of input", 5),
+    ("S[dcl] ⤚", "unexpected end of input", 10),
+    ("(S ⤚ NP) ⤙", "unexpected end of input", 14),
+    ("S ⤙ NP ⤙ NP", "arrow chain requires parentheses", 9),
+    ("(S ⤙ NP ⤙ NP)", "arrow chain requires parentheses", 10),
+    ("S ⤙ (NP ⤚ S ⤙ NP)", "arrow chain requires parentheses", 16),
+    ("S\t⤙\nNP ⤙", "arrow chain requires parentheses", 9),
 ])
 def test_errors_carry_byte_offsets(text, fragment, offset):
     with pytest.raises(TypeParseError) as err:
