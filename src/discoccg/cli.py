@@ -8,9 +8,9 @@ configuration give byte-identical outputs.
 
 With an output directory, each sentence's files are written in input order
 as it converts: in process at first, then, once those writes have taken
-longer than starting a process (``HANDOFF_S``), by one helper process
-(``_writer.py``) that creates them while the next sentences convert.  Every
-file is on disk when :func:`run` returns.
+longer than ``HANDOFF_S``, by one writer forked from this process that
+creates them while the next sentences convert.  Every file is on disk when
+:func:`run` returns.
 
 When both rewrites are requested, planarization runs before normalization
 (planarization recognizes the raw crossed-composition images)."""
@@ -18,11 +18,13 @@ When both rewrites are requested, planarization runs before normalization
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,12 +44,12 @@ STATS_COLUMNS = ("id", "words", "rule-histogram", "cups", "caps",
                  "swaps_before", "swaps_after", "layers")
 
 # Seconds of in-process file writes after which the rest of a batch's files
-# go to a writer process: ``python -I -S`` starts in about 10 ms, and
-# starting it beside a small batch's conversion cost that batch about 20 ms.
+# go to a forked writer.  The two processes share the converter's pages until
+# one of them writes a page, which the kernel then copies: forking at a
+# batch's first file cost the small ``long-chains`` batches, which never reach
+# the threshold, 10% (median 43.7 against 48.4 sentences/s in six pairs of
+# 20 s runs on a 2-core x86 host).
 HANDOFF_S = 0.03
-# Seconds a started writer has to report that it runs before the batch stays
-# in process instead.
-WRITER_READY_S = 5.0
 
 
 @dataclass
@@ -175,7 +177,7 @@ def run(cfg: JobConfig) -> ExitReport:
             else:
                 if writer is None and write_s > handoff:
                     writer = _Writer.start()
-                    if writer is None:   # no process can be spawned here
+                    if writer is None:   # this process cannot fork
                         handoff = math.inf
                 if writer is not None:
                     writer.send(out_dir, outputs)
@@ -239,17 +241,47 @@ def _write_files(out_dir: Path, outputs: dict[str, str | bytes]) -> None:
             target.write_text(payload, encoding="utf-8")
 
 
+def _write_frames(data_fd: int, status_fd: int) -> int:
+    """The forked writer's loop: read frames from ``data_fd`` until end of
+    file, each a file to create (a 4-byte path length, the path, an 8-byte
+    payload length and the payload, lengths little-endian), and create them
+    in the order received, as ``open(path, "wb")`` creates them.  At the
+    first ``OSError`` write ``errno NUL strerror NUL path`` to ``status_fd``
+    and return 1, so no later file is written."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC
+    with open(data_fd, "rb") as data:
+        while True:
+            path = data.read(int.from_bytes(data.read(4), "little"))
+            size = int.from_bytes(data.read(8), "little")
+            payload = data.read(size)
+            if not path or len(payload) != size:
+                return 0   # the end of the batch, or a sender that died mid-frame
+            try:
+                fd = os.open(path, flags, 0o666)
+                try:
+                    view = memoryview(payload)
+                    while view:
+                        view = view[os.write(fd, view):]
+                finally:
+                    os.close(fd)
+            except OSError as exc:
+                strerror = exc.strerror.encode("utf-8", "surrogateescape")
+                os.write(status_fd, b"%d\0%s\0%s" % (exc.errno, strerror, path))
+                return 1
+
+
 class _Writer:
-    """A writer process (``_writer.py``) that creates the files it is sent, in
+    """A forked child of this process that creates the files it is sent, in
     order, while this process converts the next sentences.
 
     Each file goes down a pipe as a frame: the path and the payload, each
     after its length.  When the writer falls 1 MiB behind, :meth:`send`
-    blocks, so a batch never holds more than that.  The writer sends one
-    byte on a second pipe once it runs; later it stops at the first file it
-    cannot create and reports it there, and the :meth:`send` that finds it
-    gone, or :meth:`close`, raises that error as writing the file in process
-    would have."""
+    blocks, so a batch never holds more than that.  The writer stops at the
+    first file it cannot create and reports it on a second pipe; the
+    :meth:`send` that finds it gone, or :meth:`close`, raises that error as
+    writing the file in process would have.  The child leaves through
+    ``os._exit``, so it flushes none of the stdio buffers it inherited and
+    runs none of the caller's ``atexit`` handlers."""
 
     def __init__(self, pid: int, data: int, status: int):
         self.pid: int | None = pid
@@ -257,10 +289,8 @@ class _Writer:
 
     @classmethod
     def start(cls) -> _Writer | None:
-        """A started writer, or None where no process can be spawned or the
-        interpreter cannot run the writer's script."""
-        script = os.path.join(os.path.dirname(__file__), "_writer.py")
-        if not sys.executable or not hasattr(os, "posix_spawn") or not os.path.isfile(script):
+        """A forked writer, or None where this process cannot fork."""
+        if not hasattr(os, "fork"):
             return None
         data_r, data_w = os.pipe()
         status_r, status_w = os.pipe()
@@ -270,31 +300,29 @@ class _Writer:
         except (ImportError, AttributeError, OSError):
             pass   # a smaller pipe only blocks the conversion sooner
         try:
-            os.set_inheritable(data_r, True)
-            os.set_inheritable(status_w, True)
-            # its own process group: a terminal's interrupt stops the
-            # conversion, whose ``finally`` lets the writer finish and exit
-            pid = os.posix_spawn(
-                sys.executable, [sys.executable, "-I", "-S", script, str(data_r), str(status_w)],
-                os.environ, setpgroup=0)
+            with warnings.catch_warnings():
+                # numpy's BLAS threads make Python 3.12+ warn of deadlocks in
+                # the child, whose loop takes no lock another thread can hold
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
         except OSError:
-            os.close(data_w)
-            os.close(status_r)
+            for fd in (data_r, data_w, status_r, status_w):
+                os.close(fd)
             return None
-        finally:
-            os.close(data_r)
-            os.close(status_w)
-        # no file is sent before the writer's first byte: a ``sys.executable``
-        # that cannot run the script (a frozen program, say) exits or hangs
-        import select
-        if not (select.select([status_r], [], [], WRITER_READY_S)[0]
-                and os.read(status_r, 1) == b"+"):
-            import signal
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(data_w)
-            os.close(status_r)
-            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(data_w)
+                os.close(status_r)
+                # its own process group: a terminal's interrupt stops the
+                # conversion, whose ``finally`` lets the writer finish and exit
+                os.setpgid(0, 0)
+                gc.disable()   # no collection walks, and so copies, the inherited heap
+                code = _write_frames(data_r, status_w)
+            finally:
+                os._exit(code)
+        os.close(data_r)
+        os.close(status_w)
         return cls(pid, data_w, status_r)
 
     def send(self, out_dir: Path, outputs: dict[str, str | bytes]) -> None:

@@ -16,6 +16,7 @@ composition; the order-preserving rule images are swap-free.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -141,6 +142,11 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
                 raise LoweringError(
                     f"cannot lower word {t.label!r}: the functor cannot wind a wire "
                     f"that far ({exc})") from None
+            except RecursionError:   # hashing and mapping a category recurse once per level
+                raise LoweringError(
+                    f"cannot lower word {t.label!r}: its category is nested too deeply to "
+                    f"map (more levels than the recursion limit of {sys.getrecursionlimit()})"
+                ) from None
             layers.append((at, WordBox(t.label, cod)))
         elif isinstance(t, bc.IdTerm):
             pass

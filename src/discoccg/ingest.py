@@ -541,12 +541,15 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
         raise IngestError(f"{rule} needs {rule.arity} children at node {_fmt(path)}")
     try:
         computed = apply_rule(rule, [k.cat for k in kids])
+        if computed != declared:
+            raise IngestError(
+                f"{rule} produces {computed.to_slash()} but node declares "
+                f"{declared.to_slash()} at node {_fmt(path)}")
     except RuleError as exc:
         raise IngestError(f"{exc} at node {_fmt(path)}") from None
-    if computed != declared:
-        raise IngestError(
-            f"{rule} produces {computed.to_slash()} but node declares "
-            f"{declared.to_slash()} at node {_fmt(path)}")
+    except RecursionError:   # hashing and comparing a category recurse once per level
+        raise IngestError(f"cannot apply {rule} at node {_fmt(path)}: "
+                          f"{_too_deep('its categories are nested too deeply')}") from None
     itype = combine(rule, [uf.deref(k.itype) for k in kids], ops) if indexed else None
     # the declared type equals ``computed`` and is the instance ``_stripped_type`` shares
     return _RNode(None, rule, kids, itype, path, declared)

@@ -330,6 +330,36 @@ def test_left_nested_category_prints_in_its_biclosed_file(tmp_path, capsys):
     assert biclosed == f'(word "w" {"(" * 449}S/NP{")/NP" * 449})\n'
 
 
+def test_unbracketed_deep_category_fails_at_its_stage(tmp_path, capsys):
+    # ``S/S/…/S`` parses without recursion, but hashing and comparing the
+    # category recurse once per level: 600 levels fail at the stage that
+    # first looks the category up, and 450 still convert
+    def chain(slash, n):
+        return "S" + f"{slash}S" * n
+
+    def fa(n):
+        return {"rule": "FA", "type": chain("/", n), "children": [
+            {"word": "a", "type": chain("/", n) + "/NP"}, {"word": "b", "type": "NP"}]}
+
+    entries = [{"id": "left450", "tree": {"word": "w", "type": chain("/", 450)}},
+               {"id": "bleft450", "tree": {"word": "w", "type": chain("\\", 450)}},
+               {"id": "left600", "tree": {"word": "w", "type": chain("/", 600)}},
+               {"id": "bleft600", "tree": {"word": "w", "type": chain("\\", 600)}},
+               {"id": "fa600", "tree": fa(600)},
+               {"id": "fig1", "tree": ALICE}]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(entries))
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    limit = f"(more levels than the recursion limit of {sys.getrecursionlimit()})"
+    assert capsys.readouterr().out.splitlines() == [
+        f"FAIL left600: cannot lower word 'w': its category is nested too deeply to map {limit}",
+        f"FAIL bleft600: cannot lower word 'w': its category is nested too deeply to map {limit}",
+        f"FAIL fa600: cannot apply FA at node root: its categories are nested too deeply {limit}",
+        "total 6 converted 3 failed 3"]
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "bleft450.diagram.json", "fig1.diagram.json", "left450.diagram.json"]
+
+
 def test_word_wound_too_far_fails_alone(tmp_path, capsys):
     cat = "S/NP"
     for _ in range(99):
@@ -518,9 +548,9 @@ def test_writer_process_takes_any_out_dir_name(tmp_path, capsys, monkeypatch):
     assert _files(tmp_path / "a b\nc") == _files(tmp_path / "plain")
 
 
-def test_without_posix_spawn_files_are_written_in_process(tmp_path, capsys, monkeypatch):
+def test_without_os_fork_files_are_written_in_process(tmp_path, capsys, monkeypatch):
     started = _force_handoff(monkeypatch)
-    monkeypatch.delattr(os, "posix_spawn")
+    monkeypatch.delattr(os, "fork")
     path, out = tmp_path / "in.json", tmp_path / "out"
     path.write_text(json.dumps([ALICE, ALICE, ALICE]))
     assert main(["--in", str(path), "--out-dir", str(out)]) == 0
@@ -531,26 +561,58 @@ def test_without_posix_spawn_files_are_written_in_process(tmp_path, capsys, monk
         "s0.diagram.json", "s1.diagram.json", "s2.diagram.json"]
 
 
-@pytest.mark.parametrize("case", ["no script", "exits", "hangs"])
-def test_writer_that_cannot_run_leaves_the_files_in_process(case, tmp_path, capsys,
-                                                            monkeypatch):
+def test_fork_that_fails_leaves_the_files_in_process(tmp_path, capsys, monkeypatch):
     started = _force_handoff(monkeypatch)
-    if case == "no script":   # the package's .py files were stripped, say
-        monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.pyc"))
-    else:   # ``sys.executable`` is a program that cannot run the script
-        program = tmp_path / "program"
-        program.write_text("#!/bin/sh\n" + ("exit 2\n" if case == "exits" else "sleep 60\n"))
-        program.chmod(0o755)
-        monkeypatch.setattr(sys, "executable", str(program))
-        monkeypatch.setattr(cli, "WRITER_READY_S", 0.5)
+    opened = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
     path, out = tmp_path / "in.json", tmp_path / "out"
     path.write_text(json.dumps([ALICE, ALICE, ALICE]))
     assert main(["--in", str(path), "--out-dir", str(out)]) == 0
-    _assert_no_child_left()
     assert started == [None]
     assert capsys.readouterr().out == "total 3 converted 3 failed 0\n"
     assert sorted(p.name for p in out.iterdir()) == [
         "s0.diagram.json", "s1.diagram.json", "s2.diagram.json"]
+    if opened is not None:   # both pipes are closed again
+        assert len(os.listdir("/proc/self/fd")) == opened
+
+
+def _handed_off(tmp_path, before: str = "") -> str:
+    """The standard output of ``tests/handoff_cli.py handed-off`` on three
+    sentences, run after ``before`` in a fresh interpreter whose standard
+    output is a pipe, and so block-buffered: what ``before`` prints is still
+    in the buffer when the writer is forked.  The script fails when a child
+    process is left after the run."""
+    path, out = tmp_path / "in.json", tmp_path / "out"
+    path.write_text(json.dumps([ALICE, ALICE, ALICE]))
+    script = Path(__file__).with_name("handoff_cli.py")
+    env = dict(os.environ, PYTHONPATH=str(Path(discoccg.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    code = f"{before}\nimport runpy\nrunpy.run_path({str(script)!r}, run_name='__main__')"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "handed-off", "--in", str(path), "--out-dir", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "s0.diagram.json", "s1.diagram.json", "s2.diagram.json"]
+    return proc.stdout
+
+
+def test_forked_writer_leaves_the_callers_buffered_output(tmp_path):
+    out = _handed_off(tmp_path, before='print("printed before main")')
+    assert out == "printed before main\ntotal 3 converted 3 failed 0\n"
+
+
+def test_forked_writer_leaves_the_callers_atexit_handlers(tmp_path):
+    out = _handed_off(tmp_path, before='import atexit; atexit.register(print, "at exit")')
+    assert out == "total 3 converted 3 failed 0\nat exit\n"
+
+
+def test_forked_writer_is_reaped_by_the_run(tmp_path):
+    assert _handed_off(tmp_path) == "total 3 converted 3 failed 0\n"
 
 
 # Linux carries a process's peak RSS over to a child it starts, so the batch
