@@ -11,7 +11,7 @@ nested type is parenthesized.
 Forward(result=Backward(argument=Atom(name='NP'), result=Atom(name='S')), argument=Atom(name='NP'))
 >>> print(parse_type("(S\\\\NP)/NP").to_slash())
 S\\NP/NP
->>> parse_type("S\\\\NP/NP") == parse_type("(S\\\\NP)/NP")
+>>> parse_type("S\\\\NP/NP") is parse_type("(S\\\\NP)/NP")
 True
 """
 
@@ -29,35 +29,36 @@ class TypeParseError(ValueError):
         self.offset = offset
 
 
-def _cached_hash(self) -> int:
-    """The dataclass hash of a category, computed once per instance: every
-    cache keyed by a category hashes it, and would otherwise re-hash its
-    whole type tree at each lookup.  Until ``_hash`` is stored, the
-    instance's ``__dict__`` holds exactly its fields, in order."""
-    if self._hash is None:
-        state = self.__dict__
-        state["_hash"] = hash(tuple(state.values()))
-    return self._hash
+# Every category built so far, under its class and its parts: a name, or
+# categories that are interned too, so a key hashes and compares in O(1).
+_INSTANCES: dict = {}
+
+
+def _interned(cls, *parts):
+    if (t := _INSTANCES.get((cls, *parts))) is None:
+        t = object.__new__(cls)
+        t.__dict__.update(zip(cls.__match_args__, parts))
+        t = _INSTANCES.setdefault((cls, *parts), t)   # atomic: threads share the winner
+    return t
 
 
 def _rebuild(self):
-    """Pickle a category by its constructor, so that its cached hash, which
-    depends on the process's string hashing, never reaches another process."""
+    """Pickle and copy by the constructor, so that ``pickle``, ``copy`` and ``deepcopy``
+    return the receiving process's instance, not one made by ``__new__`` without parts."""
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Atom:
     """A base categorial type such as NP, N, S, PP or CONJ."""
 
     name: str
-    _hash = None
-    __hash__ = _cached_hash
     __reduce__ = _rebuild
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str):
+        if not name:
             raise ValueError("atom name must be non-empty")
+        return _interned(cls, name)
 
     def to_slash(self) -> str:
         return self.name
@@ -66,15 +67,16 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Forward:
     """``result ⤙ argument`` (slash ``result/argument``): expects the argument on the right."""
 
     result: "CcgType"
     argument: "CcgType"
-    _hash = None
-    __hash__ = _cached_hash
     __reduce__ = _rebuild
+
+    def __new__(cls, result: "CcgType", argument: "CcgType"):
+        return _interned(cls, result, argument)
 
     def to_slash(self) -> str:
         return f"{self.result.to_slash()}/{_wrap_slash(self.argument)}"
@@ -83,15 +85,16 @@ class Forward:
         return f"{_wrap_arrows(self.result)} ⤙ {_wrap_arrows(self.argument)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Backward:
     """``argument ⤚ result`` (slash ``result\\argument``): expects the argument on the left."""
 
     argument: "CcgType"
     result: "CcgType"
-    _hash = None
-    __hash__ = _cached_hash
     __reduce__ = _rebuild
+
+    def __new__(cls, argument: "CcgType", result: "CcgType"):
+        return _interned(cls, argument, result)
 
     def to_slash(self) -> str:
         return f"{self.result.to_slash()}\\{_wrap_slash(self.argument)}"

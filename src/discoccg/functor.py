@@ -16,7 +16,6 @@ composition; the order-preserving rule images are swap-free.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -63,6 +62,15 @@ class LoweringContext:
         >>> print(DEFAULT_CONTEXT.f_obj(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP"))))
         n.r s n.l
         """
+        # map every part first, innermost first, in the order the definition
+        # reads them: each then maps from parts the memo holds, and no nesting recurses
+        below, todo = [], [o]
+        while todo:
+            below.append(t := todo.pop())
+            todo += (() if type(t) is Atom else (t.result, t.argument) if type(t) is Forward
+                     else (t.argument, t.result) if type(t) is Backward else bc.factors(t))
+        for t in reversed(below[1:]):
+            self.f_obj(t)
         if isinstance(o, Atom):
             return RObject((Wire(self.atom_map.get(o.name, o.name), 0),))
         if isinstance(o, Forward):
@@ -142,11 +150,6 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
                 raise LoweringError(
                     f"cannot lower word {t.label!r}: the functor cannot wind a wire "
                     f"that far ({exc})") from None
-            except RecursionError:   # hashing and mapping a category recurse once per level
-                raise LoweringError(
-                    f"cannot lower word {t.label!r}: its category is nested too deeply to "
-                    f"map (more levels than the recursion limit of {sys.getrecursionlimit()})"
-                ) from None
             layers.append((at, WordBox(t.label, cod)))
         elif isinstance(t, bc.IdTerm):
             pass

@@ -547,11 +547,10 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
                 f"{declared.to_slash()} at node {_fmt(path)}")
     except RuleError as exc:
         raise IngestError(f"{exc} at node {_fmt(path)}") from None
-    except RecursionError:   # hashing and comparing a category recurse once per level
+    except RecursionError:   # the message's ``to_slash`` recurses once per level
         raise IngestError(f"cannot apply {rule} at node {_fmt(path)}: "
                           f"{_too_deep('its categories are nested too deeply')}") from None
     itype = combine(rule, [uf.deref(k.itype) for k in kids], ops) if indexed else None
-    # the declared type equals ``computed`` and is the instance ``_stripped_type`` shares
     return _RNode(None, rule, kids, itype, path, declared)
 
 

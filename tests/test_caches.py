@@ -1,17 +1,20 @@
 """The memoized sub-computations shared across the sentences of a process
 must answer exactly as a cold computation does."""
 
+import copy
 import json
 import os
 import pickle
 import subprocess
 import sys
+import threading
+from itertools import count
 
 import numpy as np
 import pytest
 
 from discoccg import biclosed as bc
-from discoccg import ingest, rules, semantics
+from discoccg import ccgtypes, ingest, rules, semantics
 from discoccg.cli import JobConfig, run
 from discoccg.corpus import corpus_text
 from discoccg.ccgtypes import Atom, Backward, Forward, TypeParseError, parse_type
@@ -223,18 +226,67 @@ def test_cached_rule_image_is_immutable_and_shifted_per_use():
     assert clause.layers[-1][0] == 3 and image[0][0] == 2
 
 
-def test_equal_categories_parsed_apart_hash_and_compare_equal():
+def test_each_category_value_is_one_instance():
     ingest._stripped_type.cache_clear()
     a = parse_type("((S\\NP)/NP)/(S\\NP)")
-    b = parse_type("(S\\NP)/NP/(S\\NP)")
     c = Forward(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP")),
                 Backward(Atom("NP"), Atom("S")))
-    assert a is not b
-    hash(a)   # one hash cached, the others computed afresh
-    assert a == b == c and hash(a) == hash(b) == hash(c)
-    assert len({a: 1, b: 2, c: 3}) == 1
-    assert repr(a) == repr(c)
-    assert a != parse_type("((S\\NP)/NP)/(S/NP)")
+    named = Forward(result=Forward(result=Backward(argument=Atom(name="NP"), result=Atom("S")),
+                                   argument=Atom("NP")),
+                    argument=Backward(result=Atom("S"), argument=Atom("NP")))
+    # equal values parsed apart, in either notation, built or copied, are one object
+    same = [parse_type("(S\\NP)/NP/(S\\NP)"), parse_type("((NP ⤚ S) ⤙ NP) ⤙ (NP ⤚ S)"),
+            c, named, eval(repr(a)), copy.copy(a), copy.deepcopy(a),
+            pickle.loads(pickle.dumps(a)), ingest._erase(ingest._fresh(a, count()),
+                                                         ingest._UnionFind())]
+    assert all(t is a for t in same)
+    # unequal values stay distinct: another slash, another atom, another order
+    others = [parse_type("((S\\NP)/NP)/(S/NP)"), parse_type("((S\\NP)/NP)/(S\\N)"),
+              Backward(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP")),
+                       Backward(Atom("NP"), Atom("S")))]
+    assert len({a, *others}) == 4 and all(t != a for t in others)
+    # a value that fails validation never enters the table
+    size = len(ccgtypes._INSTANCES)
+    with pytest.raises(ValueError, match="atom name must be non-empty"):
+        Atom("")
+    with pytest.raises(ValueError, match="atom name must be non-empty"):
+        Atom(name="")
+    assert len(ccgtypes._INSTANCES) == size
+    assert (Atom, "") not in ccgtypes._INSTANCES
+
+
+def test_threads_building_one_value_get_one_instance():
+    # values no other test builds, 200 levels deep, each built by 8 threads
+    # that start it together; four rounds, since a lost race shows only now
+    # and then
+    start = threading.Barrier(8)
+    built = []
+
+    def build():
+        rounds = []
+        for name in ("Threaded", "Threaded1", "Threaded2", "Threaded3"):
+            start.wait()
+            t = Atom(name)
+            for i in range(200):
+                t = Forward(t, Backward(Atom(f"T{i % 7}"), Atom(name)))
+            rounds.append(t)
+        built.append(rounds)
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads often, inside construction too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 8
+    assert all(t is first for rounds in built for t, first in zip(rounds, built[0]))
+    arg = "(Threaded\\T{})"
+    text = "Threaded" + "".join("/" + arg.format(i % 7) for i in range(200))
+    assert parse_type(text) is built[0][0]
 
 
 def test_pickled_category_is_a_key_under_another_hash_seed():

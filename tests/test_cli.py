@@ -330,10 +330,12 @@ def test_left_nested_category_prints_in_its_biclosed_file(tmp_path, capsys):
     assert biclosed == f'(word "w" {"(" * 449}S/NP{")/NP" * 449})\n'
 
 
-def test_unbracketed_deep_category_fails_at_its_stage(tmp_path, capsys):
-    # ``S/S/…/S`` parses without recursion, but hashing and comparing the
-    # category recurse once per level: 600 levels fail at the stage that
-    # first looks the category up, and 450 still convert
+def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
+    # ``S/S/…/S`` parses without recursion, no memo lookup compares or hashes
+    # a category level by level, and the functor maps it without recursion,
+    # so whether an entry converts does not depend on the entries before it:
+    # each prints the line and writes the files it gives alone, in a fresh
+    # process
     def chain(slash, n):
         return "S" + f"{slash}S" * n
 
@@ -341,23 +343,38 @@ def test_unbracketed_deep_category_fails_at_its_stage(tmp_path, capsys):
         return {"rule": "FA", "type": chain("/", n), "children": [
             {"word": "a", "type": chain("/", n) + "/NP"}, {"word": "b", "type": "NP"}]}
 
-    entries = [{"id": "left450", "tree": {"word": "w", "type": chain("/", 450)}},
+    entries = [{"id": "left300", "tree": {"word": "w", "type": chain("/", 300)}},
+               {"id": "left450", "tree": {"word": "w", "type": chain("/", 450)}},
                {"id": "bleft450", "tree": {"word": "w", "type": chain("\\", 450)}},
+               {"id": "fa450", "tree": fa(450)},
                {"id": "left600", "tree": {"word": "w", "type": chain("/", 600)}},
                {"id": "bleft600", "tree": {"word": "w", "type": chain("\\", 600)}},
                {"id": "fa600", "tree": fa(600)},
+               {"id": "left1200", "tree": {"word": "w", "type": chain("/", 1200)}},
                {"id": "fig1", "tree": ALICE}]
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(entries))
-    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 0
-    limit = f"(more levels than the recursion limit of {sys.getrecursionlimit()})"
-    assert capsys.readouterr().out.splitlines() == [
-        f"FAIL left600: cannot lower word 'w': its category is nested too deeply to map {limit}",
-        f"FAIL bleft600: cannot lower word 'w': its category is nested too deeply to map {limit}",
-        f"FAIL fa600: cannot apply FA at node root: its categories are nested too deeply {limit}",
-        "total 6 converted 3 failed 3"]
-    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
-        "bleft450.diagram.json", "fig1.diagram.json", "left450.diagram.json"]
+    emit = ["--emit", "biclosed,diagram"]
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "batch"), *emit]) == 0
+    batch = capsys.readouterr().out.splitlines()
+    assert batch == [
+        "FAIL left1200: bad type at node root: nested too deeply to parse (more levels "
+        f"than the recursion limit of {sys.getrecursionlimit()})",
+        "total 9 converted 8 failed 1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(discoccg.__file__).resolve().parents[1]))
+    for entry in entries:
+        ident, alone = entry["id"], tmp_path / entry["id"]
+        (tmp_path / f"{ident}.json").write_text(json.dumps([entry]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "discoccg.cli", "--in", str(tmp_path / f"{ident}.json"),
+             "--out-dir", str(alone), *emit], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:-1] == [line for line in batch if line.startswith(f"FAIL {ident}:")]
+        written = sorted(p.name for p in alone.iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "batch").glob(f"{ident}.*"))
+        assert all((alone / name).read_bytes() == (tmp_path / "batch" / name).read_bytes()
+                   for name in written)
 
 
 def test_word_wound_too_far_fails_alone(tmp_path, capsys):
