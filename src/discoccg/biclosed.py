@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from .ccgtypes import Atom, Backward, CcgType, Forward
+from .ccgtypes import Atom, Backward, CcgType, Forward, notation
 # ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 8's tracer change
 from .rules import Derivation, Leaf, RuleError, RuleLabel, Unary, peel, validate  # noqa: F401
 
@@ -48,39 +48,13 @@ UNIT = Unit()
 def to_str(o: BObject) -> str:
     """The object notation of ``.biclosed`` files: unlike ``to_slash``, both
     sides of a hom are bracketed when they are homs, as in ``(S\\NP)/NP``;
-    ``I`` is the unit and ``(A@B)`` a tensor.  Memoized per object.
-
-    The parts are written into one list, walking the object with an explicit
-    stack of pending subobjects and strings, and joined once."""
-    parts: list[str] = []
-    todo: list[BObject | str] = [o]
-    while todo:
-        o = todo.pop()
-        cls = type(o)
-        if cls is str:
-            parts.append(o)
-        elif cls is Atom:
-            parts.append(o.name)
-        elif cls is Forward or cls is Backward:
-            todo += _wrapped(o.argument)
-            todo.append("/" if cls is Forward else "\\")
-            todo += _wrapped(o.result)
-        elif cls is TensorObj:
-            todo.append(")")
-            for i, part in enumerate(reversed(o.parts)):
-                if i:
-                    todo.append("@")
-                todo += _wrapped(part)
-            todo.append("(")
-        else:
-            parts.append("I")
-    return "".join(parts)
-
-
-def _wrapped(o: BObject) -> tuple[BObject | str, ...]:
-    """``o`` for ``to_str``'s stack, last first: bracketed when it is a hom."""
-    cls = type(o)
-    return (")", o, "(") if cls is Forward or cls is Backward else (o,)
+    ``I`` is the unit and ``(A@B)`` a tensor.  Memoized per object."""
+    if isinstance(o, Unit):
+        return "I"
+    if isinstance(o, TensorObj):
+        parts = (to_str(p) if isinstance(p, Atom) else f"({to_str(p)})" for p in o.parts)
+        return f"({'@'.join(parts)})"
+    return notation(o, "{R}/{A}", "{R}\\{A}")[0]
 
 
 def factors(o: BObject) -> tuple[BObject, ...]:

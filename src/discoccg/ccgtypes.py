@@ -42,77 +42,113 @@ def _interned(cls, *parts):
     return t
 
 
-def _rebuild(self):
-    """Pickle and copy by the constructor, so that ``pickle``, ``copy`` and ``deepcopy``
-    return the receiving process's instance, not one made by ``__new__`` without parts."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+def fold(t: "CcgType", atom, forward, backward):
+    """Map a category bottom-up: ``atom(name)`` at each atom, and
+    ``forward(result, argument)`` or ``backward(argument, result)`` at each
+    slash type, on the images of its parts.
+
+    The walk keeps an explicit stack, so no nesting recurses.  It maps each
+    distinct part once, first part first in the order the definitions read
+    them, so of two parts that both fail the first raises; and it drops an
+    image once every slash type over it is mapped, so a chain holds one at a
+    time."""
+    uses: dict = {}   # how many slash types have each part as a part
+    todo = [t]
+    while todo:
+        if type(o := todo.pop()) is not Atom:
+            for part in (o.result, o.argument):
+                if (n := uses.get(part, 0)) == 0:
+                    todo.append(part)
+                uses[part] = n + 1
+    images: dict = {}
+    todo = [t]
+    while todo:
+        o = todo[-1]
+        if o in images:
+            todo.pop()
+        elif type(o) is Atom:
+            images[todo.pop()] = atom(o.name)
+        else:
+            slash = type(o) is Forward
+            first, second = (o.result, o.argument) if slash else (o.argument, o.result)
+            if second not in images:
+                todo.append(second)
+            if first not in images:
+                todo.append(first)
+            if todo[-1] is o:
+                todo.pop()
+                images[o] = (forward if slash else backward)(images[first], images[second])
+                for part in (first, second):
+                    uses[part] -= 1
+                    if not uses[part]:
+                        del images[part]
+    return images[t]
+
+
+def notation(t: "CcgType", forward: str, backward: str) -> tuple[str, str]:
+    """``t`` printed, bare and as a bracketed part: an atom by its name, a
+    slash type by the format string of its class over its parts' texts,
+    ``{r}`` the result bare, ``{R}`` and ``{A}`` the result and the argument
+    bracketed when they are slash types."""
+    def hom(fmt, result, argument):
+        text = fmt.format(r=result[0], R=result[1], A=argument[1])
+        return text, f"({text})"
+
+    return fold(t, lambda name: (name, name), lambda r, a: hom(forward, r, a),
+                lambda a, r: hom(backward, r, a))
+
+
+class _Category:
+    """What every category class shares: its notations and its pickling."""
+
+    def to_slash(self) -> str:
+        # Arguments bind tighter than the left-associative slash chain.
+        return notation(self, "{r}/{A}", "{r}\\{A}")[0]
+
+    def to_arrows(self) -> str:
+        return notation(self, "{R} ⤙ {A}", "{A} ⤚ {R}")[0]
+
+    def __reduce__(self):
+        """Pickle and copy by the constructor, so that ``pickle``, ``copy`` and ``deepcopy``
+        return the receiving process's instance, not one made by ``__new__`` without parts."""
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Atom:
+class Atom(_Category):
     """A base categorial type such as NP, N, S, PP or CONJ."""
 
     name: str
-    __reduce__ = _rebuild
 
     def __new__(cls, name: str):
         if not name:
             raise ValueError("atom name must be non-empty")
         return _interned(cls, name)
 
-    def to_slash(self) -> str:
-        return self.name
-
-    def to_arrows(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True, eq=False, init=False)
-class Forward:
+class Forward(_Category):
     """``result ⤙ argument`` (slash ``result/argument``): expects the argument on the right."""
 
     result: "CcgType"
     argument: "CcgType"
-    __reduce__ = _rebuild
 
     def __new__(cls, result: "CcgType", argument: "CcgType"):
         return _interned(cls, result, argument)
 
-    def to_slash(self) -> str:
-        return f"{self.result.to_slash()}/{_wrap_slash(self.argument)}"
-
-    def to_arrows(self) -> str:
-        return f"{_wrap_arrows(self.result)} ⤙ {_wrap_arrows(self.argument)}"
-
 
 @dataclass(frozen=True, eq=False, init=False)
-class Backward:
+class Backward(_Category):
     """``argument ⤚ result`` (slash ``result\\argument``): expects the argument on the left."""
 
     argument: "CcgType"
     result: "CcgType"
-    __reduce__ = _rebuild
 
     def __new__(cls, argument: "CcgType", result: "CcgType"):
         return _interned(cls, argument, result)
 
-    def to_slash(self) -> str:
-        return f"{self.result.to_slash()}\\{_wrap_slash(self.argument)}"
-
-    def to_arrows(self) -> str:
-        return f"{_wrap_arrows(self.argument)} ⤚ {_wrap_arrows(self.result)}"
-
 
 CcgType = Atom | Forward | Backward
-
-
-def _wrap_slash(t: CcgType) -> str:
-    # Arguments bind tighter than the left-associative slash chain.
-    return t.to_slash() if isinstance(t, Atom) else f"({t.to_slash()})"
-
-
-def _wrap_arrows(t: CcgType) -> str:
-    return t.to_arrows() if isinstance(t, Atom) else f"({t.to_arrows()})"
 
 
 # An atom's name after ``strip_features``; ``--atom-map`` keys and bases too.
@@ -128,14 +164,12 @@ def strip_features(t: CcgType) -> CcgType:
 
     ``S[dcl]`` becomes ``S``; lexical ``conj`` becomes the ``CONJ`` atom.
     """
-    if isinstance(t, Atom):
-        name = _FEATURE_RE.sub("", t.name)
-        if name.lower() == "conj":
-            name = "CONJ"
-        return Atom(name)
-    if isinstance(t, Forward):
-        return Forward(strip_features(t.result), strip_features(t.argument))
-    return Backward(strip_features(t.argument), strip_features(t.result))
+    return fold(t, _stripped_atom, Forward, Backward)
+
+
+def _stripped_atom(name: str) -> Atom:
+    name = _FEATURE_RE.sub("", name)
+    return Atom("CONJ" if name.lower() == "conj" else name)
 
 
 # Each notation's operators: the type built from the left and right operand.

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import biclosed as bc
 from .biclosed import BObject, BTerm
-from .ccgtypes import ATOM_NAME, Atom, Backward, Forward
+from .ccgtypes import ATOM_NAME, Atom, Backward, Forward, fold
 from .diagram import (
     DEFAULT_ATOM_MAP, EMPTY, Diagram, DiagramError, Layer, RObject, WordBox,
     Wire, cap_block, crossed_image, cup_block,
@@ -62,21 +62,9 @@ class LoweringContext:
         >>> print(DEFAULT_CONTEXT.f_obj(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP"))))
         n.r s n.l
         """
-        # map every part first, innermost first, in the order the definition
-        # reads them: each then maps from parts the memo holds, and no nesting recurses
-        below, todo = [], [o]
-        while todo:
-            below.append(t := todo.pop())
-            todo += (() if type(t) is Atom else (t.result, t.argument) if type(t) is Forward
-                     else (t.argument, t.result) if type(t) is Backward else bc.factors(t))
-        for t in reversed(below[1:]):
-            self.f_obj(t)
-        if isinstance(o, Atom):
-            return RObject((Wire(self.atom_map.get(o.name, o.name), 0),))
-        if isinstance(o, Forward):
-            return self.f_obj(o.result) @ self.f_obj(o.argument).l
-        if isinstance(o, Backward):
-            return self.f_obj(o.argument).r @ self.f_obj(o.result)
+        if isinstance(o, (Atom, Forward, Backward)):
+            return fold(o, lambda name: RObject((Wire(self.atom_map.get(name, name), 0),)),
+                        lambda x, y: x @ y.l, lambda y, x: y.r @ x)
         out = EMPTY
         for p in bc.factors(o):
             out = out @ self.f_obj(p)

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type, strip_features
+from .ccgtypes import (
+    Atom, Backward, CcgType, Forward, TypeParseError, fold, parse_type, strip_features,
+)
 from .rules import (
     FA, SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
     apply_rule, combine, flat_path, path_str, validate,
@@ -460,8 +463,7 @@ class _RNode:
     children: list["_RNode"]
     itype: IType | None   # None where no UNARY binding can reach
     path: tuple   # the input node's path, linked (see ``rules.flat_path``)
-    cat: CcgType   # the node's type; stale below a retyped node
-    retyped: bool = False   # set by UNARY: it and the nodes below it erase ``itype``
+    cat: CcgType   # the node's type; stale where ``itype`` is set, at and below a UNARY
 
 
 _CONJ = RuleLabel("CONJ")
@@ -526,7 +528,7 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
                      f"{computed.to_slash()}" if computed != declared
                      else f"below node {_fmt(child.path)}")
             raise IngestError(f"substitution produces a rule-schema violation {where}")
-        child.cat, child.retyped = declared, True
+        child.cat = declared
         return child
 
     if kind == "CONJ":
@@ -547,9 +549,6 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
                 f"{declared.to_slash()} at node {_fmt(path)}")
     except RuleError as exc:
         raise IngestError(f"{exc} at node {_fmt(path)}") from None
-    except RecursionError:   # the message's ``to_slash`` recurses once per level
-        raise IngestError(f"cannot apply {rule} at node {_fmt(path)}: "
-                          f"{_too_deep('its categories are nested too deeply')}") from None
     itype = combine(rule, [uf.deref(k.itype) for k in kids], ops) if indexed else None
     return _RNode(None, rule, kids, itype, path, declared)
 
@@ -559,25 +558,25 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
 CONJ_ATOM = Atom("CONJ")
 
 
+@lru_cache(maxsize=4096)
 def _has_conj(t: CcgType) -> bool:
-    if isinstance(t, Atom):
-        return t == CONJ_ATOM
-    return _has_conj(t.result) or _has_conj(t.argument)
+    """Whether a CONJ atom occurs in ``t``, memoized because ``_build`` asks at
+    every node."""
+    return fold(t, lambda name: name == CONJ_ATOM.name, operator.or_, operator.or_)
 
 
-def _cat(node: _RNode, uf: _UnionFind, retyped: bool) -> CcgType:
-    return _erase(node.itype, uf) if retyped else node.cat
+def _cat(node: _RNode, uf: _UnionFind) -> CcgType:
+    return node.cat if node.itype is None else _erase(node.itype, uf)
 
 
-def _build(node: _RNode, uf: _UnionFind, retyped: bool, conj_typed: list) -> Derivation:
+def _build(node: _RNode, uf: _UnionFind, conj_typed: list) -> Derivation:
     """Build the derivation of a resolved subtree, each node once.
 
     Coordination is rewritten as it is built: the conj leaf of ``X and X``
     becomes ``(X ⤚ X) ⤙ X``.  The path of each node whose type holds a CONJ
     atom is added to ``conj_typed``.
     """
-    retyped = retyped or node.retyped   # a retyping reaches only the nodes below it
-    cat = _cat(node, uf, retyped)
+    cat = _cat(node, uf)
     if _has_conj(cat):
         conj_typed.append(node.path)
     if node.rule is None:
@@ -585,19 +584,17 @@ def _build(node: _RNode, uf: _UnionFind, retyped: bool, conj_typed: list) -> Der
             raise IngestError(f"CONJ in non-coordination position at node {_fmt(node.path)}")
         return Leaf(node.word, cat)
     if len(node.children) == 1:
-        return Unary(node.rule, _build(node.children[0], uf, retyped, conj_typed), cat)
+        return Unary(node.rule, _build(node.children[0], uf, conj_typed), cat)
     if node.rule.kind == "CONJ":
         raise IngestError(f"CONJ in non-coordination position at node {_fmt(node.path)}")
     left, right = node.children
     if right.rule is None or right.rule.kind != "CONJ":
-        return Binary(node.rule, _build(left, uf, retyped, conj_typed),
-                      _build(right, uf, retyped, conj_typed), cat)
-    left = _build(left, uf, retyped, conj_typed)
+        return Binary(node.rule, _build(left, uf, conj_typed),
+                      _build(right, uf, conj_typed), cat)
+    left = _build(left, uf, conj_typed)
     conj_leaf, conjunct = right.children
-    glue_retyped = retyped or right.retyped
-    conjunct = _build(conjunct, uf, glue_retyped, conj_typed)
-    if (conj_leaf.rule is not None
-            or _cat(conj_leaf, uf, glue_retyped or conj_leaf.retyped) != CONJ_ATOM):
+    conjunct = _build(conjunct, uf, conj_typed)
+    if conj_leaf.rule is not None or _cat(conj_leaf, uf) != CONJ_ATOM:
         raise IngestError(
             f"CONJ node needs a conj leaf on its left at node {_fmt(right.path)}")
     x = conjunct.cat
@@ -606,7 +603,7 @@ def _build(node: _RNode, uf: _UnionFind, retyped: bool, conj_typed: list) -> Der
             f"conjuncts' types differ at node {_fmt(node.path)}: "
             f"{left.cat.to_slash()} vs {x.to_slash()}")
     glue = Backward(x, x)
-    declared = _cat(right, uf, glue_retyped)
+    declared = _cat(right, uf)
     if declared != glue:
         raise IngestError(
             f"CONJ node declares {declared.to_slash()}, expected "
@@ -622,7 +619,7 @@ def ingest_tree(raw: RawTree) -> Derivation:
     build the derivation with conjunctions expanded, validate it."""
     ops = _IndexedOps(_UnionFind(), itertools.count(1))
     conj_typed: list[tuple] = []
-    d = _build(_resolve(raw, (), ops), ops.uf, False, conj_typed)
+    d = _build(_resolve(raw, (), ops), ops.uf, conj_typed)
     if conj_typed:   # reported after every coordination error
         raise IngestError("CONJ appears in a type after preprocessing")
     problems = validate(d)

@@ -25,8 +25,8 @@ from discoccg.rewrite import normalize
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
 from tests.sentences import cross_serial, left_fc_chain, right_branching
 
-CACHES = (ingest._stripped_type, ingest._rule_label, rules._applied, bc._rule_term,
-          bc.to_str, DEFAULT_CONTEXT.f_obj, DEFAULT_CONTEXT.rule_image,
+CACHES = (ingest._stripped_type, ingest._has_conj, ingest._rule_label, rules._applied,
+          bc._rule_term, bc.to_str, DEFAULT_CONTEXT.f_obj, DEFAULT_CONTEXT.rule_image,
           semantics._plan, semantics._seeded_stack)
 
 

@@ -332,10 +332,11 @@ def test_left_nested_category_prints_in_its_biclosed_file(tmp_path, capsys):
 
 def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
     # ``S/S/…/S`` parses without recursion, no memo lookup compares or hashes
-    # a category level by level, and the functor maps it without recursion,
-    # so whether an entry converts does not depend on the entries before it:
+    # a category level by level, and every map over a category is one
+    # iterative fold, so an unbracketed category converts at any depth and
+    # whether an entry converts does not depend on the entries before it:
     # each prints the line and writes the files it gives alone, in a fresh
-    # process
+    # process.  Bracket nesting is still bounded by the parser.
     def chain(slash, n):
         return "S" + f"{slash}S" * n
 
@@ -343,6 +344,9 @@ def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
         return {"rule": "FA", "type": chain("/", n), "children": [
             {"word": "a", "type": chain("/", n) + "/NP"}, {"word": "b", "type": "NP"}]}
 
+    paren = "S"
+    for _ in range(600):
+        paren = f"S/({paren})"
     entries = [{"id": "left300", "tree": {"word": "w", "type": chain("/", 300)}},
                {"id": "left450", "tree": {"word": "w", "type": chain("/", 450)}},
                {"id": "bleft450", "tree": {"word": "w", "type": chain("\\", 450)}},
@@ -351,16 +355,23 @@ def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
                {"id": "bleft600", "tree": {"word": "w", "type": chain("\\", 600)}},
                {"id": "fa600", "tree": fa(600)},
                {"id": "left1200", "tree": {"word": "w", "type": chain("/", 1200)}},
+               {"id": "left4096", "tree": {"word": "w", "type": chain("/", 4096)}},
+               {"id": "bleft4096", "tree": {"word": "w", "type": chain("\\", 4096)}},
+               {"id": "fa4096", "tree": fa(4096)},
+               {"id": "fabad1200", "tree": {**fa(1200), "type": chain("\\", 1200)}},
+               {"id": "paren600", "tree": {"word": "w", "type": paren}},
                {"id": "fig1", "tree": ALICE}]
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(entries))
     emit = ["--emit", "biclosed,diagram"]
     assert main(["--in", str(path), "--out-dir", str(tmp_path / "batch"), *emit]) == 0
     batch = capsys.readouterr().out.splitlines()
+    produced, declared = chain("/", 1200), chain("\\", 1200)
     assert batch == [
-        "FAIL left1200: bad type at node root: nested too deeply to parse (more levels "
+        f"FAIL fabad1200: FA produces {produced} but node declares {declared} at node root",
+        "FAIL paren600: bad type at node root: nested too deeply to parse (more levels "
         f"than the recursion limit of {sys.getrecursionlimit()})",
-        "total 9 converted 8 failed 1"]
+        "total 14 converted 12 failed 2"]
     env = dict(os.environ, PYTHONPATH=str(Path(discoccg.__file__).resolve().parents[1]))
     for entry in entries:
         ident, alone = entry["id"], tmp_path / entry["id"]

@@ -580,8 +580,6 @@ class _RefOps(TypeOps):
 
 
 class _RefNode:
-    retyped = False   # its types are substituted, so the build reads ``cat``
-
     def __init__(self, word, rule, children, itype, path, cat):
         self.word, self.rule, self.children = word, rule, children
         self.itype, self.path, self.cat = itype, path, cat
@@ -656,8 +654,15 @@ def _ref_has_conj(t):
 
 def _ref_ingest(raw):
     root = _ref_resolve(raw, (), _RefOps(_RefUnionFind(), itertools.count(1)))
-    # the production build on the substituted nodes expands coordination
-    d = ingest._build(root, None, False, [])
+    # the production build on the substituted nodes expands coordination; it
+    # reads ``cat`` where no indexed type is set, so clear them: the
+    # substitution already wrote every node's type into ``cat``
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        node.itype = None
+        stack += node.children
+    d = ingest._build(root, None, [])
     if validate(d):
         raise IngestError("does not validate")
     stack = [d]
