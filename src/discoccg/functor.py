@@ -26,7 +26,7 @@ from .diagram import (
     DEFAULT_ATOM_MAP, EMPTY, Diagram, DiagramError, Layer, RObject, WordBox,
     Wire, cap_block, crossed_image, cup_block,
 )
-from .rules import RuleLabel
+from .rules import RuleLabel, echo
 
 
 class LoweringError(DiagramError):
@@ -136,7 +136,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
                 cod = f_obj(t.cod)
             except DiagramError as exc:   # a wire wound past MAX_WINDING
                 raise LoweringError(
-                    f"cannot lower word {t.label!r}: the functor cannot wind a wire "
+                    f"cannot lower word {echo(repr(t.label))}: the functor cannot wind a wire "
                     f"that far ({exc})") from None
             layers.append((at, WordBox(t.label, cod)))
         elif isinstance(t, bc.IdTerm):

@@ -33,7 +33,7 @@ from .ccgtypes import (
 )
 from .rules import (
     FA, SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
-    apply_rule, combine, flat_path, path_str, validate,
+    apply_rule, combine, echo, flat_path, path_str, validate,
 )
 
 
@@ -190,7 +190,8 @@ def _check_node(obj, ptr: str, path: tuple) -> list | tuple:
     if "word" in keys:
         extra = keys - {"word", "type"}
         if extra:
-            raise IngestError(f"unknown field {sorted(extra)[0]!r} at {_pointer(ptr, path)}")
+            raise IngestError(
+                f"unknown field {echo(repr(sorted(extra)[0]))} at {_pointer(ptr, path)}")
         if keys != {"word", "type"}:
             raise IngestError(f"leaf needs 'word' and 'type' at {_pointer(ptr, path)}")
         if not isinstance(obj["word"], str) or not obj["word"]:
@@ -202,7 +203,8 @@ def _check_node(obj, ptr: str, path: tuple) -> list | tuple:
     if "rule" in keys:
         extra = keys - {"rule", "type", "children"}
         if extra:
-            raise IngestError(f"unknown field {sorted(extra)[0]!r} at {_pointer(ptr, path)}")
+            raise IngestError(
+                f"unknown field {echo(repr(sorted(extra)[0]))} at {_pointer(ptr, path)}")
         if keys != {"rule", "type", "children"}:
             raise IngestError("internal node needs 'rule', 'type' and 'children' at "
                               f"{_pointer(ptr, path)}")
@@ -288,7 +290,7 @@ def _parse_type(text: str, path: tuple) -> CcgType:
     try:
         return _stripped_type(text)
     except TypeParseError as exc:
-        raise IngestError(f"bad type {text!r} at node {_fmt(path)}: {exc}") from None
+        raise IngestError(f"bad type {echo(repr(text))} at node {_fmt(path)}: {exc}") from None
     except RecursionError:   # the parser recurses once per level; no echo of the text
         raise IngestError(f"bad type at node {_fmt(path)}: "
                           f"{_too_deep('nested too deeply to parse')}") from None
@@ -311,7 +313,7 @@ def _parse_rule(text: str, path: tuple) -> tuple[str, int | None, CcgType | None
     kind = head.upper()
     schema = SCHEMAS.get(kind)
     if schema is None:
-        raise IngestError(f"unknown rule {text!r} at node {_fmt(path)}")
+        raise IngestError(f"unknown rule {echo(repr(text))} at node {_fmt(path)}")
     if schema.param == "degree":
         try:
             return kind, int(param), None
@@ -489,10 +491,10 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
         if not raw.word:
             raise IngestError(f"empty word at node {_fmt(path)}")
         if _CONTROL.search(raw.word):
-            raise IngestError(f"word {raw.word!r} contains a control character "
+            raise IngestError(f"word {echo(repr(raw.word))} contains a control character "
                               f"at node {_fmt(path)}")
         if _SURROGATE.search(raw.word):
-            raise IngestError(f"word {raw.word!r} contains a lone surrogate "
+            raise IngestError(f"word {echo(repr(raw.word))} contains a lone surrogate "
                               f"at node {_fmt(path)}")
         return _RNode(raw.word, None, [], _fresh(t, ctr) if indexed else None, path, t)
 
@@ -524,8 +526,8 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
             # only a rule node builds a pinned slot; its own rule is reported
             # first, else the rule application below that the retyping breaks
             computed = apply_rule(child.rule, [_erase(k.itype, uf) for k in child.children])
-            where = (f"at node {_fmt(child.path)}: {child.rule} now yields "
-                     f"{computed.to_slash()}" if computed != declared
+            where = (f"at node {_fmt(child.path)}: {echo(str(child.rule))} now yields "
+                     f"{echo(computed.to_slash())}" if computed != declared
                      else f"below node {_fmt(child.path)}")
             raise IngestError(f"substitution produces a rule-schema violation {where}")
         child.cat = declared
@@ -540,13 +542,13 @@ def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False)
 
     kids = [_resolve(k, (path, i), ops, indexed) for i, k in enumerate(raw.children)]
     if len(kids) != rule.arity:
-        raise IngestError(f"{rule} needs {rule.arity} children at node {_fmt(path)}")
+        raise IngestError(f"{echo(str(rule))} needs {rule.arity} children at node {_fmt(path)}")
     try:
         computed = apply_rule(rule, [k.cat for k in kids])
         if computed != declared:
             raise IngestError(
-                f"{rule} produces {computed.to_slash()} but node declares "
-                f"{declared.to_slash()} at node {_fmt(path)}")
+                f"{echo(str(rule))} produces {echo(computed.to_slash())} but node declares "
+                f"{echo(declared.to_slash())} at node {_fmt(path)}")
     except RuleError as exc:
         raise IngestError(f"{exc} at node {_fmt(path)}") from None
     itype = combine(rule, [uf.deref(k.itype) for k in kids], ops) if indexed else None
@@ -601,13 +603,13 @@ def _build(node: _RNode, uf: _UnionFind, conj_typed: list) -> Derivation:
     if left.cat != x:
         raise IngestError(
             f"conjuncts' types differ at node {_fmt(node.path)}: "
-            f"{left.cat.to_slash()} vs {x.to_slash()}")
+            f"{echo(left.cat.to_slash())} vs {echo(x.to_slash())}")
     glue = Backward(x, x)
     declared = _cat(right, uf)
     if declared != glue:
         raise IngestError(
-            f"CONJ node declares {declared.to_slash()}, expected "
-            f"{glue.to_slash()} at node {_fmt(right.path)}")
+            f"CONJ node declares {echo(declared.to_slash())}, expected "
+            f"{echo(glue.to_slash())} at node {_fmt(right.path)}")
     conj_word = Leaf(conj_leaf.word, Forward(glue, x))
     return Binary(node.rule, left, Binary(FA, conj_word, conjunct, glue), cat)
 
@@ -640,7 +642,7 @@ def _safe_id(ident) -> bool:
 def _wrapped_tree(item: dict, ptr: str) -> RawTree:
     extra = set(item) - {"id", "tree"}
     if extra:
-        raise IngestError(f"unknown field {sorted(extra)[0]!r} at {ptr or '/'}")
+        raise IngestError(f"unknown field {echo(repr(sorted(extra)[0]))} at {ptr or '/'}")
     if "id" in item and not _safe_id(item["id"]):
         raise IngestError(
             f"bad id at {ptr}/id: ids are strings of at most 200 characters from "
@@ -692,7 +694,7 @@ def _json_entries(text: str, starts: list[int | None], listed: bool, collect_err
             if isinstance(item, dict) and "tree" in item:
                 named = item.get("id", ident)
                 # an unsafe id is reported under its JSON spelling, on one line
-                ident = named if _safe_id(named) else json.dumps(named)
+                ident = named if _safe_id(named) else echo(json.dumps(named))
                 tree = _wrapped_tree(item, ptr)
             else:
                 tree = _raw_node(item, ptr)

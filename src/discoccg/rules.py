@@ -132,8 +132,8 @@ def unary(target: CcgType) -> RuleLabel:
 
 
 def _fail(rule: RuleLabel, expected: str, inputs: list[CcgType]) -> RuleError:
-    actual = ", ".join(t.to_slash() for t in inputs)
-    return RuleError(f"{rule}: expected {expected}, got [{actual}]")
+    actual = ", ".join(echo(t.to_slash()) for t in inputs)
+    return RuleError(f"{echo(str(rule))}: expected {expected}, got [{actual}]")
 
 
 def peel(t, n: int) -> tuple:
@@ -186,7 +186,7 @@ def combine(rule: RuleLabel, inputs: list, ops: TypeOps = PLAIN):
     if forward is None:
         raise RuleError(f"{rule.kind} is not a combinatory rule")
     if len(inputs) != rule.arity:
-        raise RuleError(f"{rule}: expected {rule.arity} inputs, got {len(inputs)}")
+        raise RuleError(f"{echo(str(rule))}: expected {rule.arity} inputs, got {len(inputs)}")
     fwd, bwd = ops.slashes
     if schema.raising:
         # T ⤙ (X ⤚ T) forward, (T ⤙ X) ⤚ T backward
@@ -195,7 +195,7 @@ def combine(rule: RuleLabel, inputs: list, ops: TypeOps = PLAIN):
 
     n = rule.composition_degree
     if n > MAX_COMPOSITION_DEGREE:
-        raise RuleError(f"{rule}: degree exceeds the bound {MAX_COMPOSITION_DEGREE}")
+        raise RuleError(f"{echo(str(rule))}: degree exceeds the bound {MAX_COMPOSITION_DEGREE}")
     fn, inner = inputs if forward else inputs[::-1]
     slash, other = (fwd, bwd) if forward else (bwd, fwd)
     if not isinstance(fn, slash):
@@ -278,6 +278,19 @@ def path_str(path: tuple[int, ...]) -> str:
     return "/".join(map(str, path)) or "root"
 
 
+# Messages repeat an input item back whole up to this many characters.
+ECHO_LIMIT = 200
+
+
+def echo(item: str) -> str:
+    """An input item as a message repeats it back: a category's slash text, a
+    rule, a word, a field name or an id.  An item longer than ``ECHO_LIMIT``
+    characters prints as its first ``ECHO_LIMIT``, then ``…`` and its length."""
+    if len(item) <= ECHO_LIMIT:
+        return item
+    return f"{item[:ECHO_LIMIT]}… ({len(item)} characters)"
+
+
 @dataclass(frozen=True)
 class Violation:
     path: tuple[int, ...]
@@ -337,7 +350,8 @@ def validate(d: Derivation) -> list[Violation]:
         if produced != node.cat:
             out.append(Violation(
                 flat_path(path),
-                f"{node.rule} produces {produced.to_slash()}, node claims {node.cat.to_slash()}",
+                f"{echo(str(node.rule))} produces {echo(produced.to_slash())}, "
+                f"node claims {echo(node.cat.to_slash())}",
             ))
 
     walk(d, ())

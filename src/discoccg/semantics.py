@@ -19,9 +19,9 @@ that number.
 Several lexicons are evaluated in one pass: every operand carries a leading
 seed axis (the einsum letter ``Z``), so a diagram is validated, planned and
 contracted once however many seeds are checked.  Across the sentences of a
-process, a word's tensors under a check's seeds are drawn and stacked once
-(keyed by the seeds, the dimensions and the word box), and networks of one
-structure share one plan.
+process, a word's tensors under fresh lexicons are drawn and stacked once,
+keyed by the seeds, the dimensions, the field and the word box, whichever
+evaluation asks; networks of one structure share one plan.
 
 Random lexicons are generated by a SplitMix64 stream (documented constants
 below) so that stored test vectors pin the generator across implementations:
@@ -336,35 +336,12 @@ def _subscripts(operands: list[list[int]], result: list[int]) -> str:
             + "->" + "".join([letters[i] for i in result]))
 
 
-class _Batch(tuple):
-    """Lexicons contracted together along a leading seed axis.
-
-    Each word's tensors are stacked once, on first use, and shared by every
-    diagram evaluated under the batch.  A batch of fresh seeded lexicons
-    carries ``key``, the values its stacks depend on, and takes them from
-    :func:`_seeded_stack`, which shares them across batches.
-    """
-
-    def __new__(cls, lexicons, key=None):
-        batch = super().__new__(cls, lexicons)
-        batch.key = key
-        batch.stacks = {}
-        batch.dtype = complex if any(lex.complex_field for lex in batch) else float
-        return batch
-
-    def stack(self, word: WordBox) -> np.ndarray:
-        if self.key is not None:
-            return _seeded_stack(*self.key, word)
-        out = self.stacks.get(word)
-        if out is None:
-            out = self.stacks[word] = _stack(self, word, self.dtype)
-        return out
-
-
-def _stack(lexicons, word: WordBox, dtype) -> np.ndarray:
-    arrays = [lex.tensor_for(word.label, word.wires).array for lex in lexicons]
-    out = arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-    return out.astype(dtype, copy=False)
+def _stack(lexicons, word: WordBox) -> np.ndarray:
+    """The tensors of ``word`` under ``lexicons``, along a leading seed axis,
+    complex if any lexicon is."""
+    dtype = complex if any(lex.complex_field for lex in lexicons) else float
+    return np.array([lex.tensor_for(word.label, word.wires).array for lex in lexicons],
+                    dtype=dtype)
 
 
 @lru_cache(maxsize=1024)
@@ -373,11 +350,11 @@ def _seeded_stack(seeds: tuple[int, ...], dims: tuple[tuple[tuple[str, int], ...
     """The stacked tensors of ``word`` under fresh lexicons with ``seeds``
     and the dimensions ``dims`` (sorted ``(base, dim)`` pairs and the
     default), drawn through :meth:`Lexicon.tensor_for`; read-only because
-    every check with the same values shares it."""
+    every evaluation with the same values shares it."""
     table, default = dims
     assignment = DimAssignment(dict(table), default)
-    lexicons = [Lexicon(assignment, seed, complex_field=complex_field) for seed in seeds]
-    out = _stack(lexicons, word, complex if complex_field else float)
+    out = _stack([Lexicon(assignment, seed, complex_field=complex_field) for seed in seeds],
+                 word)
     out.flags.writeable = False
     return out
 
@@ -389,21 +366,28 @@ def evaluate(d: Diagram, dims: DimAssignment,
     Given a sequence of lexicons instead of one, the diagram is validated,
     planned and contracted once for all of them, along a leading seed axis,
     and one tensor per lexicon is returned (all complex if any lexicon has
-    ``complex_field`` set).
+    ``complex_field`` set).  Fresh lexicons (plain :class:`Lexicon` values
+    with no ``entries``) of one ``dims`` and ``complex_field`` take their
+    stacks from :func:`_seeded_stack`, shared by every such evaluation.
     """
-    if isinstance(lex, Lexicon):
-        batch = _Batch((lex,))
-    else:
-        batch = lex if isinstance(lex, _Batch) else _Batch(lex)
+    lexicons = [lex] if isinstance(lex, Lexicon) else list(lex)
     net = _compile(d)
-    size = len(batch)
+    size = len(lexicons)
     if not size:
         return []
-    slots: list[np.ndarray | None] = [batch.stack(w) for w in net.words]
+    first = lexicons[0]
+    if all(type(x) is Lexicon and not x.entries and x.dims == first.dims
+           and x.complex_field == first.complex_field for x in lexicons):
+        key = (tuple(x.seed for x in lexicons),
+               (tuple(sorted(first.dims.dims.items())), first.dims.default), first.complex_field)
+        slots: list[np.ndarray | None] = [_seeded_stack(*key, w) for w in net.words]
+    else:
+        slots = [_stack(lexicons, w) for w in net.words]
+    dtype = complex if any(x.complex_field for x in lexicons) else float
     for w in net.eyes:
-        eye = np.eye(dims.of(w), dtype=batch.dtype)
+        eye = np.eye(dims.of(w), dtype=dtype)
         slots.append(np.broadcast_to(eye, (size, *eye.shape)))
-    out = np.ones(size, dtype=batch.dtype)
+    out = np.ones(size, dtype=dtype)
     for operands, subscripts in net.steps:
         batched = _SEED_AXIS + subscripts.replace(",", "," + _SEED_AXIS).replace(
             "->", "->" + _SEED_AXIS)
@@ -411,7 +395,7 @@ def evaluate(d: Diagram, dims: DimAssignment,
         for i in operands:
             slots[i] = None
         slots[operands[0]] = out
-    out = np.array(out, dtype=batch.dtype)   # a fresh array, never a lexicon view
+    out = np.array(out, dtype=dtype)   # a fresh array, never a lexicon view
     for w in net.loops:
         out *= dims.of(w)
     shape = tuple(dims.of(w) for w in d.cod)
@@ -432,9 +416,8 @@ def semantically_equal(d1: Diagram, d2: Diagram, dims: DimAssignment,
         raise SemanticsError(f"codomain mismatch: {d1.cod} vs {d2.cod}")
     if not seeds:
         return True
-    key = (tuple(seeds), (tuple(sorted(dims.dims.items())), dims.default), False)
-    batch = _Batch((Lexicon(dims, seed=seed) for seed in seeds), key)
-    t1 = evaluate(d1, dims, batch)
-    t2 = evaluate(d2, dims, batch)
+    lexicons = [Lexicon(dims, seed) for seed in seeds]
+    t1 = evaluate(d1, dims, lexicons)
+    t2 = evaluate(d2, dims, lexicons)
     return np.allclose(np.array([t.array for t in t1]), np.array([t.array for t in t2]),
                        rtol=rtol, atol=atol)

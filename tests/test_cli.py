@@ -366,9 +366,11 @@ def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
     emit = ["--emit", "biclosed,diagram"]
     assert main(["--in", str(path), "--out-dir", str(tmp_path / "batch"), *emit]) == 0
     batch = capsys.readouterr().out.splitlines()
-    produced, declared = chain("/", 1200), chain("\\", 1200)
+    # each category is echoed as its first 200 characters and its length
+    produced, declared = chain("/", 100)[:200], chain("\\", 100)[:200]
     assert batch == [
-        f"FAIL fabad1200: FA produces {produced} but node declares {declared} at node root",
+        f"FAIL fabad1200: FA produces {produced}… (2401 characters) but node declares "
+        f"{declared}… (2401 characters) at node root",
         "FAIL paren600: bad type at node root: nested too deeply to parse (more levels "
         f"than the recursion limit of {sys.getrecursionlimit()})",
         "total 14 converted 12 failed 2"]
@@ -401,6 +403,71 @@ def test_word_wound_too_far_fails_alone(tmp_path, capsys):
         "(winding -7 on n exceeds |z| <= 6)",
         "total 2 converted 1 failed 1"]
     assert [p.name for p in (tmp_path / "o").iterdir()] == ["fig1.diagram.json"]
+
+
+# Items of about 5 000 characters, one per site that repeats input back in a
+# FAIL line, each with the start of the line that names it.
+_LONG = "S" + "/S" * 2500
+_BLONG = "S" + "\\S" * 2500
+_WOUND = "S/NP"
+for _ in range(99):
+    _WOUND = f"S/({_WOUND})"
+
+
+def _leaf(word, cat):
+    return {"word": word, "type": cat}
+
+
+def _node(rule, cat, *children):
+    return {"rule": rule, "type": cat, "children": list(children)}
+
+
+OVERSIZED = {
+    "unsafe-id": ({"id": "i" * 5000 + "/", "tree": ALICE}, 'FAIL "iiii'),
+    "type": ({"tree": _leaf("w", _LONG + "/(")}, "FAIL s0: bad type 'S/S/S/"),
+    "rule": ({"tree": _node("X" * 5000, "S", _leaf("w", "S"))}, "FAIL s0: unknown rule 'XXXX"),
+    "leaf-field": ({"tree": {**_leaf("w", "S"), "f" * 5000: 1}},
+                   "FAIL s0: unknown field 'ffff"),
+    "node-field": ({"tree": {**_node("FA", "S", _leaf("w", "S")), "f" * 5000: 1}},
+                   "FAIL s0: unknown field 'ffff"),
+    "wrapper-field": ({"id": "x", "tree": ALICE, "f" * 5000: 1},
+                      "FAIL x: unknown field 'ffff"),
+    "control-word": ({"tree": _leaf("w" * 5000 + "\x01", "S")}, "FAIL s0: word 'wwww"),
+    "surrogate-word": ({"tree": _leaf("w" * 5000 + "\ud800", "S")}, "FAIL s0: word 'wwww"),
+    "wound-word": ({"tree": _leaf("w" * 5000, _WOUND)},
+                   "FAIL s0: cannot lower word 'wwww"),
+    "declared": ({"tree": _node("FA", _BLONG, _leaf("a", _LONG + "/NP"), _leaf("b", "NP"))},
+                 "FAIL s0: FA produces S/S/S/"),
+    "raising-rule": ({"tree": _node("FTR:" + _LONG, "S", _leaf("w", "NP"))},
+                     "FAIL s0: FTR:S/S/S/"),
+    "raising-arity": ({"tree": _node("FTR:" + _LONG, "S", _leaf("v", "NP"), _leaf("w", "NP"))},
+                      "FAIL s0: FTR:S/S/S/"),
+    "degree": ({"tree": _node("GFC:" + "9" * 1000, "S", _leaf("v", "S/S"), _leaf("w", "S/S"))},
+               "FAIL s0: GFC:9999"),
+    "schema": ({"tree": _node("FA", "S", _leaf("v", _BLONG), _leaf("w", "NP"))},
+               "FAIL s0: FA: expected a primary of the form X ⤙ Y, got [S\\S\\"),
+    # below a UNARY, types are walked recursively: a long atom, not a deep chain
+    "unary": ({"tree": _node("UNARY", "S", _node(
+        "FC", "A" * 5000 + "/NP", _leaf("a", "A" * 5000 + "/N"), _leaf("b", "N/NP")))},
+        "FAIL s0: substitution produces a rule-schema violation at node 0: FC now yields AAAA"),
+    "conjuncts": ({"tree": _node("BA", _LONG, _leaf("x", _LONG), _node(
+        "CONJ", f"({_LONG})\\({_LONG})", _leaf("and", "conj"), _leaf("y", _BLONG)))},
+        "FAIL s0: conjuncts' types differ at node root: S/S/"),
+    "conj-declares": ({"tree": _node("BA", _BLONG, _leaf("x", _LONG), _node(
+        "CONJ", f"({_BLONG})\\({_LONG})", _leaf("and", "conj"), _leaf("y", _LONG)))},
+        "FAIL s0: CONJ node declares S\\S\\"),
+}
+
+
+@pytest.mark.parametrize("entry,prefix", OVERSIZED.values(), ids=OVERSIZED.keys())
+def test_fail_lines_echo_a_bounded_part_of_each_item(tmp_path, capsys, entry, prefix):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps([entry]))
+    assert main(["--in", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    fail, summary = capsys.readouterr().out.splitlines()
+    assert fail.startswith(prefix) and "… (" in fail, fail[:300]
+    assert len(fail.encode("utf-8")) <= 1024, fail[:300]
+    assert summary == "total 1 converted 0 failed 1"
 
 
 def _no_conversion(monkeypatch):

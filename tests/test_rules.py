@@ -138,6 +138,19 @@ def test_validate_flags_unresolved_unary():
     assert len(validate(node)) == 1
 
 
+def test_validate_echoes_a_bounded_part_of_each_category():
+    long = t("S" + "/S" * 2500)
+    claimed = t("S" + "\\S" * 2500)
+    raised = Unary(ftr(long), Leaf("w", NP), claimed)
+    (problem,) = validate(raised)
+    assert str(problem).startswith("root: FTR:S/S/S/")
+    assert "node claims S\\S\\" in str(problem)
+    assert len(str(problem)) <= 1024
+    (problem,) = validate(Binary(FA, Leaf("v", claimed), Leaf("w", NP), S))
+    assert str(problem).startswith("root: FA: expected a primary of the form X ⤙ Y, got [S\\S\\")
+    assert len(str(problem)) <= 1024
+
+
 # --- the schema table against the per-kind reference ---------------------------
 
 def _peel_forward(t, n):

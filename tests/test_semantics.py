@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discoccg import semantics
 from discoccg.diagram import (
     Cap, Cup, Diagram, EMPTY, RObject, Swap, Wire, WordBox,
 )
@@ -431,6 +432,78 @@ def test_single_lexicon_is_the_one_seed_batch(corpus_diagrams):
     assert np.array_equal(one.array, batched.array)
     one.array[...] = 0.0   # a fresh array, never a lexicon view
     assert np.array_equal(evaluate(d, DIMS, lex).array, batched.array)
+
+
+# --- which lexicons share the seeded stacks -----------------------------------
+
+def _stack_lookups():
+    info = semantics._seeded_stack.cache_info()
+    return info.hits, info.misses
+
+
+def _drawn(lex, d):
+    """``evaluate`` written out for a one-word diagram: its word's tensor."""
+    (word,) = [g for _, g in d.layers]
+    return lex.tensor_for(word.label, word.wires).array
+
+
+def test_fresh_lexicons_share_stacks_and_others_leave_them(corpus_diagrams):
+    semantics._seeded_stack.cache_clear()
+    d = corpus_diagrams["alice-likes-bob"]
+    first = evaluate(d, DIMS, [Lexicon(DIMS, seed) for seed in (3, 4)])
+    assert _stack_lookups() == (0, 3)   # one draw per word box
+    again = evaluate(d, DIMS, [Lexicon(DIMS, seed) for seed in (3, 4)])
+    assert _stack_lookups() == (3, 3)
+    assert all(np.array_equal(a.array, b.array) for a, b in zip(first, again))
+    # a lexicon that has drawn before holds entries, so it draws for itself
+    used = Lexicon(DIMS, 3)
+    used.tensor_for("unused", RObject.parse("n"))
+    third = evaluate(d, DIMS, [used, Lexicon(DIMS, 4)])
+    assert _stack_lookups() == (3, 3)
+    assert all(np.array_equal(a.array, b.array) for a, b in zip(first, third))
+
+
+def test_pre_seeded_entry_is_used():
+    d = Diagram.build(EMPTY, [_word("v", "n")])
+    entry = Tensor(tuple(d.cod), (2,), np.array([1.0, 2.0]))
+    lex = Lexicon(DIMS, 5, entries={("v", tuple(d.cod)): entry})
+    lookups = _stack_lookups()
+    one = evaluate(d, DIMS, lex)
+    assert isinstance(one, Tensor) and np.array_equal(one.array, [1.0, 2.0])
+    pair = evaluate(d, DIMS, [lex, Lexicon(DIMS, 5)])
+    assert np.array_equal(pair[0].array, [1.0, 2.0])
+    assert np.array_equal(pair[1].array, _drawn(Lexicon(DIMS, 5), d))
+    assert _stack_lookups() == lookups
+
+
+def test_lexicon_subclass_draws_are_honoured():
+    class Ones(Lexicon):
+        def tensor_for(self, label, cod):
+            shape = tuple(map(self.dims.of, cod))
+            return Tensor(tuple(cod), shape, np.ones(shape))
+
+    d = Diagram.build(EMPTY, [_word("v", "n s")])
+    lookups = _stack_lookups()
+    one = evaluate(d, DIMS, Ones(DIMS, 1))
+    assert isinstance(one, Tensor) and np.array_equal(one.array, np.ones((2, 2)))
+    (batched,) = evaluate(d, DIMS, [Ones(DIMS, 1)])
+    assert np.array_equal(batched.array, np.ones((2, 2)))
+    assert _stack_lookups() == lookups
+
+
+def test_lexicons_of_other_dims_or_fields_evaluate_each_by_its_own():
+    d = Diagram.build(EMPTY, [_word("v", "n")])
+    other_dims = DimAssignment({"s": 3}, 2)   # the same shape for ``n``
+    lookups = _stack_lookups()
+    real, other = evaluate(d, DIMS, [Lexicon(DIMS, 1), Lexicon(other_dims, 2)])
+    assert real.array.dtype == float and other.array.dtype == float
+    assert np.array_equal(other.array, _drawn(Lexicon(other_dims, 2), d))
+    real, cplx = evaluate(d, DIMS, [Lexicon(DIMS, 1), Lexicon(DIMS, 2, complex_field=True)])
+    assert real.array.dtype == complex and cplx.array.dtype == complex
+    assert np.array_equal(real.array, _drawn(Lexicon(DIMS, 1), d))
+    assert np.array_equal(cplx.array, _drawn(Lexicon(DIMS, 2, complex_field=True), d))
+    assert np.iscomplexobj(cplx.array) and np.any(cplx.array.imag)
+    assert _stack_lookups() == lookups
 
 
 def test_contraction_plans_are_pinned(corpus_diagrams):
