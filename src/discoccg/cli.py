@@ -8,9 +8,10 @@ configuration give byte-identical outputs.
 
 With an output directory, each sentence's files are written in input order
 as it converts: in process at first, then, once those writes have taken
-longer than ``HANDOFF_S``, by one writer forked from this process that
-creates them while the next sentences convert.  Every file is on disk when
-:func:`run` returns.
+longer than ``HANDOFF_S``, by one writer forked from this process, which is
+sent each sentence's files pickled and writes them while the next sentences
+convert.  :func:`_write_files` creates every file, in either process, and
+``stats.tsv``.  Every file is on disk when :func:`run` returns.
 
 When both rewrites are requested, planarization runs before normalization
 (planarization recognizes the raw crossed-composition images)."""
@@ -233,55 +234,51 @@ def _convert_one(ident, raw, cfg: JobConfig, ctx, dims):
 
 
 def _write_files(out_dir: Path, outputs: dict[str, str | bytes]) -> None:
-    for name, payload in outputs.items():
-        target = out_dir / name
-        if isinstance(payload, bytes):
-            target.write_bytes(payload)
-        else:
-            target.write_text(payload, encoding="utf-8")
-
-
-def _write_frames(data_fd: int, status_fd: int) -> int:
-    """The forked writer's loop: read frames from ``data_fd`` until end of
-    file, each a file to create (a 4-byte path length, the path, an 8-byte
-    payload length and the payload, lengths little-endian), and create them
-    in the order received, as ``open(path, "wb")`` creates them.  At the
-    first ``OSError`` write ``errno NUL strerror NUL path`` to ``status_fd``
-    and return 1, so no later file is written."""
+    """Create each file of ``outputs`` in ``out_dir``, in order, holding its
+    payload's UTF-8 bytes: the one place an output file is created, in this
+    process and in the forked writer alike."""
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC
+    for name, payload in outputs.items():
+        view = memoryview(payload.encode("utf-8") if isinstance(payload, str) else payload)
+        fd = os.open(out_dir / name, flags, 0o666)
+        try:
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+
+
+def _write_sent(data_fd: int, status_fd: int) -> int:
+    """The forked writer's loop: unpickle ``(out_dir, outputs)`` pairs from
+    ``data_fd`` until end of file and write each with :func:`_write_files`.
+    At the first ``OSError`` pickle it to ``status_fd`` and return 1, so no
+    later file is written."""
+    import pickle
     with open(data_fd, "rb") as data:
         while True:
-            path = data.read(int.from_bytes(data.read(4), "little"))
-            size = int.from_bytes(data.read(8), "little")
-            payload = data.read(size)
-            if not path or len(payload) != size:
-                return 0   # the end of the batch, or a sender that died mid-frame
             try:
-                fd = os.open(path, flags, 0o666)
-                try:
-                    view = memoryview(payload)
-                    while view:
-                        view = view[os.write(fd, view):]
-                finally:
-                    os.close(fd)
+                out_dir, outputs = pickle.load(data)
+            except (EOFError, pickle.UnpicklingError):
+                return 0   # the end of the batch, or a sender that died mid-pickle
+            try:
+                _write_files(out_dir, outputs)
             except OSError as exc:
-                strerror = exc.strerror.encode("utf-8", "surrogateescape")
-                os.write(status_fd, b"%d\0%s\0%s" % (exc.errno, strerror, path))
+                os.write(status_fd, pickle.dumps(exc))
                 return 1
 
 
 class _Writer:
-    """A forked child of this process that creates the files it is sent, in
+    """A forked child of this process that writes the files it is sent, in
     order, while this process converts the next sentences.
 
-    Each file goes down a pipe as a frame: the path and the payload, each
-    after its length.  When the writer falls 1 MiB behind, :meth:`send`
-    blocks, so a batch never holds more than that.  The writer stops at the
-    first file it cannot create and reports it on a second pipe; the
-    :meth:`send` that finds it gone, or :meth:`close`, raises that error as
-    writing the file in process would have.  The child leaves through
-    ``os._exit``, so it flushes none of the stdio buffers it inherited and
-    runs none of the caller's ``atexit`` handlers."""
+    Each sentence's ``(out_dir, outputs)`` goes down a pipe pickled, and the
+    child writes it with :func:`_write_files`.  When the writer falls 1 MiB
+    behind, :meth:`send` blocks, so a batch never holds more than that.  The
+    writer stops at the first file it cannot create and pickles the error to
+    a second pipe; the :meth:`send` that finds it gone, or :meth:`close`,
+    raises that error as writing the file in process would have.  The child
+    leaves through ``os._exit``, so it flushes none of the stdio buffers it
+    inherited and runs none of the caller's ``atexit`` handlers."""
 
     def __init__(self, pid: int, data: int, status: int):
         self.pid: int | None = pid
@@ -318,7 +315,7 @@ class _Writer:
                 # conversion, whose ``finally`` lets the writer finish and exit
                 os.setpgid(0, 0)
                 gc.disable()   # no collection walks, and so copies, the inherited heap
-                code = _write_frames(data_r, status_w)
+                code = _write_sent(data_r, status_w)
             finally:
                 os._exit(code)
         os.close(data_r)
@@ -326,14 +323,8 @@ class _Writer:
         return cls(pid, data_w, status_r)
 
     def send(self, out_dir: Path, outputs: dict[str, str | bytes]) -> None:
-        frames = []
-        for name, payload in outputs.items():
-            path = os.fsencode(out_dir / name)
-            if isinstance(payload, str):
-                payload = payload.encode("utf-8")
-            frames += [len(path).to_bytes(4, "little"), path,
-                       len(payload).to_bytes(8, "little"), payload]
-        view = memoryview(b"".join(frames))
+        import pickle
+        view = memoryview(pickle.dumps((out_dir, outputs)))
         try:
             while view:
                 view = view[os.write(self.data, view):]
@@ -352,9 +343,8 @@ class _Writer:
         _, wait_status = os.waitpid(self.pid, 0)
         self.pid = None
         if failure:
-            errno, strerror, path = failure.split(b"\0", 2)
-            raise OSError(int(errno), strerror.decode("utf-8", "surrogateescape"),
-                          os.fsdecode(path))
+            import pickle
+            raise pickle.loads(failure)
         if wait_status:
             raise OSError(f"the output writer exited with status "
                           f"{os.waitstatus_to_exitcode(wait_status)}")
@@ -363,21 +353,17 @@ class _Writer:
 def write_report(report: ExitReport, cfg: JobConfig, out=None) -> None:
     if out is None:
         out = sys.stdout
+    rows = [STATS_COLUMNS, *report.stats_rows] if report.stats_rows else []
+    stats = "".join("\t".join(map(str, row)) + "\n" for row in rows)
     if cfg.out_dir:
-        out_dir = Path(cfg.out_dir)   # created and filled by ``run``
-        if report.stats_rows:
-            lines = ["\t".join(STATS_COLUMNS)]
-            lines += ["\t".join(str(x) for x in row) for row in report.stats_rows]
-            (out_dir / "stats.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if stats:   # the directory is created and filled by ``run``
+            _write_files(Path(cfg.out_dir), {"stats.tsv": stats})
     else:
         for name, payload in sorted(report.outputs.items()):
             if isinstance(payload, bytes):   # an SVG, which ends without a newline
                 payload = payload.decode("utf-8") + "\n"
             out.write(f"--- {name}\n{payload}")
-        if report.stats_rows:
-            out.write("\t".join(STATS_COLUMNS) + "\n")
-            for row in report.stats_rows:
-                out.write("\t".join(str(x) for x in row) + "\n")
+        out.write(stats)
     for ident, message in report.failures:
         out.write(f"FAIL {ident}: {message}\n")
     out.write(report.summary() + "\n")

@@ -179,7 +179,6 @@ class LawReport:
     index: int
     law: str
     ok: bool
-    detail: str = ""
 
 
 def verify_functor_laws(samples: list[BTerm],

@@ -399,34 +399,59 @@ class _UnionFind:
 
 
 def _fresh(t: CcgType, ctr, pins: set[int] | None = None) -> IType:
-    idx = next(ctr)
-    if pins is not None:
-        pins.add(idx)
-    if isinstance(t, Atom):
-        return IAtom(idx, t.name)
-    if isinstance(t, Forward):
-        return IFwd(idx, _fresh(t.result, ctr, pins), _fresh(t.argument, ctr, pins))
-    return IBwd(idx, _fresh(t.argument, ctr, pins), _fresh(t.result, ctr, pins))
+    """``t`` with a fresh index at every slot, numbered in the order its
+    definition reads them; without recursion, so any depth converts."""
+    built: list[IType] = []
+    todo: list = [t]   # types to index, and (class, index) of slots whose parts are built
+    while todo:
+        t = todo.pop()
+        if isinstance(t, tuple):
+            cls, idx = t
+            second, first = built.pop(), built.pop()
+            built.append(cls(idx, first, second))
+            continue
+        idx = next(ctr)
+        if pins is not None:
+            pins.add(idx)
+        if isinstance(t, Atom):
+            built.append(IAtom(idx, t.name))
+        elif isinstance(t, Forward):
+            todo += [(IFwd, idx), t.argument, t.result]
+        else:
+            todo += [(IBwd, idx), t.result, t.argument]
+    return built[0]
 
 
 def _erase(it: IType, uf: _UnionFind) -> CcgType:
-    it = uf.deref(it)
-    if isinstance(it, IAtom):
-        return Atom(it.name)
-    if isinstance(it, IFwd):
-        return Forward(_erase(it.result, uf), _erase(it.argument, uf))
-    return Backward(_erase(it.argument, uf), _erase(it.result, uf))
+    """The plain type an indexed type holds now, following the bindings."""
+    built: list[CcgType] = []
+    todo: list = [it]   # indexed types, and the class of slots whose parts are built
+    while todo:
+        it = todo.pop()
+        if isinstance(it, type):
+            second, first = built.pop(), built.pop()
+            built.append(it(first, second))
+            continue
+        it = uf.deref(it)
+        if isinstance(it, IAtom):
+            built.append(Atom(it.name))
+        elif isinstance(it, IFwd):
+            todo += [Forward, it.argument, it.result]
+        else:
+            todo += [Backward, it.result, it.argument]
+    return built[0]
 
 
 def _unify(a: IType, b: IType, uf: _UnionFind):
-    a, b = uf.deref(a), uf.deref(b)
-    uf.union(a.idx, b.idx)
-    if isinstance(a, IFwd) and isinstance(b, IFwd):
-        _unify(a.result, b.result, uf)
-        _unify(a.argument, b.argument, uf)
-    elif isinstance(a, IBwd) and isinstance(b, IBwd):
-        _unify(a.argument, b.argument, uf)
-        _unify(a.result, b.result, uf)
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        a, b = uf.deref(a), uf.deref(b)
+        uf.union(a.idx, b.idx)
+        if isinstance(a, IFwd) and isinstance(b, IFwd):
+            todo += [(a.argument, b.argument), (a.result, b.result)]
+        elif isinstance(a, IBwd) and isinstance(b, IBwd):
+            todo += [(a.result, b.result), (a.argument, b.argument)]
 
 
 class _IndexedOps(TypeOps):

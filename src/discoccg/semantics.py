@@ -31,7 +31,6 @@ and a user seed.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -103,22 +102,6 @@ class Tensor:
     wires: tuple[Wire, ...]
     dims: tuple[int, ...]
     array: np.ndarray
-
-    def to_json(self) -> str:
-        payload = {
-            "shape": [{"base": w.base, "z": w.z, "dim": d}
-                      for w, d in zip(self.wires, self.dims)],
-            "data": [float(x) for x in self.array.reshape(-1)],
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json(text: str) -> "Tensor":
-        payload = json.loads(text)
-        wires = tuple(Wire(e["base"], e["z"]) for e in payload["shape"])
-        dims = tuple(e["dim"] for e in payload["shape"])
-        arr = np.array(payload["data"], dtype=float).reshape(dims)
-        return Tensor(wires, dims, arr)
 
 
 def _signature(cod: RObject) -> str:

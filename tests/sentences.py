@@ -14,8 +14,8 @@
   ``very successfully`` for ``successfully``, so that the primary of its BCX
   rule is a two-word constituent;
 - ``random_derivation(rng, depth)``: a valid derivation of ``S`` built
-  top-down over ``RANDOM_KINDS`` (application, harmonic composition,
-  crossed composition of degrees 1 to 4 and type-raising), at most
+  top-down over ``RANDOM_KINDS`` (application, harmonic and crossed
+  composition of degrees 1 to 4, and type-raising), at most
   ``depth`` rules deep.
 
 ``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
@@ -105,8 +105,9 @@ def np_shift_two_word_primary() -> dict:
                 node("FA", "S\\NP", verb, leaf("his exam", "NP")))
 
 
+HARMONIC_KINDS = ("FC", "BC", "GFC:2", "GBC:2", "GFC:3", "GBC:3", "GFC:4", "GBC:4")
 CROSSED_KINDS = ("FCX", "BCX", "GFCX:2", "GBCX:2", "GFCX:3", "GBCX:3", "GFCX:4", "GBCX:4")
-RANDOM_KINDS = ("FA", "BA", "FC", "BC", *CROSSED_KINDS, "FTR", "BTR")
+RANDOM_KINDS = ("FA", "BA", *HARMONIC_KINDS, *CROSSED_KINDS, "FTR", "BTR")
 _ATOMS = [Atom(a) for a in ("S", "NP", "N")]
 
 
@@ -118,24 +119,27 @@ def _small_cat(rng: random.Random, slashes: int = 2):
     return Forward(result, argument) if rng.random() < 0.5 else Backward(argument, result)
 
 
-def _crossed_children(cat, y, forward: bool, degree: int) -> list | None:
-    """The inputs of forward (FCX, GFCX) or backward (BCX, GBCX) crossed
-    composition of ``degree`` deriving ``cat``: its ``degree - 1`` outer
-    arguments, under the rule's own slash, are the secondary's trailing
-    arguments, and the next one, under the other slash, is the argument
-    peeled against the grain."""
+def _composed_children(cat, y, forward: bool, degree: int, crossed: bool) -> list | None:
+    """The inputs of forward (FC, GFC, FCX, GFCX) or backward (BC, GBC, BCX,
+    GBCX) composition of ``degree`` deriving ``cat``.  Its outer arguments
+    under the rule's own slash, ``degree`` of them when harmonic and
+    ``degree - 1`` when crossed, are the secondary's trailing arguments;
+    crossed, the next one, under the other slash, is the argument peeled
+    against the grain."""
     own, other = (Forward, Backward) if forward else (Backward, Forward)
     trailing = []   # outermost first
-    for _ in range(degree - 1):
+    for _ in range(degree - crossed):
         if not isinstance(cat, own):
             return None
         trailing.append(cat.argument)
         cat = cat.result
-    if not isinstance(cat, other):
+    if not crossed:   # degree 2: X/Y (Y/A)/B => (X/A)/B
+        primary, secondary = (Forward(cat, y) if forward else Backward(y, cat)), y
+    elif not isinstance(cat, other):
         return None
-    if forward:   # degree 3: X/Y ((Y\Z)/A)/B => ((X\Z)/A)/B
+    elif forward:     # degree 3: X/Y ((Y\Z)/A)/B => ((X\Z)/A)/B
         primary, secondary = Forward(cat.result, y), Backward(cat.argument, y)
-    else:         # degree 3: ((Y/Z)\A)\B X\Y => ((X/Z)\A)\B
+    else:             # degree 3: ((Y/Z)\A)\B X\Y => ((X/Z)\A)\B
         secondary, primary = Forward(y, cat.argument), Backward(y, cat.result)
     for a in reversed(trailing):
         secondary = Forward(secondary, a) if forward else Backward(a, secondary)
@@ -152,13 +156,9 @@ def _children(kind: str, cat, rng: random.Random) -> list | None:
         return [Forward(cat, y), y]
     if kind == "BA":
         return [y, Backward(y, cat)]
-    if kind == "FC" and fwd:                      # X/Y Y/Z => X/Z
-        return [Forward(cat.result, y), Forward(y, cat.argument)]
-    if kind == "BC" and bwd:                      # Y\Z X\Y => X\Z
-        return [Backward(cat.argument, y), Backward(y, cat.result)]
-    if kind in CROSSED_KINDS:                     # FCX: X/Y Y\Z => X\Z
+    if kind in HARMONIC_KINDS or kind in CROSSED_KINDS:   # FC: X/Y Y/Z => X/Z
         head, _, degree = kind.partition(":")
-        return _crossed_children(cat, y, head.endswith("FCX"), int(degree or 1))
+        return _composed_children(cat, y, "F" in head, int(degree or 1), head.endswith("X"))
     if (kind == "FTR" and fwd and isinstance(cat.argument, Backward)
             and cat.argument.result == cat.result):   # A => T/(T\A)
         return [cat.argument.argument]

@@ -332,9 +332,10 @@ def test_left_nested_category_prints_in_its_biclosed_file(tmp_path, capsys):
 
 def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
     # ``S/S/…/S`` parses without recursion, no memo lookup compares or hashes
-    # a category level by level, and every map over a category is one
-    # iterative fold, so an unbracketed category converts at any depth and
-    # whether an entry converts does not depend on the entries before it:
+    # a category level by level, every map over a category is one iterative
+    # fold, and the indexed types below a UNARY are built, unified and erased
+    # with explicit stacks, so an unbracketed category converts at any depth
+    # and whether an entry converts does not depend on the entries before it:
     # each prints the line and writes the files it gives alone, in a fresh
     # process.  Bracket nesting is still bounded by the parser.
     def chain(slash, n):
@@ -343,6 +344,13 @@ def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
     def fa(n):
         return {"rule": "FA", "type": chain("/", n), "children": [
             {"word": "a", "type": chain("/", n) + "/NP"}, {"word": "b", "type": "NP"}]}
+
+    def fc(n):
+        return {"rule": "FC", "type": chain("/", n), "children": [
+            {"word": "a", "type": chain("/", n)}, {"word": "b", "type": "S/S"}]}
+
+    def unary(child):
+        return {"rule": "UNARY", "type": child["type"], "children": [child]}
 
     paren = "S"
     for _ in range(600):
@@ -358,6 +366,8 @@ def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
                {"id": "left4096", "tree": {"word": "w", "type": chain("/", 4096)}},
                {"id": "bleft4096", "tree": {"word": "w", "type": chain("\\", 4096)}},
                {"id": "fa4096", "tree": fa(4096)},
+               {"id": "unaryleaf4096", "tree": unary({"word": "w", "type": chain("/", 4096)})},
+               {"id": "unaryfc4096", "tree": unary(fc(4096))},
                {"id": "fabad1200", "tree": {**fa(1200), "type": chain("\\", 1200)}},
                {"id": "paren600", "tree": {"word": "w", "type": paren}},
                {"id": "fig1", "tree": ALICE}]
@@ -373,7 +383,7 @@ def test_deep_categories_convert_in_a_batch_as_they_do_alone(tmp_path, capsys):
         f"{declared}… (2401 characters) at node root",
         "FAIL paren600: bad type at node root: nested too deeply to parse (more levels "
         f"than the recursion limit of {sys.getrecursionlimit()})",
-        "total 14 converted 12 failed 2"]
+        "total 16 converted 14 failed 2"]
     env = dict(os.environ, PYTHONPATH=str(Path(discoccg.__file__).resolve().parents[1]))
     for entry in entries:
         ident, alone = entry["id"], tmp_path / entry["id"]
@@ -446,7 +456,7 @@ OVERSIZED = {
                "FAIL s0: GFC:9999"),
     "schema": ({"tree": _node("FA", "S", _leaf("v", _BLONG), _leaf("w", "NP"))},
                "FAIL s0: FA: expected a primary of the form X ⤙ Y, got [S\\S\\"),
-    # below a UNARY, types are walked recursively: a long atom, not a deep chain
+    # a UNARY whose retyping breaks the rule below it, over a long atom
     "unary": ({"tree": _node("UNARY", "S", _node(
         "FC", "A" * 5000 + "/NP", _leaf("a", "A" * 5000 + "/N"), _leaf("b", "N/NP")))},
         "FAIL s0: substitution produces a rule-schema violation at node 0: FC now yields AAAA"),
@@ -614,6 +624,30 @@ def test_writer_that_stopped_fails_the_next_send(tmp_path):
     assert info.value.filename == str(tmp_path / "bad")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "ok"]
     writer.close()   # closing again does nothing
+
+
+def test_writer_loop_stops_where_a_sender_died_mid_pickle(tmp_path):
+    # the stream holds one whole pair, then a pair cut at each point a
+    # sender could die: the loop writes the whole pair, then ends cleanly
+    import pickle
+
+    out, stream = tmp_path / "out", tmp_path / "stream"
+    out.mkdir()
+    whole = pickle.dumps((out, {"a": "x"}))
+    small = pickle.dumps((out, {"b": "y", "c": b"z"}))
+    large = pickle.dumps((out, {"b": "y" * 200_000, "c": b"z" * 200_000}))
+    cuts = [small[:end] for end in range(len(small))]
+    cuts += [large[:end] for end in [*range(0, len(large), 4099), len(large) - 1]]
+    status_r, status_w = os.pipe()
+    try:
+        for cut in cuts:
+            stream.write_bytes(whole + cut)
+            assert cli._write_sent(os.open(stream, os.O_RDONLY), status_w) == 0, cut[-20:]
+            assert _files(out) == {"a": b"x"}, len(cut)
+    finally:
+        os.close(status_w)
+        with open(status_r, "rb") as status:
+            assert status.read() == b""
 
 
 def test_writer_process_writes_nothing_for_a_failed_sentence(tmp_path, capsys, monkeypatch):

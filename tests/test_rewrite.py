@@ -16,7 +16,7 @@ from discoccg.rewrite import (
 )
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
 from tests.sentences import (
-    CROSSED_KINDS, coordination, cross_serial, leaf, left_fc_chain, node,
+    CROSSED_KINDS, HARMONIC_KINDS, coordination, cross_serial, leaf, left_fc_chain, node,
     np_shift_two_word_primary, random_derivation, raw_diagram, right_branching,
 )
 
@@ -248,10 +248,18 @@ def test_equality_is_sound_not_complete_on_scrambled_presentations():
 
 
 def test_rewrites_preserve_evaluation_on_random_derivations():
+    # the draw goes on past 300 trees until every harmonic composition kind,
+    # degrees 2 to 4 included, has been seen
     import numpy as np
     rng = random.Random(31)
-    for i in range(300):
+    trees, unseen = [], set(HARMONIC_KINDS)
+    while len(trees) < 300 or unseen:
         tree = random_derivation(rng, rng.randint(2, 6))
+        rules = set(_rules(tree, HARMONIC_KINDS))
+        if len(trees) < 300 or rules & unseen:
+            trees.append(tree)
+            unseen -= rules
+    for i, tree in enumerate(trees):
         d = raw_diagram(tree)
         lex = Lexicon(DIMS, seed=21)
         reference = evaluate(d, DIMS, lex).array
@@ -511,14 +519,10 @@ def test_planarize_relocates_past_a_type_raised_secondary(kind):
     assert semantically_equal(raw, planar, DIMS, SEEDS)
 
 
-def _crossed_rules(tree: dict) -> list[str]:
-    """The crossed rule labels of a tree's nodes."""
-    here = [tree["rule"]] if tree.get("rule") in CROSSED_KINDS else []
-    return here + [r for child in tree.get("children", []) for r in _crossed_rules(child)]
-
-
-def _crossed_nodes(tree: dict) -> int:
-    return len(_crossed_rules(tree))
+def _rules(tree: dict, kinds) -> list[str]:
+    """The rule labels of a tree's nodes that are among ``kinds``."""
+    here = [tree["rule"]] if tree.get("rule") in kinds else []
+    return here + [r for child in tree.get("children", []) for r in _rules(child, kinds)]
 
 
 def test_planarize_relocates_every_crossed_primary_of_random_derivations():
@@ -530,7 +534,7 @@ def test_planarize_relocates_every_crossed_primary_of_random_derivations():
     trees, unseen = [], set(CROSSED_KINDS)
     while len(trees) < 300 or unseen:
         tree = random_derivation(rng, rng.randint(2, 6))
-        rules = set(_crossed_rules(tree))
+        rules = set(_rules(tree, CROSSED_KINDS))
         if rules and (len(trees) < 300 or rules & unseen):
             trees.append(tree)
             unseen -= rules
@@ -543,7 +547,7 @@ def test_planarize_relocates_every_crossed_primary_of_random_derivations():
         assert planar.dom == raw.dom and planar.cod == raw.cod, (i, tree)
         assert well_formed(planar) == [] and planarize(planar) == planar, (i, tree)
         slides = sum(step.kind == "SlideBoxThroughSwap" for step in trace)
-        assert slides == _crossed_nodes(tree), (i, tree)
+        assert slides == len(_rules(tree, CROSSED_KINDS)), (i, tree)
         assert semantically_equal(raw, normalize(planar), DIMS, SEEDS[:3]), (i, tree)
 
 

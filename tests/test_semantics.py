@@ -254,14 +254,6 @@ def test_complex_field_flag():
     assert np.iscomplexobj(out.array)
 
 
-def test_tensor_json_roundtrip():
-    lex = Lexicon(DIMS, seed=6)
-    t = lex.tensor_for("w", RObject.parse("n s"))
-    back = Tensor.from_json(t.to_json())
-    assert back.wires == t.wires and back.dims == t.dims
-    assert np.array_equal(back.array, t.array)
-
-
 def test_semantic_equality_tolerance(corpus_diagrams):
     d = corpus_diagrams["big-bad-wolf-left"]
     assert semantically_equal(d, d, DimAssignment({"N": 3}, 3), [1, 2, 3, 4, 5])
