@@ -2,8 +2,9 @@
 """discoccg: compile CCG derivations into DisCoCat string diagrams.
 
 Pipeline: serialized derivation -> validated derivation (``ingest``) ->
-biclosed term (``biclosed``, whose objects are the categorial types plus a
-unit and a tensor) -> string diagram (``functor``), with rewriting
+biclosed term (``biclosed``, whose objects are the categorial types, ``()``
+for the unit and a tuple of factors for a tensor, and whose curries and
+uncurries are one bend term) -> string diagram (``functor``), with rewriting
 (``rewrite``) and a tensor-network oracle (``semantics``) on the diagram side.
 """
 

@@ -1,11 +1,13 @@
 # -*- coding: utf-8 -*-
 """Free biclosed category IR.
 
-Objects are the categorial types themselves, plus a monoidal unit and an
-n-ary tensor: ``Forward(X, Y)`` (slash ``X/Y``) is the right hom ``X ⤙ Y``
-and ``Backward(Y, X)`` (slash ``X\\Y``) the left hom ``Y ⤚ X``.  Morphisms are
-syntax trees built from words, identities, composition, tensor, the four
-curry/uncurry operators and explicit crossed-composition generator boxes.
+Objects are plain data: the categorial types themselves, ``()`` for the
+monoidal unit and the tuple of its two or more factors for a tensor.
+``Forward(X, Y)`` (slash ``X/Y``) is the right hom ``X ⤙ Y`` and
+``Backward(Y, X)`` (slash ``X\\Y``) the left hom ``Y ⤚ X``.  Morphisms are
+syntax trees built from words, identities, composition, tensor, one bend
+term for the four curry/uncurry operators (:class:`Bend`) and explicit
+crossed-composition generator boxes.
 Every term carries its derived dom/cod.  No biclosed equations are applied at
 this level: terms are faithful proof trees, and equality questions live at the
 diagram level.
@@ -24,24 +26,10 @@ from functools import lru_cache
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, notation
 # ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 8's tracer change
-from .rules import Derivation, Leaf, RuleError, RuleLabel, Unary, peel, validate  # noqa: F401
+from .rules import Derivation, Leaf, RuleError, RuleLabel, children, peel, validate  # noqa: F401
 
 
-@dataclass(frozen=True)
-class Unit:
-    """The monoidal unit ``I``."""
-
-
-@dataclass(frozen=True)
-class TensorObj:
-    """Canonical n-ary tensor: at least two factors, none of them Unit or Tensor."""
-
-    parts: tuple["BObject", ...]
-
-
-BObject = Unit | Atom | Forward | Backward | TensorObj
-
-UNIT = Unit()
+BObject = Atom | Forward | Backward | tuple["BObject", ...]
 
 
 @lru_cache(maxsize=4096)
@@ -49,31 +37,19 @@ def to_str(o: BObject) -> str:
     """The object notation of ``.biclosed`` files: unlike ``to_slash``, both
     sides of a hom are bracketed when they are homs, as in ``(S\\NP)/NP``;
     ``I`` is the unit and ``(A@B)`` a tensor.  Memoized per object."""
-    if isinstance(o, Unit):
-        return "I"
-    if isinstance(o, TensorObj):
-        parts = (to_str(p) if isinstance(p, Atom) else f"({to_str(p)})" for p in o.parts)
-        return f"({'@'.join(parts)})"
-    return notation(o, "{R}/{A}", "{R}\\{A}")[0]
+    if not isinstance(o, tuple):
+        return notation(o, "{R}/{A}", "{R}\\{A}")[0]
+    parts = (to_str(p) if isinstance(p, Atom) else f"({to_str(p)})" for p in o)
+    return f"({'@'.join(parts)})" if o else "I"
 
 
 def factors(o: BObject) -> tuple[BObject, ...]:
-    if isinstance(o, Unit):
-        return ()
-    if isinstance(o, TensorObj):
-        return o.parts
-    return (o,)
+    return o if isinstance(o, tuple) else (o,)
 
 
 def tensor_obj(*objs: BObject) -> BObject:
-    flat: tuple[BObject, ...] = ()
-    for o in objs:
-        flat += factors(o)
-    if not flat:
-        return UNIT
-    if len(flat) == 1:
-        return flat[0]
-    return TensorObj(flat)
+    flat = tuple(p for o in objs for p in factors(o))
+    return flat[0] if len(flat) == 1 else flat
 
 
 class BTermError(TypeError):
@@ -112,22 +88,11 @@ class TensorTerm(BTerm):
 
 
 @dataclass(frozen=True)
-class CurryL(BTerm):
-    inner: BTerm = field(kw_only=True)
+class Bend(BTerm):
+    """A curry or an uncurry of ``inner``; ``kind`` is one of ``curry-l``,
+    ``curry-r``, ``uncurry-l`` and ``uncurry-r``, the head ``to_sexpr`` prints."""
 
-
-@dataclass(frozen=True)
-class CurryR(BTerm):
-    inner: BTerm = field(kw_only=True)
-
-
-@dataclass(frozen=True)
-class UncurryL(BTerm):
-    inner: BTerm = field(kw_only=True)
-
-
-@dataclass(frozen=True)
-class UncurryR(BTerm):
+    kind: str = field(kw_only=True)
     inner: BTerm = field(kw_only=True)
 
 
@@ -152,7 +117,7 @@ class CrossBox(BTerm):
 def word(label: str, obj: BObject) -> Word:
     if not label:
         raise BTermError("word label must be non-empty")
-    return Word(UNIT, obj, label=label)
+    return Word((), obj, label=label)
 
 
 def id_term(obj: BObject) -> IdTerm:
@@ -173,34 +138,32 @@ def tensor_term(left: BTerm, right: BTerm) -> TensorTerm:
         left=left, right=right)
 
 
-def curry_l(f: BTerm) -> CurryL:
+def curry_l(f: BTerm) -> Bend:
     """κL: turn ``A ⊗ B → C`` into ``B → (A ⤚ C)`` by peeling the first factor."""
     parts = factors(f.dom)
     if not parts:
         raise BTermError("curry_l needs a non-unit domain")
-    a, rest = parts[0], tensor_obj(*parts[1:])
-    return CurryL(rest, Backward(a, f.cod), inner=f)
+    return Bend(tensor_obj(*parts[1:]), Backward(parts[0], f.cod), kind="curry-l", inner=f)
 
 
-def curry_r(f: BTerm) -> CurryR:
+def curry_r(f: BTerm) -> Bend:
     """κR: turn ``A ⊗ B → C`` into ``A → (C ⤙ B)`` by peeling the last factor."""
     parts = factors(f.dom)
     if not parts:
         raise BTermError("curry_r needs a non-unit domain")
-    b, rest = parts[-1], tensor_obj(*parts[:-1])
-    return CurryR(rest, Forward(f.cod, b), inner=f)
+    return Bend(tensor_obj(*parts[:-1]), Forward(f.cod, parts[-1]), kind="curry-r", inner=f)
 
 
-def uncurry_l(g: BTerm) -> UncurryL:
+def uncurry_l(g: BTerm) -> Bend:
     if not isinstance(g.cod, Backward):
         raise BTermError(f"uncurry_l needs a left-hom codomain, got {to_str(g.cod)}")
-    return UncurryL(tensor_obj(g.cod.argument, g.dom), g.cod.result, inner=g)
+    return Bend(tensor_obj(g.cod.argument, g.dom), g.cod.result, kind="uncurry-l", inner=g)
 
 
-def uncurry_r(g: BTerm) -> UncurryR:
+def uncurry_r(g: BTerm) -> Bend:
     if not isinstance(g.cod, Forward):
         raise BTermError(f"uncurry_r needs a right-hom codomain, got {to_str(g.cod)}")
-    return UncurryR(tensor_obj(g.dom, g.cod.argument), g.cod.result, inner=g)
+    return Bend(tensor_obj(g.dom, g.cod.argument), g.cod.result, kind="uncurry-r", inner=g)
 
 
 def cross_box(direction: str, x: BObject, y: BObject, z: BObject,
@@ -302,24 +265,29 @@ def lower_derivation(d: Derivation) -> BTerm:
 
     Leaves become word states ``I → X``; binary nodes compose the rule image
     with the tensor of their children's images.  The result of a sentence
-    derivation has dom ``I``.
+    derivation has dom ``I``.  The tree is walked with an explicit stack, in
+    the order of that recursive definition, so depth needs no recursion.
     """
-    return _lower(d)
-
-
-def _lower(d: Derivation) -> BTerm:
-    if isinstance(d, Leaf):
-        return word(d.word, d.cat)
-    if d.rule.schema.forward is None:
-        raise RuleError(f"{d.rule.kind} node has no biclosed image; run the ingest passes")
-    if isinstance(d, Unary):
-        return compose(rule_term(d.rule, [d.child.cat]), _lower(d.child))
-    return compose(
-        rule_term(d.rule, [d.left.cat, d.right.cat]),
-        tensor_term(_lower(d.left), _lower(d.right)))
-
-
-_BENDS = {CurryL: "curry-l", CurryR: "curry-r", UncurryL: "uncurry-l", UncurryR: "uncurry-r"}
+    terms: list[BTerm] = []   # the images of finished subtrees, left to right
+    # pending work, last first: a node, or a (rule image, arity) pair that
+    # goes out over the last ``arity`` finished terms
+    todo: list = [d]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            image, arity = node
+            kids = terms[-arity:]
+            del terms[-arity:]
+            terms.append(compose(image, kids[0] if arity == 1 else tensor_term(*kids)))
+        elif isinstance(node, Leaf):
+            terms.append(word(node.word, node.cat))
+        elif node.rule.schema.forward is None:
+            raise RuleError(f"{node.rule.kind} node has no biclosed image; run the ingest passes")
+        else:
+            kids = children(node)
+            todo.append((rule_term(node.rule, [kid.cat for kid in kids]), len(kids)))
+            todo += reversed(kids)
+    return terms[0]
 
 
 def to_sexpr(term: BTerm) -> str:
@@ -349,8 +317,8 @@ def to_sexpr(term: BTerm) -> str:
         elif cls is TensorTerm:
             parts.append("(tensor ")
             todo += [")", t.right, " ", t.left]
-        elif cls in _BENDS:
-            parts.append(f"({_BENDS[cls]} ")
+        elif cls is Bend:
+            parts.append(f"({t.kind} ")
             todo += [")", t.inner]
         elif cls is CrossBox:
             crossed = [t.direction.lower(), to_str(t.x), to_str(t.y), to_str(t.z)]

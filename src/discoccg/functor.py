@@ -147,28 +147,28 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
             # the left factor goes first, so each word's category is first
             # mapped at its own branch, which names the word if that fails
             todo += [(t.right, at, t.left), (t.left, at)]
-        elif isinstance(t, bc.CurryR):
-            # bend the trailing b of the inner domain into b.l on the codomain
-            layers += cap_block(f_obj(bc.factors(t.inner.dom)[-1]), at + len(f_obj(t.dom)))
-            todo.append((t.inner, at))
-        elif isinstance(t, bc.CurryL):
-            a = f_obj(bc.factors(t.inner.dom)[0])
-            layers += cap_block(a.r, at)
-            todo.append((t.inner, at + len(a)))
-        elif isinstance(t, bc.UncurryR):
-            # cup b.l on the inner codomain against a new trailing b
-            todo += [cup_block(f_obj(t.inner.cod.argument), at + len(f_obj(t.cod))),
-                     (t.inner, at)]
-        elif isinstance(t, bc.UncurryL):
-            a = f_obj(t.inner.cod.argument)
-            todo += [cup_block(a.r, at), (t.inner, at + len(a))]
         elif isinstance(t, bc.CrossBox):
             x, y, z = f_obj(t.x), f_obj(t.y), f_obj(t.z)
             if t.direction == "BCX":   # the trailing arguments lead: start at y
                 at += len(f_obj(t.dom)) - 2 * len(y) - len(z) - len(x)
             layers += crossed_image(t.direction, x, y, z, at)
-        else:
+        elif not isinstance(t, bc.Bend):
             raise LoweringError(f"cannot lower term {t!r}")
+        elif t.kind == "curry-r":
+            # bend the trailing b of the inner domain into b.l on the codomain
+            layers += cap_block(f_obj(bc.factors(t.inner.dom)[-1]), at + len(f_obj(t.dom)))
+            todo.append((t.inner, at))
+        elif t.kind == "curry-l":
+            a = f_obj(bc.factors(t.inner.dom)[0])
+            layers += cap_block(a.r, at)
+            todo.append((t.inner, at + len(a)))
+        elif t.kind == "uncurry-r":
+            # cup b.l on the inner codomain against a new trailing b
+            todo += [cup_block(f_obj(t.inner.cod.argument), at + len(f_obj(t.cod))),
+                     (t.inner, at)]
+        else:   # uncurry-l
+            a = f_obj(t.inner.cod.argument)
+            todo += [cup_block(a.r, at), (t.inner, at + len(a))]
     return Diagram.build(f_obj(term.dom), layers)
 
 

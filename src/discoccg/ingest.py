@@ -33,7 +33,7 @@ from .ccgtypes import (
 )
 from .rules import (
     FA, SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
-    apply_rule, combine, echo, flat_path, path_str, validate,
+    apply_rule, children, combine, echo, flat_path, path_str, validate,
 )
 
 
@@ -750,11 +750,16 @@ def _failed(exc: Exception, what: str, collect_errors: bool) -> IngestError:
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    """Serialize back to the interchange schema."""
-    if isinstance(d, Leaf):
-        return {"word": d.word, "type": d.cat.to_slash()}
-    if isinstance(d, Unary):
-        return {"rule": str(d.rule), "type": d.cat.to_slash(),
-                "children": [derivation_to_json(d.child)]}
-    return {"rule": str(d.rule), "type": d.cat.to_slash(),
-            "children": [derivation_to_json(d.left), derivation_to_json(d.right)]}
+    """Serialize back to the interchange schema, walking an explicit stack:
+    each node's dict is made empty and filled when the node is popped."""
+    root: dict = {}
+    todo = [(d, root)]
+    while todo:
+        node, out = todo.pop()
+        if isinstance(node, Leaf):
+            out.update(word=node.word, type=node.cat.to_slash())
+            continue
+        kids = children(node)
+        out.update(rule=str(node.rule), type=node.cat.to_slash(), children=[{} for _ in kids])
+        todo += zip(kids, out["children"])
+    return root

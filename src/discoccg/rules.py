@@ -259,6 +259,13 @@ class Binary:
 Derivation = Leaf | Unary | Binary
 
 
+def children(d: Derivation) -> tuple[Derivation, ...]:
+    """A node's children, left to right; a leaf has none."""
+    if isinstance(d, Binary):
+        return (d.left, d.right)
+    return (d.child,) if isinstance(d, Unary) else ()
+
+
 def flat_path(path: tuple) -> tuple[int, ...]:
     """The child indices from the root down to a node.
 
@@ -306,10 +313,7 @@ def _preorder(d: Derivation) -> Iterator[Derivation]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Unary):
-            stack.append(node.child)
-        elif isinstance(node, Binary):
-            stack += (node.right, node.left)
+        stack += reversed(children(node))
 
 
 def leaves(d: Derivation) -> list[Leaf]:
@@ -326,33 +330,31 @@ def validate(d: Derivation) -> list[Violation]:
 
     Total: returns a list of violations (empty when the derivation is legal).
     Unresolved UNARY and CONJ nodes are reported; they must be eliminated by
-    the ingest passes first.
+    the ingest passes first.  Violations come in post-order, children left to
+    right before their node; the walk keeps an explicit stack.
     """
     out: list[Violation] = []
-
-    def walk(node: Derivation, path: tuple):
+    todo: list[tuple[Derivation, tuple, bool]] = [(d, (), False)]
+    while todo:
+        node, path, kids_checked = todo.pop()
         if isinstance(node, Leaf):
             if not node.word:
                 out.append(Violation(flat_path(path), "empty word at leaf"))
-            return
-        if isinstance(node, Unary):
-            walk(node.child, (path, 0))
-            kids = [node.child.cat]
-        else:
-            walk(node.left, (path, 0))
-            walk(node.right, (path, 1))
-            kids = [node.left.cat, node.right.cat]
+            continue
+        kids = children(node)
+        if not kids_checked:
+            todo.append((node, path, True))
+            todo += reversed([(kid, (path, i), False) for i, kid in enumerate(kids)])
+            continue
         try:
-            produced = apply_rule(node.rule, kids)
+            produced = apply_rule(node.rule, [kid.cat for kid in kids])
         except RuleError as exc:
             out.append(Violation(flat_path(path), str(exc)))
-            return
+            continue
         if produced != node.cat:
             out.append(Violation(
                 flat_path(path),
                 f"{echo(str(node.rule))} produces {echo(produced.to_slash())}, "
                 f"node claims {echo(node.cat.to_slash())}",
             ))
-
-    walk(d, ())
     return out

@@ -139,11 +139,14 @@ def _draw(seed: int, text: str, shape: tuple[int, ...], complex_field: bool) -> 
     because the lexicon keeps it; a check draws it only when
     ``_seeded_stack`` misses, once per word box and seed."""
     count = int(np.prod(shape))
-    state = (seed ^ fnv1a64(text.encode())) & _MASK
-    data = np.empty(2 * count if complex_field else count)
-    for i in range(data.size):
-        value, state = splitmix64(state)
-        data[i] = unit_interval(value)
+    # the stream's i-th state is its seed plus i * GAMMA, so every entry is
+    # mixed at once, as ``splitmix64`` and ``unit_interval`` do; uint64 wraps
+    z = np.arange(1, (1 + complex_field) * count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z += np.uint64((seed ^ fnv1a64(text.encode())) & _MASK)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mix)
+    data = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0 ** -52 - 1.0
     if complex_field:
         data = data[:count] + 1j * data[count:]
     data.flags.writeable = False

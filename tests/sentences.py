@@ -15,11 +15,14 @@
   rule is a two-word constituent;
 - ``random_derivation(rng, depth)``: a valid derivation of ``S`` built
   top-down over ``RANDOM_KINDS`` (application, harmonic and crossed
-  composition of degrees 1 to 4, and type-raising), at most
-  ``depth`` rules deep.
+  composition of degrees 1 to 4, and type-raising) and coordination, at
+  most ``depth`` rules deep.
 
 ``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
-``right_branching(k)``.
+``right_branching(k)``.  ``right_branching_derivation(k)`` is the ingested
+derivation of ``right_branching(k)``, built directly from ``rules.Leaf`` and
+``rules.Binary``: the JSON reader and the ingest walks recurse once per tree
+level, and this builder does not.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from discoccg import biclosed as bc
 from discoccg.ccgtypes import Atom, Backward, Forward
 from discoccg.functor import lower
 from discoccg.ingest import ingest_tree, read_json
+from discoccg.rules import BA, FA, Binary, Derivation, Leaf
 
 
 def leaf(word: str, cat: str) -> dict:
@@ -50,6 +54,17 @@ def right_branching(k: int) -> dict:
     subject = node("FA", "NP", leaf("the", "NP/N"), noun)
     verb_phrase = node("FA", "S\\NP", leaf("likes", "(S\\NP)/NP"), leaf("Bob", "NP"))
     return node("BA", "S", subject, verb_phrase)
+
+
+def right_branching_derivation(k: int) -> Derivation:
+    n, np, s = Atom("N"), Atom("NP"), Atom("S")
+    noun: Derivation = Leaf("wolf", n)
+    for i in reversed(range(k)):
+        noun = Binary(FA, Leaf(f"a{i}", Forward(n, n)), noun, n)
+    subject = Binary(FA, Leaf("the", Forward(np, n)), noun, np)
+    verb = Backward(np, s)
+    verb_phrase = Binary(FA, Leaf("likes", Forward(verb, np)), Leaf("Bob", np), verb)
+    return Binary(BA, subject, verb_phrase, s)
 
 
 def deep_json(k: int, *before: dict) -> str:
@@ -172,11 +187,19 @@ def random_derivation(rng: random.Random, depth: int) -> dict:
     """A random valid derivation tree of ``S``, built top-down: each node
     draws a kind of ``RANDOM_KINDS`` whose output shape fits its category,
     crossed kinds twice as often, and below the top two levels it is a leaf
-    with probability 1/4.  No path has more than ``depth`` rules.  Words are
-    ``w0``, ``w1``, ... left to right."""
+    with probability 1/4.  A node of category X above the last level is a
+    coordination with probability 0.15, ``BA(X, CONJ(X\\X, and:conj, X))``
+    as ``coordination`` builds it.  No path has more than ``depth`` rules.
+    Words are ``w0``, ``w1``, ... left to right, and each conjunction
+    ``and``."""
     words = itertools.count()
 
     def build(cat, level: int) -> dict:
+        if level + 1 < depth and rng.random() < 0.15:
+            left = build(cat, level + 1)
+            tail = node("CONJ", Backward(cat, cat).to_slash(), leaf("and", "conj"),
+                        build(cat, level + 2))
+            return node("BA", cat.to_slash(), left, tail)
         if level < depth and (level < 2 or rng.random() >= 0.25):
             fits = [(kind, kids) for kind in RANDOM_KINDS
                     for kids in [_children(kind, cat, rng)] if kids is not None]

@@ -4,12 +4,14 @@ from hypothesis import strategies as st
 
 from discoccg import biclosed as bc
 from discoccg.biclosed import (
-    UNIT, curry_l, curry_r, id_term, lower_derivation, rule_term, tensor_obj,
-    to_sexpr, to_str, uncurry_l, uncurry_r, word,
+    curry_l, curry_r, id_term, lower_derivation, rule_term, tensor_obj, to_sexpr,
+    to_str, uncurry_l, uncurry_r, word,
 )
 from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.ingest import ingest_tree, read_json
-from discoccg.rules import BA, FA, Leaf, apply_rule, ftr, gfc, leaves
+from discoccg.rules import (
+    BA, FA, Binary, Leaf, RuleError, RuleLabel, Unary, apply_rule, ftr, gfc, leaves, unary,
+)
 from tests.test_types import types
 
 import json
@@ -39,7 +41,7 @@ def test_leaves_keep_their_categories(corpus):
 def _old_to_str(o):
     # the printer as it was before objects were the categorial types: one
     # method per object class, a hom side bracketed unless unit, atom or tensor
-    if isinstance(o, bc.Unit):
+    if o == ():
         return "I"
     if isinstance(o, Atom):
         return o.name
@@ -47,17 +49,17 @@ def _old_to_str(o):
         return f"{_old_wrap(o.result)}\\{_old_wrap(o.argument)}"
     if isinstance(o, Forward):
         return f"{_old_wrap(o.result)}/{_old_wrap(o.argument)}"
-    return "(" + "@".join(_old_wrap(p) for p in o.parts) + ")"
+    return "(" + "@".join(_old_wrap(p) for p in o) + ")"
 
 
 def _old_wrap(o):
-    if isinstance(o, (bc.Unit, Atom, bc.TensorObj)):
+    if isinstance(o, (tuple, Atom)):
         return _old_to_str(o)
     return f"({_old_to_str(o)})"
 
 
 objects = st.one_of(
-    types(), st.just(UNIT),
+    types(), st.just(()),
     st.lists(types(), min_size=2, max_size=4).map(lambda ps: tensor_obj(*ps)))
 
 
@@ -69,7 +71,7 @@ def test_to_str_matches_the_old_printer(o):
 
 def test_fa_rule_term_shape():
     term = rule_term(FA, [t("(S\\NP)/NP"), NP])
-    assert isinstance(term, bc.UncurryR)
+    assert isinstance(term, bc.Bend) and term.kind == "uncurry-r"
     assert term.dom == tensor_obj(t("(S\\NP)/NP"), NP)
     assert term.cod == t("S\\NP")
     assert term.rule == FA
@@ -77,7 +79,7 @@ def test_fa_rule_term_shape():
 
 def test_ba_rule_term_shape():
     term = rule_term(BA, [NP, t("S\\NP")])
-    assert isinstance(term, bc.UncurryL)
+    assert isinstance(term, bc.Bend) and term.kind == "uncurry-l"
     assert term.dom == tensor_obj(NP, Backward(NP, S))
     assert term.cod == S
 
@@ -97,8 +99,8 @@ def test_rule_term_types_match_apply_rule(x, y):
 
 def test_gfc_term_has_curried_spine():
     term = rule_term(gfc(2), [t("(S\\NP)/VP"), t("(VP/NP)/NP")])
-    assert isinstance(term, bc.CurryR)
-    assert isinstance(term.inner, bc.CurryR)
+    assert isinstance(term, bc.Bend) and term.kind == "curry-r"
+    assert isinstance(term.inner, bc.Bend) and term.inner.kind == "curry-r"
     assert term.cod == t("((S\\NP)/NP)/NP")
 
 
@@ -110,7 +112,7 @@ def test_lower_derivation_fig1():
                 {"word": "likes", "type": "(S\\NP)/NP"},
                 {"word": "Bob", "type": "NP"}]}]})))
     term = lower_derivation(d)
-    assert term.dom == UNIT
+    assert term.dom == ()
     assert term.cod == S
     assert isinstance(term, bc.ComposeTerm)
     assert term.g.rule == BA
@@ -122,16 +124,30 @@ def test_lower_single_leaf():
     assert term == word("Alice", NP)
 
 
+@pytest.mark.parametrize("kind", ["UNARY", "CONJ"])
+def test_unresolved_node_has_no_image_at_any_depth(kind):
+    bob = Leaf("Bob", NP)
+    if kind == "UNARY":
+        node = Unary(unary(NP), bob, NP)
+    else:
+        node = Binary(RuleLabel("CONJ"), Leaf("and", Atom("conj")), bob, Backward(NP, NP))
+    for _ in range(3000):   # under an FA chain deeper than the recursion limit
+        node = Binary(FA, Leaf("w", Forward(node.cat, node.cat)), node, node.cat)
+    with pytest.raises(RuleError) as info:
+        lower_derivation(node)
+    assert str(info.value) == f"{kind} node has no biclosed image; run the ingest passes"
+
+
 def test_lower_raised_tree_contains_ftr_and_fc(corpus_terms):
     term = corpus_terms["alice-likes-bob-raised"]
-    assert term.cod == S and term.dom == UNIT
+    assert term.cod == S and term.dom == ()
     kinds = {node.rule.kind for node in _subterms(term) if node.rule is not None}
     assert {"FTR", "FC", "FA"} <= kinds
 
 
 def test_all_corpus_terms_start_from_unit(corpus_terms):
     for ident, term in corpus_terms.items():
-        assert term.dom == UNIT, ident
+        assert term.dom == (), ident
 
 
 @settings(max_examples=200)

@@ -16,7 +16,7 @@ from discoccg.functor import (
 )
 from discoccg.ingest import ingest_tree, read_json
 from discoccg.rules import FA
-from tests.sentences import right_branching
+from tests.sentences import right_branching, right_branching_derivation
 
 t = parse_type
 
@@ -194,17 +194,17 @@ def _bend(term, inner):
     ``term.inner``: a test-local copy of the functor's specification of
     ``term``, to compare the one-pass emitter against."""
     f_obj = DEFAULT_CONTEXT.f_obj
-    if isinstance(term, bc.CurryR):
+    if term.kind == "curry-r":
         b = f_obj(bc.factors(term.inner.dom)[-1])
         rest = inner.dom[:len(inner.dom) - len(b)]
         assert rest @ b == inner.dom
         return Diagram.build(rest, cap_block(b, len(rest)) + list(inner.layers))
-    if isinstance(term, bc.CurryL):
+    if term.kind == "curry-l":
         a = f_obj(bc.factors(term.inner.dom)[0])
         assert inner.dom[:len(a)] == a
         return Diagram.build(inner.dom[len(a):], cap_block(a.r, 0)
                              + [(o + len(a), g) for o, g in inner.layers])
-    if isinstance(term, bc.UncurryR):
+    if term.kind == "uncurry-r":
         b = f_obj(term.inner.cod.argument)
         assert inner.cod[len(inner.cod) - len(b):] == b.l
         return Diagram.build(inner.dom @ b, list(inner.layers)
@@ -252,18 +252,28 @@ def test_one_build_per_lowering(corpus_terms, monkeypatch):
 
 
 def test_lowering_needs_no_recursion():
-    # the term is built under a raised limit: ingest and the biclosed
-    # lowering still recurse once per tree level
+    # the limit is raised around ingest only: the JSON reader and the ingest
+    # walks still recurse once per tree level
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 12000))
     try:
-        term = bc.lower_derivation(ingest_tree(read_json(json.dumps(right_branching(2048)))))
+        derivation = ingest_tree(read_json(json.dumps(right_branching(2048))))
     finally:
         sys.setrecursionlimit(limit)
-    d = lower(term)
+    d = lower(bc.lower_derivation(derivation))
     assert well_formed(d) == []
     assert len(d.dom) == 0 and d.cod == RObject.parse("s")
     assert d.count(WordBox) == 2048 + 4
+
+
+def test_deep_derivation_lowers_prints_and_maps_at_the_default_limit():
+    # built from Leaf and Binary directly, so nothing on the way recurses
+    term = bc.lower_derivation(right_branching_derivation(4096))
+    assert bc.to_sexpr(term).count("(word ") == 4096 + 4
+    d = lower(term)
+    assert well_formed(d) == []
+    assert len(d.dom) == 0 and d.cod == RObject.parse("s")
+    assert d.count(WordBox) == 4096 + 4
 
 
 def wound(n: int) -> str:

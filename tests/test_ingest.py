@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,12 @@ from discoccg.ingest import (
     read_derivations, read_json,
 )
 from discoccg.rules import (
-    BA, FA, Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, apply_rule, combine, leaves,
-    validate,
+    BA, FA, Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, Violation, apply_rule, combine,
+    children, echo, flat_path, leaves, validate,
 )
-from tests.sentences import deep_json, random_derivation, right_branching
+from tests.sentences import (
+    deep_json, random_derivation, right_branching, right_branching_derivation,
+)
 
 t = parse_type
 
@@ -506,6 +509,110 @@ def test_validate_after_ingest_on_generated_trees():
         assert validate(d) == [], (i, tree)
         again = ingest_tree(read_json(json.dumps(derivation_to_json(d))))
         assert validate(again) == [] and again == d, (i, tree)
+
+
+# The walks as they were before they kept explicit stacks, kept as references.
+
+def _ref_validate(d):
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, Leaf):
+            if not node.word:
+                out.append(Violation(flat_path(path), "empty word at leaf"))
+            return
+        if isinstance(node, Unary):
+            walk(node.child, (path, 0))
+            kids = [node.child.cat]
+        else:
+            walk(node.left, (path, 0))
+            walk(node.right, (path, 1))
+            kids = [node.left.cat, node.right.cat]
+        try:
+            produced = apply_rule(node.rule, kids)
+        except RuleError as exc:
+            out.append(Violation(flat_path(path), str(exc)))
+            return
+        if produced != node.cat:
+            out.append(Violation(
+                flat_path(path),
+                f"{echo(str(node.rule))} produces {echo(produced.to_slash())}, "
+                f"node claims {echo(node.cat.to_slash())}",
+            ))
+
+    walk(d, ())
+    return out
+
+
+def _ref_to_json(d):
+    if isinstance(d, Leaf):
+        return {"word": d.word, "type": d.cat.to_slash()}
+    if isinstance(d, Unary):
+        return {"rule": str(d.rule), "type": d.cat.to_slash(),
+                "children": [_ref_to_json(d.child)]}
+    return {"rule": str(d.rule), "type": d.cat.to_slash(),
+            "children": [_ref_to_json(d.left), _ref_to_json(d.right)]}
+
+
+def _retyped(d, path, cat):
+    """``d`` with the node at ``path`` claiming ``cat``."""
+    if not path:
+        return replace(d, cat=cat)
+    if isinstance(d, Unary):
+        return replace(d, child=_retyped(d.child, path[1:], cat))
+    side = "right" if path[0] else "left"
+    return replace(d, **{side: _retyped(getattr(d, side), path[1:], cat)})
+
+
+def _paths(d, path=()):
+    yield path
+    for i, kid in enumerate(children(d)):
+        yield from _paths(kid, (*path, i))
+
+
+def _same_json(a, b) -> bool:
+    """``a == b`` for JSON trees of any depth, key order included."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if list(x) != list(y) or any(x[k] != y[k] for k in x if k != "children"):
+            return False
+        if len(x.get("children", ())) != len(y.get("children", ())):
+            return False
+        todo += zip(x.get("children", ()), y.get("children", ()))
+    return True
+
+
+def test_validate_and_serialization_match_their_recursive_walks():
+    rng = random.Random(43)
+    for i in range(200):
+        d = ingest_tree(read_json(json.dumps(random_derivation(rng, rng.randint(2, 6)))))
+        # one node retyped, then a second one, so that violations in sibling
+        # subtrees show their order too
+        paths, cats = list(_paths(d)), [t("NP"), t("S/NP"), t("N\\N")]
+        bad = _retyped(d, rng.choice(paths), rng.choice(cats))
+        worse = _retyped(bad, rng.choice(paths), rng.choice(cats))
+        for tree in (d, bad, worse):
+            assert validate(tree) == _ref_validate(tree), (i, tree)
+            assert derivation_to_json(tree) == _ref_to_json(tree), (i, tree)
+            assert json.dumps(derivation_to_json(tree)) == json.dumps(_ref_to_json(tree))
+    # 4096 levels at the default limit; only the references need a raised one.
+    # In the FA chain below, the innermost node claims NP: it and its parent
+    # are wrong.
+    n, adjective = t("N"), Leaf("a", t("N/N"))
+    chain = Binary(FA, adjective, Leaf("wolf", n), t("NP"))
+    for _ in range(4095):
+        chain = Binary(FA, adjective, chain, n)
+    deep = right_branching_derivation(4096)
+    got = [validate(deep), validate(chain), derivation_to_json(deep)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * 4096))
+    try:
+        assert got[0] == _ref_validate(deep) == []
+        assert got[1] == _ref_validate(chain) and len(got[1]) == 2
+        assert _same_json(got[2], _ref_to_json(deep))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # --- unary resolution against the substituting reference -------------------------

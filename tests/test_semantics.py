@@ -57,6 +57,25 @@ def test_lexicon_frozen_entry():
         [0.442663638516138, -0.5751187306527834])
 
 
+@pytest.mark.parametrize("seed", [0, 42, (1 << 64) - 1])
+@pytest.mark.parametrize("complex_field", [False, True])
+def test_lexicon_draw_is_the_scalar_stream(seed, complex_field):
+    # the draw mixes every state at once; entry i is the i-th output of the
+    # scalar generator, real parts first, then imaginary parts
+    cod = RObject.parse("n " * 10 + "s.l")
+    lex = Lexicon(DimAssignment({"s": 3}, 2), seed=seed, complex_field=complex_field)
+    got = lex.tensor_for("w", cod).array
+    state = (seed ^ fnv1a64(f"w|{semantics._signature(cod)}".encode())) & ((1 << 64) - 1)
+    stream = []
+    for _ in range(2 * got.size if complex_field else got.size):
+        value, state = splitmix64(state)
+        stream.append(unit_interval(value))
+    if complex_field:
+        stream = [re + 1j * im for re, im in zip(stream[:got.size], stream[got.size:])]
+    assert got.shape == (2,) * 10 + (3,)
+    assert got.ravel().tolist() == stream
+
+
 def test_lexicon_deterministic_and_order_independent():
     lex1 = Lexicon(DIMS, seed=9)
     lex2 = Lexicon(DIMS, seed=9)

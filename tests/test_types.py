@@ -150,10 +150,10 @@ def _ref_to_arrows(t):
 
 
 def _ref_to_str(o):
-    if isinstance(o, bc.Unit):
+    if o == ():
         return "I"
-    if isinstance(o, bc.TensorObj):
-        return "(" + "@".join(_ref_wrap(p, _ref_to_str) for p in o.parts) + ")"
+    if isinstance(o, tuple):
+        return "(" + "@".join(_ref_wrap(p, _ref_to_str) for p in o) + ")"
     if isinstance(o, Atom):
         return o.name
     slash = "/" if isinstance(o, Forward) else "\\"
@@ -227,7 +227,7 @@ def test_folded_maps_match_their_recursive_definitions(ts):
         assert strip_features(t) is _ref_strip_features(t)
         for u in (t, strip_features(t)):
             assert ingest._has_conj(u) == _ref_has_conj(u)
-    for o in (*ts, bc.tensor_obj(*ts), bc.UNIT):
+    for o in (*ts, bc.tensor_obj(*ts), ()):
         assert bc.to_str(o) == _ref_to_str(o)
         assert _outcome(ctx.f_obj, o) == _outcome(_ref_f_obj, o, ctx.atom_map)
 
