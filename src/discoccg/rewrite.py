@@ -81,7 +81,6 @@ def _find_snakes(dom: RObject, layers: list[Layer]):
                 tgt = layers[hit[0]][1]
                 if isinstance(tgt, Cup) and (tgt.base, tgt.z) == (gen.base, gen.z):
                     yield (i, hit[0], chirality)
-                    break
 
 
 def _remove_snake(layers: list[Layer], cap: int, cup: int, chirality: str) -> list[Layer] | None:

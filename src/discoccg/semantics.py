@@ -19,9 +19,9 @@ that number.
 Several lexicons are evaluated in one pass: every operand carries a leading
 seed axis (the einsum letter ``Z``), so a diagram is validated, planned and
 contracted once however many seeds are checked.  Across the sentences of a
-process, a word's tensors under fresh lexicons are drawn and stacked once,
-keyed by the seeds, the dimensions, the field and the word box, whichever
-evaluation asks; networks of one structure share one plan.
+process, a small word's tensors under fresh lexicons are drawn and stacked
+once, keyed by the seeds, the dimensions, the field and the word box,
+whichever evaluation asks; networks of one structure share one plan.
 
 Random lexicons are generated by a SplitMix64 stream (documented constants
 below) so that stored test vectors pin the generator across implementations:
@@ -31,6 +31,7 @@ and a user seed.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -136,7 +137,7 @@ class Lexicon:
 
 def _draw(seed: int, text: str, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     """The SplitMix64 draw behind :meth:`Lexicon.tensor_for`, read-only
-    because the lexicon keeps it; a check draws it only when
+    because the lexicon keeps it; a check draws a small word only when
     ``_seeded_stack`` misses, once per word box and seed."""
     count = int(np.prod(shape))
     # the stream's i-th state is its seed plus i * GAMMA, so every entry is
@@ -330,6 +331,13 @@ def _stack(lexicons, word: WordBox) -> np.ndarray:
                     dtype=dtype)
 
 
+# Only words of at most this many entries per lexicon are memoized, so the
+# memo stays small whatever it holds: every word of the corpus and of the
+# benchmark's batches has at most 64 at dimension 2.  Larger words (a
+# coordinator of a long category has 2^21) are stacked per check.
+_MEMO_ENTRIES = 1024
+
+
 @lru_cache(maxsize=1024)
 def _seeded_stack(seeds: tuple[int, ...], dims: tuple[tuple[tuple[str, int], ...], int],
                   complex_field: bool, word: WordBox) -> np.ndarray:
@@ -354,7 +362,8 @@ def evaluate(d: Diagram, dims: DimAssignment,
     and one tensor per lexicon is returned (all complex if any lexicon has
     ``complex_field`` set).  Fresh lexicons (plain :class:`Lexicon` values
     with no ``entries``) of one ``dims`` and ``complex_field`` take their
-    stacks from :func:`_seeded_stack`, shared by every such evaluation.
+    stacks from :func:`_seeded_stack`, shared by every such evaluation, for
+    words of at most ``_MEMO_ENTRIES`` entries.
     """
     lexicons = [lex] if isinstance(lex, Lexicon) else list(lex)
     net = _compile(d)
@@ -366,7 +375,9 @@ def evaluate(d: Diagram, dims: DimAssignment,
            and x.complex_field == first.complex_field for x in lexicons):
         key = (tuple(x.seed for x in lexicons),
                (tuple(sorted(first.dims.dims.items())), first.dims.default), first.complex_field)
-        slots: list[np.ndarray | None] = [_seeded_stack(*key, w) for w in net.words]
+        slots: list[np.ndarray | None] = [
+            _seeded_stack(*key, w) if math.prod(map(first.dims.of, w.wires)) <= _MEMO_ENTRIES
+            else _stack(lexicons, w) for w in net.words]
     else:
         slots = [_stack(lexicons, w) for w in net.words]
     dtype = complex if any(x.complex_field for x in lexicons) else float

@@ -18,6 +18,9 @@
   composition of degrees 1 to 4, and type-raising) and coordination, at
   most ``depth`` rules deep.
 
+``equivalent_derivations(tree)`` yields the trees one rewrite of spurious
+ambiguity away from ``tree``.
+
 ``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
 ``right_branching(k)``.  ``right_branching_derivation(k)`` is the ingested
 derivation of ``right_branching(k)``, built directly from ``rules.Leaf`` and
@@ -33,7 +36,7 @@ import random
 import sys
 
 from discoccg import biclosed as bc
-from discoccg.ccgtypes import Atom, Backward, Forward
+from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.functor import lower
 from discoccg.ingest import ingest_tree, read_json
 from discoccg.rules import BA, FA, Binary, Derivation, Leaf
@@ -210,6 +213,73 @@ def random_derivation(rng: random.Random, depth: int) -> dict:
         return leaf(f"w{next(words)}", cat.to_slash())
 
     return build(Atom("S"), 0)
+
+
+def _equal_at_root(t: dict):
+    """The trees equal to ``t`` by one rewrite at its root, each with its
+    kind: an application chain against its composed form, and an
+    application against its type-raised form, each both ways, forward and
+    backward.  A coordination is left as it is."""
+    kids = t.get("children", [])
+    if _coordination(t):
+        return
+    cat, rule = parse_type(t["type"]), t.get("rule")
+    if rule == "FA":
+        f, a = kids
+        fcat = parse_type(f["type"])
+        if a.get("rule") == "FA":   # FA(f, FA(g, z)) => FA(FC(f, g), z)
+            g, z = a["children"]
+            composed = Forward(fcat.result, parse_type(g["type"]).argument)
+            yield "FA-FA", node("FA", t["type"], node("FC", composed.to_slash(), f, g), z)
+        if f.get("rule") == "FC":   # FA(FC(f, g), z) => FA(f, FA(g, z))
+            head, g = f["children"]
+            inner = node("FA", parse_type(g["type"]).result.to_slash(), g, a)
+            yield "FC-FA", node("FA", t["type"], head, inner)
+        if f.get("rule", "").startswith("FTR:"):   # FA(FTR:X(a), f) => BA(a, f)
+            yield "FTR-BA", node("BA", t["type"], f["children"][0], a)
+        raised = node(f"BTR:{t['type']}", Backward(fcat, cat).to_slash(), a)
+        yield "FA-BTR", node("BA", t["type"], f, raised)   # FA(f, a) => BA(f, BTR:X(a))
+    elif rule == "BA":
+        a, f = kids
+        fcat = parse_type(f["type"])
+        if a.get("rule") == "BA" and not _coordination(a):   # BA(BA(z, g), f) => BA(z, BC(g, f))
+            z, g = a["children"]
+            composed = Backward(parse_type(g["type"]).argument, fcat.result)
+            yield "BA-BA", node("BA", t["type"], z, node("BC", composed.to_slash(), g, f))
+        if f.get("rule") == "BC":   # BA(z, BC(g, f)) => BA(BA(z, g), f)
+            g, head = f["children"]
+            inner = node("BA", parse_type(g["type"]).result.to_slash(), a, g)
+            yield "BC-BA", node("BA", t["type"], inner, head)
+        if f.get("rule", "").startswith("BTR:"):   # BA(f, BTR:X(a)) => FA(f, a)
+            yield "BTR-FA", node("FA", t["type"], a, f["children"][0])
+        raised = node(f"FTR:{t['type']}", Forward(cat, fcat).to_slash(), a)
+        yield "BA-FTR", node("FA", t["type"], raised, f)   # BA(a, f) => FA(FTR:X(a), f)
+
+
+def _coordination(t: dict) -> bool:
+    kids = t.get("children", [])
+    return len(kids) == 2 and kids[1].get("rule") == "CONJ"
+
+
+def equivalent_derivations(tree: dict):
+    """Yield ``(kind, other)`` for every tree ``other`` that differs from
+    ``tree`` by one rewrite of :func:`_equal_at_root` at one node, spurious
+    ambiguity that must map to an equal diagram.  ``kind`` names the
+    rewrite, ``FA-BTR`` for ``FA(f, a) => BA(f, BTR:X(a))`` and so on."""
+    todo = [((), tree)]
+    while todo:
+        path, t = todo.pop()
+        for kind, other in _equal_at_root(t):
+            yield kind, _replaced(tree, path, other)
+        todo += reversed([((*path, i), kid) for i, kid in enumerate(t.get("children", []))])
+
+
+def _replaced(tree: dict, path: tuple[int, ...], new: dict) -> dict:
+    if not path:
+        return new
+    kids = list(tree["children"])
+    kids[path[0]] = _replaced(kids[path[0]], path[1:], new)
+    return {**tree, "children": kids}
 
 
 def raw_diagram(tree: dict):

@@ -18,7 +18,7 @@ from discoccg import ccgtypes, ingest, rules, semantics
 from discoccg.cli import JobConfig, run
 from discoccg.corpus import corpus_text
 from discoccg.ccgtypes import Atom, Backward, Forward, TypeParseError, parse_type
-from discoccg.diagram import DEFAULT_ATOM_MAP, RObject, WordBox
+from discoccg.diagram import DEFAULT_ATOM_MAP, EMPTY, Diagram, RObject, WordBox
 from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower
 from discoccg.ingest import IngestError, ingest_tree, read_derivations, read_json
 from discoccg.rewrite import normalize
@@ -122,6 +122,20 @@ def test_stacks_are_keyed_by_every_value_and_read_only():
     for i, seed in enumerate((1, 2)):
         lex = Lexicon(DimAssignment({}, 2), seed=seed)
         assert np.array_equal(base[i], lex.tensor_for("likes", word.wires).array)
+
+
+def test_only_small_words_are_memoized():
+    # at dimension 2, 10 legs are 1024 entries per lexicon and 11 are 2048
+    small, large = (WordBox("w", RObject.parse(" ".join(["n"] * k))) for k in (10, 11))
+    dims = DimAssignment({}, 2)
+    semantics._seeded_stack.cache_clear()
+    for word in (small, large):
+        d = Diagram.build(EMPTY, [(0, word)])
+        for out, seed in zip(evaluate(d, dims, [Lexicon(dims, 7), Lexicon(dims, 8)]), (7, 8)):
+            drawn = Lexicon(dims, seed).tensor_for(word.label, word.wires).array
+            assert np.array_equal(out.array, drawn)
+    info = semantics._seeded_stack.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_semantic_check_keys_dims_by_value():

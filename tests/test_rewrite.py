@@ -16,8 +16,9 @@ from discoccg.rewrite import (
 )
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
 from tests.sentences import (
-    CROSSED_KINDS, HARMONIC_KINDS, coordination, cross_serial, leaf, left_fc_chain, node,
-    np_shift_two_word_primary, random_derivation, raw_diagram, right_branching,
+    CROSSED_KINDS, HARMONIC_KINDS, coordination, cross_serial, equivalent_derivations, leaf,
+    left_fc_chain, node, np_shift_two_word_primary, random_derivation, raw_diagram,
+    right_branching,
 )
 
 n = RObject.parse("n")
@@ -269,6 +270,32 @@ def test_rewrites_preserve_evaluation_on_random_derivations():
         assert np.allclose(reference, out, rtol=0, atol=1e-12), (i, tree)
 
 
+def test_equivalent_derivations_give_equal_diagrams():
+    # spurious ambiguity: every derivation one composition or type-raising
+    # rewrite away has an equal normal form and an equal evaluation; the
+    # first pair needs the snake finder to try both chiralities of a cap
+    rng = random.Random(5)
+    plain = right_branching(1)
+    subject = plain["children"][0]
+    raised = {**plain, "children": [
+        node("BA", "NP", subject["children"][0],
+             node("BTR:NP", "NP\\(NP/N)", subject["children"][1])),
+        plain["children"][1]]}
+    pairs, kinds = [(plain, raised)], set()
+    for _ in range(80):
+        tree = random_derivation(rng, 4)
+        for kind, other in equivalent_derivations(tree):
+            pairs.append((tree, other))
+            kinds.add(kind)
+    assert kinds >= {"FA-FA", "FC-FA", "BA-BA", "BC-BA", "FA-BTR", "BA-FTR"}, kinds
+    for tree, other in pairs:
+        d, e = raw_diagram(tree), raw_diagram(other)
+        if any(len(g.wires) > 14 for _, g in d.layers + e.layers if isinstance(g, WordBox)):
+            continue   # keeps the oracle small
+        assert diagrams_equal(d, e), (tree, other)
+        assert semantically_equal(d, e, DIMS, SEEDS), (tree, other)
+
+
 # --- the canonical order against the bubble-pass reference ----------------------
 
 def _bubble_pass(layers, trace) -> bool:
@@ -395,7 +422,6 @@ def _traced_snakes(layers):
             tgt = layers[j][1]
             if isinstance(tgt, Cup) and slot == 0 and (tgt.base, tgt.z) == (gen.base, gen.z):
                 yield (i, j, "SnakeRight")
-                continue
         hit = _follow_wire(layers, i, o)
         if hit[0] == "layer":
             j, slot = hit[1], hit[2]
@@ -441,9 +467,9 @@ def test_snakes_match_wire_tracer_on_hand_built_diagrams():
         # a word box to the left shifts the legs before the cup closes them
         "shifted": (n, [(1, Cap("n", 0)), (0, WordBox("A", s)), (1, Cup("n", 0))],
                     [(0, 2, "SnakeLeft")]),
-        # both legs close against cups: the right snake is reported
+        # both legs close against cups: both snakes are reported, right first
         "both legs": (n @ n_r, [(1, Cap("n", 0)), (0, Cup("n", 0)), (0, Cup("n", 0))],
-                      [(0, 2, "SnakeRight")]),
+                      [(0, 2, "SnakeRight"), (0, 1, "SnakeLeft")]),
         # the legs cross on a swap before the cup: not a snake
         "swapped legs": (EMPTY, [(0, Cap("n", 0)),
                                  (0, Swap(Wire("n", 1), Wire("n", 0))),
