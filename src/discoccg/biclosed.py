@@ -26,7 +26,9 @@ from functools import lru_cache
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, notation
 # ``validate`` stays bound only for perfbench/tracer.py, until ROADMAP item 8's tracer change
-from .rules import Derivation, Leaf, RuleError, RuleLabel, children, peel, validate  # noqa: F401
+from .rules import (  # noqa: F401
+    Derivation, Leaf, RuleError, RuleLabel, children, peel, validate, walk,
+)
 
 
 BObject = Atom | Forward | Backward | tuple["BObject", ...]
@@ -265,29 +267,20 @@ def lower_derivation(d: Derivation) -> BTerm:
 
     Leaves become word states ``I → X``; binary nodes compose the rule image
     with the tensor of their children's images.  The result of a sentence
-    derivation has dom ``I``.  The tree is walked with an explicit stack, in
+    derivation has dom ``I``.  The tree is walked by :func:`rules.walk`, in
     the order of that recursive definition, so depth needs no recursion.
     """
-    terms: list[BTerm] = []   # the images of finished subtrees, left to right
-    # pending work, last first: a node, or a (rule image, arity) pair that
-    # goes out over the last ``arity`` finished terms
-    todo: list = [d]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, tuple):
-            image, arity = node
-            kids = terms[-arity:]
-            del terms[-arity:]
-            terms.append(compose(image, kids[0] if arity == 1 else tensor_term(*kids)))
-        elif isinstance(node, Leaf):
-            terms.append(word(node.word, node.cat))
-        elif node.rule.schema.forward is None:
-            raise RuleError(f"{node.rule.kind} node has no biclosed image; run the ingest passes")
-        else:
-            kids = children(node)
-            todo.append((rule_term(node.rule, [kid.cat for kid in kids]), len(kids)))
-            todo += reversed(kids)
-    return terms[0]
+    return walk(d, _lower_node, lambda image, kids: compose(
+        image, kids[0] if len(kids) == 1 else tensor_term(*kids)))
+
+
+def _lower_node(node: Derivation, path: tuple):
+    if isinstance(node, Leaf):
+        return word(node.word, node.cat), ()
+    if node.rule.schema.forward is None:
+        raise RuleError(f"{node.rule.kind} node has no biclosed image; run the ingest passes")
+    kids = children(node)
+    return rule_term(node.rule, [kid.cat for kid in kids]), kids
 
 
 def to_sexpr(term: BTerm) -> str:

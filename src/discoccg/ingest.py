@@ -12,6 +12,10 @@ subtree, so a tree without UNARY nodes gets no indexed types.  The second
 builds the derivation, each node once, and rewrites ``conj`` leaves into
 ``(X ⤚ X) ⤙ X`` coordination as it goes.  The third is ``rules.validate``.
 The first two name a failing node by its input path, UNARY levels included.
+Every map over a tree here is a ``rules.walk``, ``_unify`` walks two types
+in step on a stack of its own, and the bracketed-text reader keeps a stack
+of open nodes; so only the JSON decoder and the type parser recurse once
+per level.
 
 Feature-annotated atoms (``S[dcl]``) are stripped to their bare atom here;
 the semantics functor is defined on bare atoms.
@@ -33,7 +37,7 @@ from .ccgtypes import (
 )
 from .rules import (
     FA, SCHEMAS, Binary, Derivation, Leaf, RuleError, RuleLabel, TypeOps, Unary,
-    apply_rule, children, combine, echo, flat_path, path_str, validate,
+    apply_rule, children, combine, echo, flat_path, path_str, validate, walk,
 )
 
 
@@ -137,30 +141,14 @@ def _entry_end(text: str, start: int) -> int | None:
 
 
 def _raw_node(obj, ptr: str) -> RawTree:
-    """Read the raw tree of a decoded JSON node whose pointer is ``ptr``.
-
-    One walk with an explicit stack checks each node in document order,
-    giving each child a linked path (see ``rules.flat_path``) that is
-    spelled out as a pointer only in a message, and builds each node once
-    its children are built; so reading does not recurse, and its memory is
-    linear."""
-    built: list[RawTree] = []   # the finished subtrees, in document order
-    todo = [(obj, ())]   # nodes to check, and (node, None) to build
-    while todo:
-        obj, path = todo.pop()
-        if path is None:   # its children are the last subtrees built
-            n = len(obj["children"])
-            children = tuple(built[-n:])
-            del built[-n:]
-            built.append(RawNode(obj["rule"], obj["type"], children))
-            continue
+    """Read the raw tree of a decoded JSON node whose pointer is ``ptr`` by
+    :func:`rules.walk`, in memory linear in the tree: a node's linked path
+    is spelled out as a pointer only in a message."""
+    def expand(obj, path):
         kids = _check_node(obj, ptr, path)
-        if kids:
-            todo.append((obj, None))
-            todo += [(kids[i], (path, i)) for i in range(len(kids) - 1, -1, -1)]
-        else:
-            built.append(RawLeaf(obj["word"], obj["type"]))
-    return built[0]
+        return obj if kids else RawLeaf(obj["word"], obj["type"]), kids
+
+    return walk(obj, expand, lambda obj, kids: RawNode(obj["rule"], obj["type"], tuple(kids)))
 
 
 def _pointer(ptr: str, path: tuple, field: str = "") -> str:
@@ -221,12 +209,39 @@ def _check_node(obj, ptr: str, path: tuple) -> list | tuple:
 
 
 def read_ccgbank(text: str) -> RawTree:
-    """Read ``(<rule> <type> <child>...)`` text with ``(LEX <type> <word>)`` leaves."""
-    tree, i = _ccgbank_node(text, _skip_ws(text, 0))
-    i = _skip_ws(text, i)
-    if i != len(text):
-        raise IngestError(f"trailing input at position {i}")
-    return tree
+    """Read ``(<rule> <type> <child>...)`` text with ``(LEX <type> <word>)``
+    leaves, keeping the open rule nodes on a stack so no depth recurses."""
+    opened = [("", "", [])]   # rule, type and children; the text itself at the bottom
+    i = _skip_ws(text, 0)
+    while True:
+        if i >= len(text) or text[i] != "(":
+            raise IngestError(f"expected '(' at position {i}")
+        rule, i = _scan_token(text, _skip_ws(text, i + 1))
+        type_str, i = _scan_token(text, _skip_ws(text, i))
+        if rule.upper() == "LEX":
+            words = []
+            while (i := _skip_ws(text, i)) >= len(text) or text[i] != ")":
+                w, i = _scan_token(text, i)
+                words.append(w)
+            if not words:
+                raise IngestError(f"LEX node without a word at position {i}")
+            opened[-1][2].append(RawLeaf(" ".join(words), type_str))
+            i += 1
+        else:
+            opened.append((rule, type_str, []))
+        # close every node that ends here
+        while len(opened) > 1 and (i := _skip_ws(text, i)) < len(text) and text[i] == ")":
+            rule, type_str, kids = opened.pop()
+            if not kids:
+                raise IngestError(f"rule node without children at position {i}")
+            opened[-1][2].append(RawNode(rule, type_str, tuple(kids)))
+            i += 1
+        if len(opened) == 1:
+            if (i := _skip_ws(text, i)) != len(text):
+                raise IngestError(f"trailing input at position {i}")
+            return opened[0][2][0]
+        if i >= len(text):
+            raise IngestError("unterminated node")
 
 
 def _skip_ws(text: str, i: int) -> int:
@@ -252,38 +267,6 @@ def _scan_token(text: str, i: int) -> tuple[str, int]:
     if i == start:
         raise IngestError(f"expected a token at position {start}")
     return text[start:i], i
-
-
-def _ccgbank_node(text: str, i: int) -> tuple[RawTree, int]:
-    if i >= len(text) or text[i] != "(":
-        raise IngestError(f"expected '(' at position {i}")
-    i = _skip_ws(text, i + 1)
-    rule, i = _scan_token(text, i)
-    i = _skip_ws(text, i)
-    type_str, i = _scan_token(text, i)
-    if rule.upper() == "LEX":
-        words = []
-        while True:
-            i = _skip_ws(text, i)
-            if i < len(text) and text[i] == ")":
-                break
-            w, i = _scan_token(text, i)
-            words.append(w)
-        if not words:
-            raise IngestError(f"LEX node without a word at position {i}")
-        return RawLeaf(" ".join(words), type_str), i + 1
-    children = []
-    while True:
-        i = _skip_ws(text, i)
-        if i < len(text) and text[i] == ")":
-            break
-        if i >= len(text):
-            raise IngestError("unterminated node")
-        child, i = _ccgbank_node(text, i)
-        children.append(child)
-    if not children:
-        raise IngestError(f"rule node without children at position {i}")
-    return RawNode(rule, type_str, tuple(children)), i + 1
 
 
 def _parse_type(text: str, path: tuple) -> CcgType:
@@ -401,45 +384,30 @@ class _UnionFind:
 def _fresh(t: CcgType, ctr, pins: set[int] | None = None) -> IType:
     """``t`` with a fresh index at every slot, numbered in the order its
     definition reads them; without recursion, so any depth converts."""
-    built: list[IType] = []
-    todo: list = [t]   # types to index, and (class, index) of slots whose parts are built
-    while todo:
-        t = todo.pop()
-        if isinstance(t, tuple):
-            cls, idx = t
-            second, first = built.pop(), built.pop()
-            built.append(cls(idx, first, second))
-            continue
+    def expand(t, path):
         idx = next(ctr)
         if pins is not None:
             pins.add(idx)
         if isinstance(t, Atom):
-            built.append(IAtom(idx, t.name))
-        elif isinstance(t, Forward):
-            todo += [(IFwd, idx), t.argument, t.result]
-        else:
-            todo += [(IBwd, idx), t.result, t.argument]
-    return built[0]
+            return IAtom(idx, t.name), ()
+        if isinstance(t, Forward):
+            return (IFwd, idx), (t.result, t.argument)
+        return (IBwd, idx), (t.argument, t.result)
+
+    return walk(t, expand, lambda slot, parts: slot[0](slot[1], *parts))
 
 
 def _erase(it: IType, uf: _UnionFind) -> CcgType:
     """The plain type an indexed type holds now, following the bindings."""
-    built: list[CcgType] = []
-    todo: list = [it]   # indexed types, and the class of slots whose parts are built
-    while todo:
-        it = todo.pop()
-        if isinstance(it, type):
-            second, first = built.pop(), built.pop()
-            built.append(it(first, second))
-            continue
+    def expand(it, path):
         it = uf.deref(it)
         if isinstance(it, IAtom):
-            built.append(Atom(it.name))
-        elif isinstance(it, IFwd):
-            todo += [Forward, it.argument, it.result]
-        else:
-            todo += [Backward, it.result, it.argument]
-    return built[0]
+            return Atom(it.name), ()
+        if isinstance(it, IFwd):
+            return Forward, (it.result, it.argument)
+        return Backward, (it.argument, it.result)
+
+    return walk(it, expand, lambda cls, parts: cls(*parts))
 
 
 def _unify(a: IType, b: IType, uf: _UnionFind):
@@ -502,82 +470,96 @@ _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-def _resolve(raw: RawTree, path: tuple, ops: _IndexedOps, indexed: bool = False) -> _RNode:
-    """Check a raw tree's labels and rule applications, and resolve its UNARY
-    nodes by binding; CONJ nodes are carried through for ``_build``.
+def _resolve(raw: RawTree, ops: _IndexedOps) -> _RNode:
+    """Check a raw tree's labels (in pre-order) and rule applications (in
+    post-order), and resolve its UNARY nodes by binding; CONJ nodes are
+    carried through for ``_build``.
 
     A binding reaches only slots below its UNARY node, because every
     ancestor is resolved after it.  So indexed types are built, and rules
-    combined on them, only where ``indexed`` marks a subtree below a UNARY;
-    everywhere else the plain check of each rule decides."""
+    combined on them, only below a UNARY; elsewhere the plain check decides."""
     uf, ctr = ops.uf, ops.ctr
-    if isinstance(raw, RawLeaf):
-        t = _parse_type(raw.type_str, path)
-        if not raw.word:
-            raise IngestError(f"empty word at node {_fmt(path)}")
-        if _CONTROL.search(raw.word):
-            raise IngestError(f"word {echo(repr(raw.word))} contains a control character "
-                              f"at node {_fmt(path)}")
-        if _SURROGATE.search(raw.word):
-            raise IngestError(f"word {echo(repr(raw.word))} contains a lone surrogate "
-                              f"at node {_fmt(path)}")
-        return _RNode(raw.word, None, [], _fresh(t, ctr) if indexed else None, path, t)
+    open_unary = 0   # UNARY nodes expanded, not yet finished: the node expanded is below them
 
-    try:
-        kind, rule = _rule_label(raw.rule_str)
-    except ValueError:
-        # parse again to name this node; a bad declared type is reported
-        # before a label that breaks its schema
-        kind, degree, target = _parse_rule(raw.rule_str, path)
-        _parse_type(raw.type_str, path)
+    def expand(raw: RawTree, path: tuple):
+        nonlocal open_unary
+        if isinstance(raw, RawLeaf):
+            t = _parse_type(raw.type_str, path)
+            if not raw.word:
+                raise IngestError(f"empty word at node {_fmt(path)}")
+            if _CONTROL.search(raw.word):
+                raise IngestError(f"word {echo(repr(raw.word))} contains a control character "
+                                  f"at node {_fmt(path)}")
+            if _SURROGATE.search(raw.word):
+                raise IngestError(f"word {echo(repr(raw.word))} contains a lone surrogate "
+                                  f"at node {_fmt(path)}")
+            return _RNode(raw.word, None, [], _fresh(t, ctr) if open_unary else None, path, t), ()
+
         try:
-            rule = RuleLabel(kind, degree=degree, target=target)
-        except ValueError as exc:
-            raise IngestError(f"{exc} at node {_fmt(path)}") from None
-    declared = _parse_type(raw.type_str, path)
+            kind, rule = _rule_label(raw.rule_str)
+        except ValueError:
+            # parse again to name this node; a bad declared type is reported
+            # before a label that breaks its schema
+            kind, degree, target = _parse_rule(raw.rule_str, path)
+            _parse_type(raw.type_str, path)
+            try:
+                rule = RuleLabel(kind, degree=degree, target=target)
+            except ValueError as exc:
+                raise IngestError(f"{exc} at node {_fmt(path)}") from None
+        declared = _parse_type(raw.type_str, path)
 
-    if kind == "LEX":
-        raise IngestError(f"LEX is only valid on leaves, at node {_fmt(path)}")
-
-    if kind == "UNARY":
-        if len(raw.children) != 1:
-            raise IngestError(f"UNARY needs exactly one child at node {_fmt(path)}")
-        child = _resolve(raw.children[0], (path, 0), ops, True)
-        slot = uf.find(uf.deref(child.itype).idx)
-        pinned = slot in uf.pinned
-        # a pinned class stays pinned, so a later retyping of it is checked too
-        uf.bound[slot] = _fresh(declared, ctr, uf.pinned if pinned else None)
-        if pinned and child.cat != declared:
-            # only a rule node builds a pinned slot; its own rule is reported
-            # first, else the rule application below that the retyping breaks
-            computed = apply_rule(child.rule, [_erase(k.itype, uf) for k in child.children])
-            where = (f"at node {_fmt(child.path)}: {echo(str(child.rule))} now yields "
-                     f"{echo(computed.to_slash())}" if computed != declared
-                     else f"below node {_fmt(child.path)}")
-            raise IngestError(f"substitution produces a rule-schema violation {where}")
-        child.cat = declared
-        return child
-
-    if kind == "CONJ":
-        if len(raw.children) != 2:
-            raise IngestError(f"CONJ needs exactly two children at node {_fmt(path)}")
-        kids = [_resolve(k, (path, i), ops, indexed) for i, k in enumerate(raw.children)]
-        return _RNode(None, _CONJ, kids, _fresh(declared, ctr) if indexed else None,
-                      path, declared)
-
-    kids = [_resolve(k, (path, i), ops, indexed) for i, k in enumerate(raw.children)]
-    if len(kids) != rule.arity:
-        raise IngestError(f"{echo(str(rule))} needs {rule.arity} children at node {_fmt(path)}")
-    try:
-        computed = apply_rule(rule, [k.cat for k in kids])
-        if computed != declared:
+        if kind == "LEX":
+            raise IngestError(f"LEX is only valid on leaves, at node {_fmt(path)}")
+        if kind == "UNARY":
+            if len(raw.children) != 1:
+                raise IngestError(f"UNARY needs exactly one child at node {_fmt(path)}")
+            open_unary += 1
+        elif kind == "CONJ":
+            if len(raw.children) != 2:
+                raise IngestError(f"CONJ needs exactly two children at node {_fmt(path)}")
+        elif not raw.children:   # reported at once: no child can fail first
             raise IngestError(
-                f"{echo(str(rule))} produces {echo(computed.to_slash())} but node declares "
-                f"{echo(declared.to_slash())} at node {_fmt(path)}")
-    except RuleError as exc:
-        raise IngestError(f"{exc} at node {_fmt(path)}") from None
-    itype = combine(rule, [uf.deref(k.itype) for k in kids], ops) if indexed else None
-    return _RNode(None, rule, kids, itype, path, declared)
+                f"{echo(str(rule))} needs {rule.arity} children at node {_fmt(path)}")
+        return (kind, rule, declared, path, open_unary > 0), raw.children
+
+    def finish(state: tuple, kids: list[_RNode]) -> _RNode:
+        nonlocal open_unary
+        kind, rule, declared, path, indexed = state
+        if kind == "UNARY":
+            open_unary -= 1
+            child = kids[0]
+            slot = uf.find(uf.deref(child.itype).idx)
+            pinned = slot in uf.pinned
+            # a pinned class stays pinned, so a later retyping of it is checked too
+            uf.bound[slot] = _fresh(declared, ctr, uf.pinned if pinned else None)
+            if pinned and child.cat != declared:
+                # only a rule node builds a pinned slot; its own rule is reported
+                # first, else the rule application below that the retyping breaks
+                computed = apply_rule(child.rule, [_erase(k.itype, uf) for k in child.children])
+                where = (f"at node {_fmt(child.path)}: {echo(str(child.rule))} now yields "
+                         f"{echo(computed.to_slash())}" if computed != declared
+                         else f"below node {_fmt(child.path)}")
+                raise IngestError(f"substitution produces a rule-schema violation {where}")
+            child.cat = declared
+            return child
+        if kind == "CONJ":
+            return _RNode(None, _CONJ, kids, _fresh(declared, ctr) if indexed else None,
+                          path, declared)
+        if len(kids) != rule.arity:
+            raise IngestError(
+                f"{echo(str(rule))} needs {rule.arity} children at node {_fmt(path)}")
+        try:
+            computed = apply_rule(rule, [k.cat for k in kids])
+            if computed != declared:
+                raise IngestError(
+                    f"{echo(str(rule))} produces {echo(computed.to_slash())} but node declares "
+                    f"{echo(declared.to_slash())} at node {_fmt(path)}")
+        except RuleError as exc:
+            raise IngestError(f"{exc} at node {_fmt(path)}") from None
+        itype = combine(rule, [uf.deref(k.itype) for k in kids], ops) if indexed else None
+        return _RNode(None, rule, kids, itype, path, declared)
+
+    return walk(raw, expand, finish)
 
 
 # --- the build, with coordination expanded ---------------------------------------
@@ -596,47 +578,50 @@ def _cat(node: _RNode, uf: _UnionFind) -> CcgType:
     return node.cat if node.itype is None else _erase(node.itype, uf)
 
 
-def _build(node: _RNode, uf: _UnionFind, conj_typed: list) -> Derivation:
-    """Build the derivation of a resolved subtree, each node once.
+def _build(root: _RNode, uf: _UnionFind, conj_typed: list) -> Derivation:
+    """Build the derivation of a resolved tree, each node once.
 
     Coordination is rewritten as it is built: the conj leaf of ``X and X``
-    becomes ``(X ⤚ X) ⤙ X``.  The path of each node whose type holds a CONJ
-    atom is added to ``conj_typed``.
-    """
-    cat = _cat(node, uf)
-    if _has_conj(cat):
-        conj_typed.append(node.path)
-    if node.rule is None:
-        if cat == CONJ_ATOM:
+    becomes ``(X ⤚ X) ⤙ X``, and a coordinated node's children are its two
+    conjuncts.  The path of each node whose type holds a CONJ atom is added
+    to ``conj_typed``."""
+    def expand(node: _RNode, path: tuple):
+        cat = _cat(node, uf)
+        if _has_conj(cat):
+            conj_typed.append(node.path)
+        if cat == CONJ_ATOM if node.rule is None else node.rule.kind == "CONJ":
             raise IngestError(f"CONJ in non-coordination position at node {_fmt(node.path)}")
-        return Leaf(node.word, cat)
-    if len(node.children) == 1:
-        return Unary(node.rule, _build(node.children[0], uf, conj_typed), cat)
-    if node.rule.kind == "CONJ":
-        raise IngestError(f"CONJ in non-coordination position at node {_fmt(node.path)}")
-    left, right = node.children
-    if right.rule is None or right.rule.kind != "CONJ":
-        return Binary(node.rule, _build(left, uf, conj_typed),
-                      _build(right, uf, conj_typed), cat)
-    left = _build(left, uf, conj_typed)
-    conj_leaf, conjunct = right.children
-    conjunct = _build(conjunct, uf, conj_typed)
-    if conj_leaf.rule is not None or _cat(conj_leaf, uf) != CONJ_ATOM:
-        raise IngestError(
-            f"CONJ node needs a conj leaf on its left at node {_fmt(right.path)}")
-    x = conjunct.cat
-    if left.cat != x:
-        raise IngestError(
-            f"conjuncts' types differ at node {_fmt(node.path)}: "
-            f"{echo(left.cat.to_slash())} vs {echo(x.to_slash())}")
-    glue = Backward(x, x)
-    declared = _cat(right, uf)
-    if declared != glue:
-        raise IngestError(
-            f"CONJ node declares {echo(declared.to_slash())}, expected "
-            f"{echo(glue.to_slash())} at node {_fmt(right.path)}")
-    conj_word = Leaf(conj_leaf.word, Forward(glue, x))
-    return Binary(node.rule, left, Binary(FA, conj_word, conjunct, glue), cat)
+        if node.rule is None:
+            return Leaf(node.word, cat), ()
+        kids = node.children
+        if len(kids) == 2 and kids[1].rule is not None and kids[1].rule.kind == "CONJ":
+            return (node, cat, kids[1]), (kids[0], kids[1].children[1])
+        return (node, cat, None), kids
+
+    def finish(state: tuple, kids: list[Derivation]) -> Derivation:
+        node, cat, coordinator = state
+        if coordinator is None:
+            return (Unary if len(kids) == 1 else Binary)(node.rule, *kids, cat)
+        left, right = kids
+        conj_leaf = coordinator.children[0]
+        if conj_leaf.rule is not None or _cat(conj_leaf, uf) != CONJ_ATOM:
+            raise IngestError(
+                f"CONJ node needs a conj leaf on its left at node {_fmt(coordinator.path)}")
+        x = right.cat
+        if left.cat != x:
+            raise IngestError(
+                f"conjuncts' types differ at node {_fmt(node.path)}: "
+                f"{echo(left.cat.to_slash())} vs {echo(x.to_slash())}")
+        glue = Backward(x, x)
+        declared = _cat(coordinator, uf)
+        if declared != glue:
+            raise IngestError(
+                f"CONJ node declares {echo(declared.to_slash())}, expected "
+                f"{echo(glue.to_slash())} at node {_fmt(coordinator.path)}")
+        conj_word = Leaf(conj_leaf.word, Forward(glue, x))
+        return Binary(node.rule, left, Binary(FA, conj_word, right, glue), cat)
+
+    return walk(root, expand, finish)
 
 
 # --- pipeline helpers --------------------------------------------------------------
@@ -646,7 +631,7 @@ def ingest_tree(raw: RawTree) -> Derivation:
     build the derivation with conjunctions expanded, validate it."""
     ops = _IndexedOps(_UnionFind(), itertools.count(1))
     conj_typed: list[tuple] = []
-    d = _build(_resolve(raw, (), ops), ops.uf, conj_typed)
+    d = _build(_resolve(raw, ops), ops.uf, conj_typed)
     if conj_typed:   # reported after every coordination error
         raise IngestError("CONJ appears in a type after preprocessing")
     problems = validate(d)
@@ -724,7 +709,7 @@ def _json_entries(text: str, starts: list[int | None], listed: bool, collect_err
             else:
                 tree = _raw_node(item, ptr)
         except (IngestError, RecursionError) as exc:
-            tree = _failed(exc, "JSON", collect_errors)
+            tree = _failed(exc, collect_errors)
         yield ident, tree
 
 
@@ -735,31 +720,25 @@ def _ccgbank_entries(text: str, collect_errors: bool):
             continue
         try:
             tree = read_ccgbank(stripped)
-        except (IngestError, RecursionError) as exc:
-            tree = _failed(exc, "bracketed text", collect_errors)
+        except IngestError as exc:
+            tree = _failed(exc, collect_errors)
         yield f"s{lineno}", tree
 
 
-def _failed(exc: Exception, what: str, collect_errors: bool) -> IngestError:
+def _failed(exc: Exception, collect_errors: bool) -> IngestError:
     """The error an entry fails with, raised unless ``collect_errors``."""
-    if isinstance(exc, RecursionError):   # the reader recursed once per level
-        exc = IngestError(_too_deep(f"{what} nested too deeply to read"))
+    if isinstance(exc, RecursionError):   # the JSON decoder recursed once per level
+        exc = IngestError(_too_deep("JSON nested too deeply to read"))
     if not collect_errors:
         raise exc from None
     return exc
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    """Serialize back to the interchange schema, walking an explicit stack:
-    each node's dict is made empty and filled when the node is popped."""
-    root: dict = {}
-    todo = [(d, root)]
-    while todo:
-        node, out = todo.pop()
+    """Serialize back to the interchange schema, by :func:`rules.walk`."""
+    def expand(node: Derivation, path: tuple):
         if isinstance(node, Leaf):
-            out.update(word=node.word, type=node.cat.to_slash())
-            continue
-        kids = children(node)
-        out.update(rule=str(node.rule), type=node.cat.to_slash(), children=[{} for _ in kids])
-        todo += zip(kids, out["children"])
-    return root
+            return {"word": node.word, "type": node.cat.to_slash()}, ()
+        return {"rule": str(node.rule), "type": node.cat.to_slash()}, children(node)
+
+    return walk(d, expand, lambda out, kids: {**out, "children": kids})

@@ -280,6 +280,33 @@ def flat_path(path: tuple) -> tuple[int, ...]:
     return tuple(reversed(indices))
 
 
+def walk(root, expand, finish):
+    """Map a tree bottom-up on an explicit stack, so depth needs no recursion.
+
+    ``expand(node, path)`` runs in pre-order, left to right, on the node's
+    linked path (see :func:`flat_path`) and returns its state and children;
+    ``finish(state, results)`` runs once its children's results are made.  A
+    node without children is not finished: its state is its result."""
+    done: list = []   # the results of finished subtrees, in document order
+    todo: list = [(root, ())]   # (node, path) to expand; (state, count) to finish
+    pop, push, keep = todo.pop, todo.append, done.append
+    while todo:
+        node, path = pop()
+        if type(path) is int:   # the node's results are the last ``path`` made
+            results = done[-path:]
+            del done[-path:]
+            keep(finish(node, results))
+            continue
+        state, kids = expand(node, path)
+        if kids:
+            push((state, len(kids)))
+            for i in range(len(kids) - 1, -1, -1):
+                push((kids[i], (path, i)))
+        else:
+            keep(state)
+    return done[0]
+
+
 def path_str(path: tuple[int, ...]) -> str:
     """A flat node path as messages print it: ``0/1``, or ``root``."""
     return "/".join(map(str, path)) or "root"
@@ -331,30 +358,28 @@ def validate(d: Derivation) -> list[Violation]:
     Total: returns a list of violations (empty when the derivation is legal).
     Unresolved UNARY and CONJ nodes are reported; they must be eliminated by
     the ingest passes first.  Violations come in post-order, children left to
-    right before their node; the walk keeps an explicit stack.
+    right before their node, as :func:`walk` finishes them.
     """
     out: list[Violation] = []
-    todo: list[tuple[Derivation, tuple, bool]] = [(d, (), False)]
-    while todo:
-        node, path, kids_checked = todo.pop()
+
+    def expand(node, path):
         if isinstance(node, Leaf):
             if not node.word:
                 out.append(Violation(flat_path(path), "empty word at leaf"))
-            continue
-        kids = children(node)
-        if not kids_checked:
-            todo.append((node, path, True))
-            todo += reversed([(kid, (path, i), False) for i, kid in enumerate(kids)])
-            continue
+            return node.cat, ()
+        return (node, path), children(node)
+
+    def finish(state, cats):
+        node, path = state
         try:
-            produced = apply_rule(node.rule, [kid.cat for kid in kids])
+            produced = apply_rule(node.rule, cats)
+            if produced != node.cat:
+                out.append(Violation(flat_path(path), f"{echo(str(node.rule))} produces "
+                                     f"{echo(produced.to_slash())}, node claims "
+                                     f"{echo(node.cat.to_slash())}"))
         except RuleError as exc:
             out.append(Violation(flat_path(path), str(exc)))
-            continue
-        if produced != node.cat:
-            out.append(Violation(
-                flat_path(path),
-                f"{echo(str(node.rule))} produces {echo(produced.to_slash())}, "
-                f"node claims {echo(node.cat.to_slash())}",
-            ))
+        return node.cat
+
+    walk(d, expand, finish)
     return out

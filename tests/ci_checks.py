@@ -214,9 +214,9 @@ def derivation4096(work: Path) -> None:
 
 
 def probe_derivation4096() -> None:
-    # built from rules.Leaf and Binary, since the JSON reader and the ingest
-    # walks still recurse once per tree level (ROADMAP item 7); everything
-    # after them walks explicit stacks
+    # built from rules.Leaf and Binary, since the JSON decoder still recurses
+    # once per tree level (ROADMAP item 7); the bracketed reader, ingest and
+    # everything after them walk explicit stacks
     from discoccg.biclosed import lower_derivation, to_sexpr
     from discoccg.diagram import well_formed
     from discoccg.functor import lower
@@ -236,6 +236,26 @@ def probe_derivation4096() -> None:
     diagram = lower(term)
     assert well_formed(diagram) == [] and str(diagram.cod) == "s"
     print(to_sexpr(term))
+
+
+def ccgbank_deep(work: Path) -> None:
+    """Deep bracketed sentences convert at the default recursion limit, and
+    rb4096's term is the one the ``derivation4096`` probe prints."""
+    from tests.sentences import (
+        bracketed, coordination, left_fc_chain, right_branching, unary_chain,
+    )
+
+    path = work / "deep.txt"
+    path.write_text("".join(f"{bracketed(tree)}\n" for tree in (
+        right_branching(4096), left_fc_chain(4096), coordination(4096), unary_chain(1500))))
+    runs = [cli(work, f"seed{h}", ["--in", path, "--format", "ccgbank", *REWRITE], h)
+            for h in HASHSEEDS]
+    alike(*runs)
+    log = (runs[0] / "log").read_text()
+    assert "total 4 converted 4 failed 0" in log.splitlines(), log[-500:]
+    assert "RecursionError" not in log
+    probe = run(work, "probe", [SELF, "--probe", "derivation4096"]) / "log"
+    assert (runs[0] / "out" / "s0.biclosed").read_text() == probe.read_text()
 
 
 def best_of_3(function, *args) -> float:
@@ -263,7 +283,7 @@ def normalize_growth(work: Path) -> None:
     from discoccg.rewrite import normalize
     from tests.sentences import raw_diagram, right_branching
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * 4096))   # ingest and JSON
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * 4096))   # JSON, both ways
     growth("normalize rb", lambda k: best_of_3(normalize, raw_diagram(right_branching(k))), 8)
     d = raw_diagram(right_branching(4096))
     norm = normalize(d)   # normalize does not validate its result
@@ -276,7 +296,7 @@ def ingest_growth(work: Path) -> None:
     from discoccg.ingest import ingest_tree, read_json
     from tests.sentences import right_branching
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * 4096))   # JSON and resolve
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * 4096))   # JSON, both ways
     growth("ingest rb", lambda k: best_of_3(
         lambda text: ingest_tree(read_json(text)), json.dumps(right_branching(k))), 8)
 
@@ -314,6 +334,7 @@ CHECKS = {
     "hand-off": lambda w: handoff(w, ["--in", CORPUS, *REWRITE, "--seed", "7"]),
     "hand-off-oracle": lambda w: handoff(w, ["--in", hand_off_batch(w), *REWRITE, *ORACLE]),
     "arrows": arrows, "long": long, "deep": deep, "derivation4096": derivation4096,
+    "ccgbank-deep": ccgbank_deep,
     "normalize-growth": normalize_growth, "ingest-growth": ingest_growth,
     "f-obj-growth": f_obj_growth,
 }

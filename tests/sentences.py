@@ -24,8 +24,10 @@ ambiguity away from ``tree``.
 ``deep_json(k, *before)`` is a JSON batch holding the trees ``before``, then
 ``right_branching(k)``.  ``right_branching_derivation(k)`` is the ingested
 derivation of ``right_branching(k)``, built directly from ``rules.Leaf`` and
-``rules.Binary``: the JSON reader and the ingest walks recurse once per tree
-level, and this builder does not.
+``rules.Binary``, so it does not rest on the reader or on ingest.
+``unary_chain(k)`` is ``k`` UNARY NP levels over one leaf, and
+``bracketed(tree)`` a tree as one line of CCGBank-flavored text; neither
+recurses, so both take any depth.
 """
 
 from __future__ import annotations
@@ -80,6 +82,29 @@ def deep_json(k: int, *before: dict) -> str:
         return json.dumps([*before, right_branching(k)])
     finally:
         sys.setrecursionlimit(limit)
+
+
+def unary_chain(k: int) -> dict:
+    tree = leaf("Alice", "NP")
+    for _ in range(k):
+        tree = node("UNARY", "NP", tree)
+    return tree
+
+
+def bracketed(tree: dict) -> str:
+    parts, todo = [], [tree]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            parts.append(t)
+        elif "word" in t:
+            parts.append(f"(LEX {t['type']} {t['word']})")
+        else:
+            parts.append(f"({t['rule']} {t['type']}")
+            todo.append(")")
+            for child in reversed(t["children"]):
+                todo += [child, " "]
+    return "".join(parts)
 
 
 def left_fc_chain(k: int) -> dict:

@@ -252,8 +252,8 @@ def test_one_build_per_lowering(corpus_terms, monkeypatch):
 
 
 def test_lowering_needs_no_recursion():
-    # the limit is raised around ingest only: the JSON reader and the ingest
-    # walks still recurse once per tree level
+    # the limit is raised around reading only: the JSON encoder and decoder
+    # still recurse once per tree level
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 12000))
     try:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discoccg import ingest
+from discoccg.biclosed import lower_derivation, to_sexpr
 from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.ingest import (
     IngestError, RawLeaf, RawNode, derivation_to_json, ingest_tree, read_ccgbank,
@@ -20,7 +21,8 @@ from discoccg.rules import (
     children, echo, flat_path, leaves, validate,
 )
 from tests.sentences import (
-    deep_json, random_derivation, right_branching, right_branching_derivation,
+    bracketed, coordination, deep_json, left_fc_chain, random_derivation, right_branching,
+    right_branching_derivation, unary_chain,
 )
 
 t = parse_type
@@ -232,6 +234,21 @@ def test_first_malformed_node_in_document_order_is_reported():
         read_json(json.dumps(tree))
 
 
+@pytest.mark.parametrize("raw, message", [
+    # a child's fault is reported before its parent's arity
+    (RawNode("FA", "S", (RawLeaf("a", "NP"),)), "FA needs 2 children at node root"),
+    (RawNode("FA", "S", (RawLeaf("", "NP"),)), "empty word at node 0"),
+    # no children: no leaf, though no child is walked either
+    (RawNode("FA", "S", ()), "FA needs 2 children at node root"),
+    (RawNode("FTR:S", "S/(S\\NP)", ()), "FTR:S needs 1 children at node root"),
+    (RawNode("UNARY", "S", ()), "UNARY needs exactly one child at node root"),
+])
+def test_rule_node_arity_is_checked(raw, message):
+    with pytest.raises(IngestError) as exc:
+        ingest_tree(raw)
+    assert str(exc.value) == message
+
+
 # --- conjunction expansion ------------------------------------------------------
 
 APPLES = {"rule": "BA", "type": "NP", "children": [
@@ -342,6 +359,27 @@ def test_ccgbank_reader_multiword_leaf_and_target():
     d = ingest_tree(raw)
     assert validate(d) == []
     assert leaves(d)[1].word == "falls over"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("LEX NP Alice)", "expected '(' at position 0"),
+    ("(FA S (LEX NP/N the) wolf)", "expected '(' at position 21"),
+    ("()", "expected a token at position 1"),
+    ("(FA", "expected a token at position 3"),
+    ("(LEX NP Alice", "expected a token at position 13"),
+    ("(LEX NP )", "LEX node without a word at position 8"),
+    ("(BA S (LEX NP Alice) (FA S\\NP))", "rule node without children at position 29"),
+    ("(FA S", "unterminated node"),
+    ("(BA S (LEX NP Alice) (LEX S\\NP sleeps)", "unterminated node"),
+    ("(LEX NP Alice) (LEX NP Bob)", "trailing input at position 15"),
+    ("(BA S (LEX NP Alice) (LEX S\\NP sleeps)))", "trailing input at position 39"),
+])
+def test_ccgbank_reader_messages(text, message):
+    with pytest.raises(IngestError) as exc:
+        read_ccgbank(text)
+    assert str(exc.value) == message
+    [(_, error)] = list(read_derivations(text, "ccgbank", collect_errors=True))
+    assert str(error) == message
 
 
 @pytest.mark.parametrize("word", ["Al\u0001ice", "Al\nice", "Al\u007fice", "\u0000"])
@@ -613,6 +651,22 @@ def test_validate_and_serialization_match_their_recursive_walks():
         assert _same_json(got[2], _ref_to_json(deep))
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_deep_trees_ingest_at_the_default_recursion_limit():
+    # every reader and ingest walk keeps an explicit stack; derivations are
+    # compared by their term text, since == on a deep dataclass tree recurses
+    def term(raw):
+        return to_sexpr(lower_derivation(ingest_tree(raw)))
+
+    rb = right_branching(4096)
+    assert term(ingest._raw_node(rb, "")) == to_sexpr(
+        lower_derivation(right_branching_derivation(4096)))
+    assert term(read_ccgbank(bracketed(rb))) == term(ingest._raw_node(rb, ""))
+    for tree, words in ((left_fc_chain(4096), 4096 + 4), (coordination(4096), 2 * 4096)):
+        d = ingest_tree(ingest._raw_node(tree, ""))
+        assert d.cat == Atom("S") and len(leaves(d)) == words
+    assert term(ingest._raw_node(unary_chain(1500), "")) == '(word "Alice" NP)'
 
 
 # --- unary resolution against the substituting reference -------------------------
@@ -930,13 +984,8 @@ def test_ingest_allocation_grows_linearly():
         finally:
             tracemalloc.stop()
 
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 10000))
-    try:
-        peak(8)   # warm the type cache
-        small, large = peak(256), peak(1024)
-    finally:
-        sys.setrecursionlimit(limit)
+    peak(8)   # warm the type cache
+    small, large = peak(256), peak(1024)   # at the default recursion limit
     assert large <= 6 * small, (small, large)
 
 

@@ -490,7 +490,7 @@ def test_snakes_match_wire_tracer_on_hand_built_diagrams():
 
 @pytest.fixture
 def deep_recursion():
-    """Ingest, lowering and JSON encoding recurse once per tree level."""
+    """JSON encoding and decoding recurse once per tree level."""
     import sys
 
     limit = sys.getrecursionlimit()
