@@ -1,11 +1,13 @@
 # -*- coding: utf-8 -*-
 """discoccg: compile CCG derivations into DisCoCat string diagrams.
 
-Pipeline: serialized derivation -> validated derivation (``ingest``) ->
-biclosed term (``biclosed``, whose objects are the categorial types, ``()``
-for the unit and a tuple of factors for a tensor, and whose curries and
-uncurries are one bend term) -> string diagram (``functor``), with rewriting
-(``rewrite``) and a tensor-network oracle (``semantics``) on the diagram side.
+Pipeline: serialized derivation (a raw tree, the interchange JSON node
+itself) -> validated derivation (``ingest``) -> biclosed term (``biclosed``,
+whose objects are the categorial types, ``()`` for the unit and a tuple of
+factors for a tensor, and whose curries and uncurries are one bend term) ->
+string diagram (``functor``, whose objects are tuples of wires, ``()`` for
+the unit), with rewriting (``rewrite``) and a tensor-network oracle
+(``semantics``) on the diagram side.
 """
 
 from .ccgtypes import Atom, Backward, CcgType, Forward, TypeParseError, parse_type

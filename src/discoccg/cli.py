@@ -95,14 +95,6 @@ class ExitReport:
         return f"total {self.total} converted {self.converted} failed {self.failed}"
 
 
-def __getattr__(name):
-    # ``cli.DimAssignment`` resolves without importing the oracle at start-up
-    if name == "DimAssignment":
-        from .semantics import DimAssignment
-        return DimAssignment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def semantically_equal(before, after, dims, seeds) -> bool:
     """The tensor oracle's check, imported on first use: numpy loads only
     when a run asks for ``--check-semantics``."""

@@ -2,15 +2,20 @@
 """Layered string diagrams over typed wires with integer adjoint winding.
 
 A wire is a base symbol plus a winding number z (0 plain, +1 right adjoint,
--1 left adjoint, iterating).  A diagram is a list of layers; each layer
+-1 left adjoint, iterating).  An object is a tuple of wires, ``()`` the
+monoidal unit, and its tensor is tuple concatenation; docstrings write
+``x.l`` and ``x.r`` for its adjoints (``left_adjoint``, ``right_adjoint``)
+and juxtapose tensored objects.  A diagram is a list of layers; each layer
 applies one generator (word box, cup, cap or swap) at an offset, with
 identities everywhere else.  Composition is layer concatenation, tensoring is
 whiskering.  ``crossed_image`` is the one builder of the crossed-composition
 image: the functor emits it, and planarize regenerates it to recognize one.
 
->>> n = RObject.parse("n")
->>> (n.r.l, n.l.r) == (n, n)
+>>> n = (Wire("n"),)
+>>> (left_adjoint(right_adjoint(n)), right_adjoint(left_adjoint(n))) == (n, n)
 True
+>>> obj_str(left_adjoint((Wire("n"), Wire("s")))), obj_str(())
+('s.l n.l', '1')
 >>> snake = Diagram.build(n, [(1, Cap("n", 0)), (0, Cup("n", 0))])
 >>> snake.cod == n
 True
@@ -53,66 +58,36 @@ class Wire:
         return self.base + (-self.z * ".l" if self.z < 0 else self.z * ".r")
 
 
-@dataclass(frozen=True)
-class RObject:
-    """An ordered list of wires; the empty list is the monoidal unit."""
-
-    wires: tuple[Wire, ...] = ()
-
-    @staticmethod
-    def parse(spec: str) -> "RObject":
-        """Build from a compact spec like ``"n.r s n.l"``."""
-        out = []
-        for tok in spec.split():
-            base, _, tail = tok.partition(".")
-            z = tail.count("r") - tail.count("l")
-            out.append(Wire(base, z))
-        return RObject(tuple(out))
-
-    def __len__(self) -> int:
-        return len(self.wires)
-
-    def __iter__(self):
-        return iter(self.wires)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return RObject(self.wires[key])
-        return self.wires[key]
-
-    def __matmul__(self, other: "RObject") -> "RObject":
-        return RObject(self.wires + other.wires)
-
-    @property
-    def l(self) -> "RObject":
-        return RObject(tuple(w.l for w in reversed(self.wires)))
-
-    @property
-    def r(self) -> "RObject":
-        return RObject(tuple(w.r for w in reversed(self.wires)))
-
-    def __str__(self) -> str:
-        return " ".join(str(w) for w in self.wires) if self.wires else "1"
+RObject = tuple[Wire, ...]   # an object: its wires in order; ``()`` is the unit
 
 
-EMPTY = RObject()
+def left_adjoint(obj: RObject) -> RObject:
+    """``obj.l``: the wires reversed, each wound once to the left."""
+    return tuple(w.l for w in reversed(obj))
+
+
+def right_adjoint(obj: RObject) -> RObject:
+    """``obj.r``: the wires reversed, each wound once to the right."""
+    return tuple(w.r for w in reversed(obj))
+
+
+def obj_str(obj) -> str:
+    """An object, or a boundary's list of wires, as messages print it: its
+    wires by spaces, ``1`` for the unit."""
+    return " ".join(map(str, obj)) if obj else "1"
 
 
 @dataclass(frozen=True)
 class WordBox:
     label: str
-    wires: RObject
+    cod: RObject
 
     @property
     def dom(self) -> RObject:
-        return EMPTY
-
-    @property
-    def cod(self) -> RObject:
-        return self.wires
+        return ()
 
     def __str__(self) -> str:
-        return f"{self.label}:{self.wires}"
+        return f"{self.label}:{obj_str(self.cod)}"
 
 
 def _boundary():
@@ -132,12 +107,11 @@ class Cup:
     dom: RObject = _boundary()
 
     def __post_init__(self):
-        object.__setattr__(self, "dom", RObject((Wire(self.base, self.z),
-                                                 Wire(self.base, self.z + 1))))
+        object.__setattr__(self, "dom", (Wire(self.base, self.z), Wire(self.base, self.z + 1)))
 
     @property
     def cod(self) -> RObject:
-        return EMPTY
+        return ()
 
     def __str__(self) -> str:
         return f"cup({Wire(self.base, self.z)}, {Wire(self.base, self.z + 1)})"
@@ -152,12 +126,11 @@ class Cap:
     cod: RObject = _boundary()
 
     def __post_init__(self):
-        object.__setattr__(self, "cod", RObject((Wire(self.base, self.z + 1),
-                                                 Wire(self.base, self.z))))
+        object.__setattr__(self, "cod", (Wire(self.base, self.z + 1), Wire(self.base, self.z)))
 
     @property
     def dom(self) -> RObject:
-        return EMPTY
+        return ()
 
     def __str__(self) -> str:
         return f"cap({Wire(self.base, self.z + 1)}, {Wire(self.base, self.z)})"
@@ -171,8 +144,8 @@ class Swap:
     cod: RObject = _boundary()
 
     def __post_init__(self):
-        object.__setattr__(self, "dom", RObject((self.w1, self.w2)))
-        object.__setattr__(self, "cod", RObject((self.w2, self.w1)))
+        object.__setattr__(self, "dom", (self.w1, self.w2))
+        object.__setattr__(self, "cod", (self.w2, self.w1))
 
     def __str__(self) -> str:
         return f"swap({self.w1}, {self.w2})"
@@ -192,7 +165,7 @@ class Diagram:
     def build(dom: RObject, layers) -> "Diagram":
         """Validating constructor: simulates the layers and derives the codomain."""
         layers = tuple((offset, gen) for offset, gen in layers)
-        return Diagram(dom, RObject(tuple(_walk(dom, layers))), layers)
+        return Diagram(dom, tuple(_walk(dom, layers)), layers)
 
     @staticmethod
     def id(obj: RObject) -> "Diagram":
@@ -207,7 +180,7 @@ class Diagram:
     def boundaries(self) -> list[RObject]:
         """The run of boundaries: entry ``i`` is the object before layer ``i``."""
         out = [self.dom]
-        _walk(self.dom, self.layers, lambda wires: out.append(RObject(tuple(wires))))
+        _walk(self.dom, self.layers, lambda wires: out.append(tuple(wires)))
         return out
 
     def count(self, kind) -> int:
@@ -215,7 +188,7 @@ class Diagram:
 
     def __str__(self) -> str:
         if not self.layers:
-            return f"id({self.dom})"
+            return f"id({obj_str(self.dom)})"
         return " >> ".join(f"{g}@{o}" for o, g in self.layers)
 
 
@@ -223,17 +196,17 @@ def _walk(dom: RObject, layers, visit=None) -> list[Wire]:
     """Simulate ``layers`` on a list of wires and return the final boundary;
     ``visit`` sees the list after each layer.  Raises on the first layer whose
     domain is not on the boundary at its offset."""
-    boundary = list(dom.wires)
+    boundary = list(dom)
     for i, (offset, gen) in enumerate(layers):
-        wires = gen.dom.wires
+        wires = gen.dom
         end = offset + len(wires)
         if offset < 0 or end > len(boundary):
             raise DiagramError(f"layer {i}: {gen} at offset {offset} does not fit "
-                               f"boundary {RObject(tuple(boundary))}")
+                               f"boundary {obj_str(boundary)}")
         if wires and tuple(boundary[offset:end]) != wires:
-            raise DiagramError(f"layer {i}: {gen} expects {gen.dom}, boundary has "
-                               f"{RObject(tuple(boundary[offset:end]))} at offset {offset}")
-        boundary[offset:end] = gen.cod.wires
+            raise DiagramError(f"layer {i}: {gen} expects {obj_str(wires)}, boundary has "
+                               f"{obj_str(boundary[offset:end])} at offset {offset}")
+        boundary[offset:end] = gen.cod
         if visit is not None:
             visit(boundary)
     return boundary
@@ -241,7 +214,8 @@ def _walk(dom: RObject, layers, visit=None) -> list[Wire]:
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
     if d1.cod != d2.dom:
-        raise DiagramError(f"compose boundary mismatch: cod {d1.cod} vs dom {d2.dom}")
+        raise DiagramError(
+            f"compose boundary mismatch: cod {obj_str(d1.cod)} vs dom {obj_str(d2.dom)}")
     return Diagram(d1.dom, d2.cod, d1.layers + d2.layers)
 
 
@@ -249,7 +223,7 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     """Whisker ``d1``'s layers first, then ``d2``'s shifted past ``d1``'s codomain."""
     shift = len(d1.cod)
     shifted = tuple((o + shift, g) for o, g in d2.layers)
-    return Diagram(d1.dom @ d2.dom, d1.cod @ d2.cod, d1.layers + shifted)
+    return Diagram(d1.dom + d2.dom, d1.cod + d2.cod, d1.layers + shifted)
 
 
 def well_formed(d: Diagram) -> list[str]:
@@ -258,21 +232,21 @@ def well_formed(d: Diagram) -> list[str]:
         boundary = _walk(d.dom, d.layers)
     except DiagramError as exc:
         return [str(exc)]
-    if tuple(boundary) != d.cod.wires:
-        return [f"final boundary {RObject(tuple(boundary))} does not match cod {d.cod}"]
+    if tuple(boundary) != d.cod:
+        return [f"final boundary {obj_str(boundary)} does not match cod {obj_str(d.cod)}"]
     return []
 
 
 def cup_block(block: RObject, start: int) -> list[Layer]:
-    """Cups closing ``block.l @ block`` (sitting at ``start``), innermost pair
-    first; ``cup_block(b.r, start)`` closes ``b @ b.r``."""
+    """Cups closing ``block.l block`` (sitting at ``start``), innermost pair
+    first; ``cup_block(right_adjoint(b), start)`` closes ``b b.r``."""
     m = len(block)
     return [(start + m - 1 - i, Cup(block[i].base, block[i].z - 1)) for i in range(m)]
 
 
 def cap_block(block: RObject, start: int) -> list[Layer]:
-    """Caps creating ``block @ block.l`` at ``start``, outermost pair first;
-    ``cap_block(b.r, start)`` creates ``b.r @ b``."""
+    """Caps creating ``block block.l`` at ``start``, outermost pair first;
+    ``cap_block(right_adjoint(b), start)`` creates ``b.r b``."""
     return [(start + i, Cap(block[i].base, block[i].z - 1)) for i in range(len(block))]
 
 
@@ -306,12 +280,12 @@ def crossed_image(direction: str, x: RObject, y: RObject, z: RObject,
     through on identities.
     """
     if direction == "FCX":
-        return (swap_blocks(y.l, z.r, start + len(x))
+        return (swap_blocks(left_adjoint(y), right_adjoint(z), start + len(x))
                 + cup_block(y, start + len(x) + len(z))
-                + swap_blocks(x, z.r, start))
-    return (swap_blocks(z.l, y.r, start + len(y))
-            + cup_block(y.r, start)
-            + swap_blocks(z.l, x, start))
+                + swap_blocks(x, right_adjoint(z), start))
+    return (swap_blocks(left_adjoint(z), right_adjoint(y), start + len(y))
+            + cup_block(right_adjoint(y), start)
+            + swap_blocks(left_adjoint(z), x, start))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -329,7 +303,7 @@ def _wires_to_json(wires) -> str:
 def _layer_to_json(offset: int, gen: Generator) -> str:
     if isinstance(gen, WordBox):
         text = '{"kind": "word", "label": %s, "cod": %s}' % (
-            _json_str(gen.label), _wires_to_json(gen.wires))
+            _json_str(gen.label), _wires_to_json(gen.cod))
     elif isinstance(gen, Swap):
         text = '{"kind": "swap", "w1": %s, "w2": %s}' % (
             _WIRE % (_json_str(gen.w1.base), gen.w1.z),
@@ -387,7 +361,7 @@ def _wire_from_json(obj, ptr: str) -> Wire:
 
 def _wires_from_json(obj: dict, key: str, ptr: str) -> RObject:
     items = _field(obj, key, ptr, list)
-    return RObject(tuple(_wire_from_json(w, f"{ptr}/{key}/{i}") for i, w in enumerate(items)))
+    return tuple(_wire_from_json(w, f"{ptr}/{key}/{i}") for i, w in enumerate(items))
 
 
 def _gen_from_json(obj, ptr: str) -> Generator:
@@ -422,5 +396,6 @@ def diagram_from_json(text: str | bytes) -> Diagram:
                        _gen_from_json(entry["gen"], f"{ptr}/gen")))
     d = Diagram.build(dom, layers)
     if d.cod != cod:
-        raise DiagramError(f"stored cod {cod} does not match layers (computed {d.cod})")
+        raise DiagramError(
+            f"stored cod {obj_str(cod)} does not match layers (computed {obj_str(d.cod)})")
     return d

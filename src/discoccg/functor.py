@@ -23,8 +23,8 @@ from . import biclosed as bc
 from .biclosed import BObject, BTerm
 from .ccgtypes import ATOM_NAME, Atom, Backward, Forward, fold
 from .diagram import (
-    DEFAULT_ATOM_MAP, EMPTY, Diagram, DiagramError, Layer, RObject, WordBox,
-    Wire, cap_block, crossed_image, cup_block,
+    DEFAULT_ATOM_MAP, Diagram, DiagramError, Layer, RObject, WordBox, Wire, cap_block,
+    crossed_image, cup_block, left_adjoint, right_adjoint,
 )
 from .rules import RuleLabel, echo
 
@@ -57,18 +57,17 @@ class LoweringContext:
 
     def _f_obj(self, o: BObject) -> RObject:
         """The functor on objects, call it as ``f_obj``: atoms to single wires,
-        ``X ⤙ Y`` to ``f(X) @ f(Y).l`` and ``Y ⤚ X`` to ``f(Y).r @ f(X)``.
+        ``X ⤙ Y`` to ``f(X) f(Y).l`` and ``Y ⤚ X`` to ``f(Y).r f(X)``.
 
-        >>> print(DEFAULT_CONTEXT.f_obj(Forward(Backward(Atom("NP"), Atom("S")), Atom("NP"))))
+        >>> from discoccg.diagram import obj_str
+        >>> print(obj_str(DEFAULT_CONTEXT.f_obj(Forward(Backward(Atom("NP"), Atom("S")),
+        ...                                             Atom("NP")))))
         n.r s n.l
         """
         if isinstance(o, (Atom, Forward, Backward)):
-            return fold(o, lambda name: RObject((Wire(self.atom_map.get(name, name), 0),)),
-                        lambda x, y: x @ y.l, lambda y, x: y.r @ x)
-        out = EMPTY
-        for p in bc.factors(o):
-            out = out @ self.f_obj(p)
-        return out
+            return fold(o, lambda name: (Wire(self.atom_map.get(name, name), 0),),
+                        lambda x, y: x + left_adjoint(y), lambda y, x: right_adjoint(y) + x)
+        return sum(map(self.f_obj, bc.factors(o)), ())
 
     def _rule_image(self, rule: RuleLabel, dom: BObject) -> tuple[Layer, ...]:
         """The direct image of an order-preserving rule application on
@@ -82,7 +81,8 @@ class LoweringContext:
         inputs = bc.factors(dom)
         if schema.raising:
             t = f_obj(rule.target)
-            image = cap_block(t, 0) if schema.forward else cap_block(t.r, len(f_obj(dom)))
+            image = (cap_block(t, 0) if schema.forward
+                     else cap_block(right_adjoint(t), len(f_obj(dom))))
         elif schema.forward:
             h = inputs[0]
             image = cup_block(f_obj(h.argument), len(f_obj(h.result)))
@@ -90,7 +90,7 @@ class LoweringContext:
             # dom = A_1.r ... A_n.r  Y  Y.r  X: the secondary's arguments lead
             h = inputs[1]
             y, x = f_obj(h.argument), f_obj(h.result)
-            image = cup_block(y.r, len(f_obj(dom)) - 2 * len(y) - len(x))
+            image = cup_block(right_adjoint(y), len(f_obj(dom)) - 2 * len(y) - len(x))
         return tuple(image)
 
 
@@ -160,7 +160,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
             todo.append((t.inner, at))
         elif t.kind == "curry-l":
             a = f_obj(bc.factors(t.inner.dom)[0])
-            layers += cap_block(a.r, at)
+            layers += cap_block(right_adjoint(a), at)
             todo.append((t.inner, at + len(a)))
         elif t.kind == "uncurry-r":
             # cup b.l on the inner codomain against a new trailing b
@@ -168,7 +168,7 @@ def lower(term: BTerm, ctx: LoweringContext = DEFAULT_CONTEXT) -> Diagram:
                      (t.inner, at)]
         else:   # uncurry-l
             a = f_obj(t.inner.cod.argument)
-            todo += [cup_block(a.r, at), (t.inner, at + len(a))]
+            todo += [cup_block(right_adjoint(a), at), (t.inner, at + len(a))]
     return Diagram.build(f_obj(term.dom), layers)
 
 

@@ -1,21 +1,22 @@
 # -*- coding: utf-8 -*-
 """Readers and preprocessing for serialized derivations.
 
-JSON is the normative interchange format; a CCGBank-flavored bracketed text
-reader maps onto the same raw tree.  ``ingest_tree`` turns a raw tree into a
-validated derivation in three walks.  The first checks every rule on the
-plain types and eliminates ad-hoc unary retypings by binding: below a UNARY
-node every type slot is indexed and unified with the slots a rule equates
-it to, and the retyping binds the class of the retyped slot, so it reaches
-the already processed subtree.  A binding reaches nothing outside that
-subtree, so a tree without UNARY nodes gets no indexed types.  The second
-builds the derivation, each node once, and rewrites ``conj`` leaves into
-``(X ⤚ X) ⤙ X`` coordination as it goes.  The third is ``rules.validate``.
-The first two name a failing node by its input path, UNARY levels included.
-Every map over a tree here is a ``rules.walk``, ``_unify`` walks two types
-in step on a stack of its own, and the bracketed-text reader keeps a stack
-of open nodes; so only the JSON decoder and the type parser recurse once
-per level.
+JSON is the normative interchange format, and a raw tree is its decoded
+node itself, checked in place: ``{"word", "type"}`` or ``{"rule", "type",
+"children"}``.  A CCGBank-flavored bracketed text reader builds the same
+dicts.  ``ingest_tree`` turns a raw tree into a validated derivation in
+three walks.  The first checks every rule on the plain types and eliminates
+ad-hoc unary retypings by binding: below a UNARY node every type slot is
+indexed and unified with the slots a rule equates it to, and the retyping
+binds the class of the retyped slot, so it reaches the already processed
+subtree.  A binding reaches nothing outside that subtree, so a tree without
+UNARY nodes gets no indexed types.  The second builds the derivation, each
+node once, and rewrites ``conj`` leaves into ``(X ⤚ X) ⤙ X`` coordination
+as it goes.  The third is ``rules.validate``.  The first two name a failing
+node by its input path, UNARY levels included.  Every map over a tree here
+is a ``rules.walk``, ``_unify`` walks two types in step on a stack of its
+own, and the bracketed-text reader keeps a stack of open nodes; so only the
+JSON decoder and the type parser recurse once per level.
 
 Feature-annotated atoms (``S[dcl]``) are stripped to their bare atom here;
 the semantics functor is defined on bare atoms.
@@ -45,20 +46,9 @@ class IngestError(ValueError):
     """Schema violation or inconsistent derivation, with a location."""
 
 
-@dataclass(frozen=True)
-class RawLeaf:
-    word: str
-    type_str: str
-
-
-@dataclass(frozen=True)
-class RawNode:
-    rule_str: str
-    type_str: str
-    children: tuple["RawTree", ...]
-
-
-RawTree = RawLeaf | RawNode
+# A raw tree is the interchange JSON node itself: a leaf ``{"word", "type"}``
+# or a rule node ``{"rule", "type", "children"}``, its children a list.
+RawTree = dict
 
 
 # --- readers ------------------------------------------------------------------
@@ -141,14 +131,12 @@ def _entry_end(text: str, start: int) -> int | None:
 
 
 def _raw_node(obj, ptr: str) -> RawTree:
-    """Read the raw tree of a decoded JSON node whose pointer is ``ptr`` by
-    :func:`rules.walk`, in memory linear in the tree: a node's linked path
-    is spelled out as a pointer only in a message."""
-    def expand(obj, path):
-        kids = _check_node(obj, ptr, path)
-        return obj if kids else RawLeaf(obj["word"], obj["type"]), kids
-
-    return walk(obj, expand, lambda obj, kids: RawNode(obj["rule"], obj["type"], tuple(kids)))
+    """Check the decoded JSON node whose pointer is ``ptr``, and every node
+    below it, by :func:`rules.walk`, and return it as the raw tree; in
+    memory linear in the tree: a node's linked path is spelled out as a
+    pointer only in a message."""
+    return walk(obj, lambda obj, path: (obj, _check_node(obj, ptr, path)),
+                lambda obj, kids: obj)
 
 
 def _pointer(ptr: str, path: tuple, field: str = "") -> str:
@@ -211,7 +199,7 @@ def _check_node(obj, ptr: str, path: tuple) -> list | tuple:
 def read_ccgbank(text: str) -> RawTree:
     """Read ``(<rule> <type> <child>...)`` text with ``(LEX <type> <word>)``
     leaves, keeping the open rule nodes on a stack so no depth recurses."""
-    opened = [("", "", [])]   # rule, type and children; the text itself at the bottom
+    opened = [{"children": []}]   # the open rule nodes, the text itself at the bottom
     i = _skip_ws(text, 0)
     while True:
         if i >= len(text) or text[i] != "(":
@@ -225,21 +213,21 @@ def read_ccgbank(text: str) -> RawTree:
                 words.append(w)
             if not words:
                 raise IngestError(f"LEX node without a word at position {i}")
-            opened[-1][2].append(RawLeaf(" ".join(words), type_str))
+            opened[-1]["children"].append({"word": " ".join(words), "type": type_str})
             i += 1
         else:
-            opened.append((rule, type_str, []))
+            opened.append({"rule": rule, "type": type_str, "children": []})
         # close every node that ends here
         while len(opened) > 1 and (i := _skip_ws(text, i)) < len(text) and text[i] == ")":
-            rule, type_str, kids = opened.pop()
-            if not kids:
+            node = opened.pop()
+            if not node["children"]:
                 raise IngestError(f"rule node without children at position {i}")
-            opened[-1][2].append(RawNode(rule, type_str, tuple(kids)))
+            opened[-1]["children"].append(node)
             i += 1
         if len(opened) == 1:
             if (i := _skip_ws(text, i)) != len(text):
                 raise IngestError(f"trailing input at position {i}")
-            return opened[0][2][0]
+            return opened[0]["children"][0]
         if i >= len(text):
             raise IngestError("unterminated node")
 
@@ -375,9 +363,15 @@ class _UnionFind:
                 self.pinned.add(rb)
 
     def deref(self, it: IType) -> IType:
-        """The type slot ``it`` holds now; a bound class is never united again."""
+        """The type slot ``it`` holds now; a bound class is never united again.
+        Each bound class passed is pointed at the last binding, as ``find``
+        compresses parents, so a stack of retypings is followed once."""
+        passed = []
         while (root := self.find(it.idx)) in self.bound:
+            passed.append(root)
             it = self.bound[root]
+        for root in passed:
+            self.bound[root] = it
         return it
 
 
@@ -483,44 +477,44 @@ def _resolve(raw: RawTree, ops: _IndexedOps) -> _RNode:
 
     def expand(raw: RawTree, path: tuple):
         nonlocal open_unary
-        if isinstance(raw, RawLeaf):
-            t = _parse_type(raw.type_str, path)
-            if not raw.word:
+        if "word" in raw:
+            t, word = _parse_type(raw["type"], path), raw["word"]
+            if not word:
                 raise IngestError(f"empty word at node {_fmt(path)}")
-            if _CONTROL.search(raw.word):
-                raise IngestError(f"word {echo(repr(raw.word))} contains a control character "
+            if _CONTROL.search(word):
+                raise IngestError(f"word {echo(repr(word))} contains a control character "
                                   f"at node {_fmt(path)}")
-            if _SURROGATE.search(raw.word):
-                raise IngestError(f"word {echo(repr(raw.word))} contains a lone surrogate "
+            if _SURROGATE.search(word):
+                raise IngestError(f"word {echo(repr(word))} contains a lone surrogate "
                                   f"at node {_fmt(path)}")
-            return _RNode(raw.word, None, [], _fresh(t, ctr) if open_unary else None, path, t), ()
+            return _RNode(word, None, [], _fresh(t, ctr) if open_unary else None, path, t), ()
 
         try:
-            kind, rule = _rule_label(raw.rule_str)
+            kind, rule = _rule_label(raw["rule"])
         except ValueError:
             # parse again to name this node; a bad declared type is reported
             # before a label that breaks its schema
-            kind, degree, target = _parse_rule(raw.rule_str, path)
-            _parse_type(raw.type_str, path)
+            kind, degree, target = _parse_rule(raw["rule"], path)
+            _parse_type(raw["type"], path)
             try:
                 rule = RuleLabel(kind, degree=degree, target=target)
             except ValueError as exc:
                 raise IngestError(f"{exc} at node {_fmt(path)}") from None
-        declared = _parse_type(raw.type_str, path)
+        declared, kids = _parse_type(raw["type"], path), raw["children"]
 
         if kind == "LEX":
             raise IngestError(f"LEX is only valid on leaves, at node {_fmt(path)}")
         if kind == "UNARY":
-            if len(raw.children) != 1:
+            if len(kids) != 1:
                 raise IngestError(f"UNARY needs exactly one child at node {_fmt(path)}")
             open_unary += 1
         elif kind == "CONJ":
-            if len(raw.children) != 2:
+            if len(kids) != 2:
                 raise IngestError(f"CONJ needs exactly two children at node {_fmt(path)}")
-        elif not raw.children:   # reported at once: no child can fail first
+        elif not kids:   # reported at once: no child can fail first
             raise IngestError(
                 f"{echo(str(rule))} needs {rule.arity} children at node {_fmt(path)}")
-        return (kind, rule, declared, path, open_unary > 0), raw.children
+        return (kind, rule, declared, path, open_unary > 0), kids
 
     def finish(state: tuple, kids: list[_RNode]) -> _RNode:
         nonlocal open_unary

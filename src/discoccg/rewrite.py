@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .diagram import (
     Cap, Cup, Diagram, DiagramError, Layer, RObject, Swap, WordBox, crossed_image,
+    left_adjoint, obj_str, right_adjoint,
 )
 
 
@@ -122,7 +123,7 @@ def _shapes(layers: list[Layer]) -> dict[int, tuple[int, int, bool]]:
     """(dom width, cod width, is a word box) of each generator, keyed by its
     ``id``: the rewrites move and delete layers but never make generators."""
     gens = {id(g): g for _, g in layers}
-    return {k: (len(g.dom.wires), len(g.cod.wires), isinstance(g, WordBox))
+    return {k: (len(g.dom), len(g.cod), isinstance(g, WordBox))
             for k, g in gens.items()}
 
 
@@ -389,18 +390,18 @@ def _match_crossed(dom: RObject, layers: list[Layer], s: int) -> list[Layer] | N
         return None  # the left constituent's layers must come first
     a_lo, b_hi = pos[0], pos[-1] + 1
     # the boundary at slice s, read off its producer tags
-    boundary = RObject(tuple(dom[port] if src == "dom" else layers[src][1].cod[port]
-                             for src, port in slice_tags))
+    boundary = tuple(dom[port] if src == "dom" else layers[src][1].cod[port]
+                     for src, port in slice_tags)
     alpha, beta = layers[lo:b_layers[0]], layers[b_layers[0]:s]
     for direction, y_width in (("FCX", m), ("BCX", k)):
         if direction == "FCX":
             # x y.l | z.r y: the left block is x y.l, the right one z.r y (+ trailing)
             start, x = a_lo, boundary[a_lo: mid - m]
-            y, z = boundary[mid + k: mid + k + m], boundary[mid: mid + k].l
+            y, z = boundary[mid + k: mid + k + m], left_adjoint(boundary[mid: mid + k])
         else:
             # y z.l | y.r x: the left block is (trailing +) y z.l, the right one y.r x
             start, x = mid - m - k, boundary[mid + k: b_hi]
-            y, z = boundary[max(start, 0): mid - m], boundary[mid - m: mid].r
+            y, z = boundary[max(start, 0): mid - m], right_adjoint(boundary[mid - m: mid])
         if len(y) != y_width:
             continue   # the boundary has no room for y
         image = crossed_image(direction, x, y, z, start)
@@ -459,5 +460,6 @@ def diagrams_equal(d1: Diagram, d2: Diagram) -> bool:
     """
     if d1.dom != d2.dom or d1.cod != d2.cod:
         raise DiagramError(
-            f"boundary mismatch: [{d1.dom}] -> [{d1.cod}] vs [{d2.dom}] -> [{d2.cod}]")
+            f"boundary mismatch: [{obj_str(d1.dom)}] -> [{obj_str(d1.cod)}] "
+            f"vs [{obj_str(d2.dom)}] -> [{obj_str(d2.cod)}]")
     return normalize(planarize(d1)) == normalize(planarize(d2))

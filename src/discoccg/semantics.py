@@ -39,7 +39,7 @@ from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .diagram import Cap, Cup, Diagram, Swap, Wire, WordBox, RObject, well_formed
+from .diagram import Cap, Cup, Diagram, Swap, Wire, WordBox, RObject, obj_str, well_formed
 
 # SplitMix64 constants (Steele, Lea & Flood's generator).
 _MASK = (1 << 64) - 1
@@ -201,7 +201,7 @@ def _compile(d: Diagram) -> _Network:
     loops: list[Wire] = []
     for offset, gen in d.layers:
         if isinstance(gen, WordBox):
-            ids = [fresh() for _ in gen.wires]
+            ids = [fresh() for _ in gen.cod]
             words.append(gen)
             legs.append(ids)
             boundary[offset:offset] = ids
@@ -327,7 +327,7 @@ def _stack(lexicons, word: WordBox) -> np.ndarray:
     """The tensors of ``word`` under ``lexicons``, along a leading seed axis,
     complex if any lexicon is."""
     dtype = complex if any(lex.complex_field for lex in lexicons) else float
-    return np.array([lex.tensor_for(word.label, word.wires).array for lex in lexicons],
+    return np.array([lex.tensor_for(word.label, word.cod).array for lex in lexicons],
                     dtype=dtype)
 
 
@@ -376,7 +376,7 @@ def evaluate(d: Diagram, dims: DimAssignment,
         key = (tuple(x.seed for x in lexicons),
                (tuple(sorted(first.dims.dims.items())), first.dims.default), first.complex_field)
         slots: list[np.ndarray | None] = [
-            _seeded_stack(*key, w) if math.prod(map(first.dims.of, w.wires)) <= _MEMO_ENTRIES
+            _seeded_stack(*key, w) if math.prod(map(first.dims.of, w.cod)) <= _MEMO_ENTRIES
             else _stack(lexicons, w) for w in net.words]
     else:
         slots = [_stack(lexicons, w) for w in net.words]
@@ -399,8 +399,7 @@ def evaluate(d: Diagram, dims: DimAssignment,
     if out.shape != (size, *shape):
         raise SemanticsError(
             f"evaluation produced shape {out.shape[1:]}, cod expects {shape}")
-    wires = tuple(d.cod)
-    tensors = [Tensor(wires, shape, array) for array in out]
+    tensors = [Tensor(d.cod, shape, array) for array in out]
     return tensors[0] if isinstance(lex, Lexicon) else tensors
 
 
@@ -410,7 +409,7 @@ def semantically_equal(d1: Diagram, d2: Diagram, dims: DimAssignment,
     """Evaluate both diagrams under shared random lexicons, one per seed,
     each in one contraction over all seeds."""
     if d1.cod != d2.cod:
-        raise SemanticsError(f"codomain mismatch: {d1.cod} vs {d2.cod}")
+        raise SemanticsError(f"codomain mismatch: {obj_str(d1.cod)} vs {obj_str(d2.cod)}")
     if not seeds:
         return True
     lexicons = [Lexicon(dims, seed) for seed in seeds]

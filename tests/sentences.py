@@ -28,6 +28,8 @@ derivation of ``right_branching(k)``, built directly from ``rules.Leaf`` and
 ``unary_chain(k)`` is ``k`` UNARY NP levels over one leaf, and
 ``bracketed(tree)`` a tree as one line of CCGBank-flavored text; neither
 recurses, so both take any depth.
+
+``parse_object(spec)`` builds a diagram object from its printed form.
 """
 
 from __future__ import annotations
@@ -39,9 +41,20 @@ import sys
 
 from discoccg import biclosed as bc
 from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
+from discoccg.diagram import RObject, Wire
 from discoccg.functor import lower
 from discoccg.ingest import ingest_tree, read_json
 from discoccg.rules import BA, FA, Binary, Derivation, Leaf
+
+
+def parse_object(spec: str) -> RObject:
+    """A diagram object from a compact spec like ``"n.r s n.l"``; ``""`` is
+    the unit."""
+    out = []
+    for tok in spec.split():
+        base, _, tail = tok.partition(".")
+        out.append(Wire(base, tail.count("r") - tail.count("l")))
+    return tuple(out)
 
 
 def leaf(word: str, cat: str) -> dict:

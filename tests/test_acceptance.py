@@ -12,7 +12,7 @@ from discoccg import biclosed as bc
 from discoccg.ccgtypes import parse_type
 from discoccg.corpus import load_corpus
 from discoccg.diagram import (
-    Diagram, EMPTY, RObject, Swap, Wire, WordBox, well_formed,
+    Diagram, Swap, Wire, WordBox, well_formed,
 )
 from discoccg.functor import DEFAULT_CONTEXT, lower
 from discoccg.rewrite import diagrams_equal, normalize, planarize
@@ -61,9 +61,9 @@ def test_corpus_conversion_rate_and_coverage():
     raw_rules = set()
 
     def collect(raw):
-        if hasattr(raw, "rule_str"):
-            raw_rules.add(raw.rule_str.split(":")[0].upper())
-            for kid in raw.children:
+        if "rule" in raw:
+            raw_rules.add(raw["rule"].split(":")[0].upper())
+            for kid in raw["children"]:
                 collect(kid)
 
     for _, raw in load_raw():
@@ -79,7 +79,7 @@ def test_corpus_conversion_rate_and_coverage():
 
 def test_transitive_verb_image_is_order_three():
     image = DEFAULT_CONTEXT.f_obj(parse_type("(S\\NP)/NP"))
-    assert image == RObject((Wire("n", 1), Wire("s", 0), Wire("n", -1)))
+    assert image == (Wire("n", 1), Wire("s", 0), Wire("n", -1))
     _passed("functor image of (S\\NP)/NP is n.r s n.l")
 
 
@@ -119,9 +119,9 @@ def test_planarization_criterion():
     assert crossed >= 4
 
     bruce = planarize(lower(bc.lower_derivation(corpus["bruce-puts-on-his-hat"])))
-    verb_block = RObject.parse("n.r s n.l").wires
+    verb_block = (Wire("n", 1), Wire("s", 0), Wire("n", -1))
     assert any(
-        boundary.wires[i:i + 3] == verb_block
+        boundary[i:i + 3] == verb_block
         for boundary in bruce.boundaries()
         for i in range(len(boundary) - 2)
     ), "no contiguous n.r s n.l block in the planar phrasal-verb diagram"
@@ -131,9 +131,9 @@ def test_planarization_criterion():
 def test_swap_as_transpose():
     dims = DimAssignment({"a": 2, "b": 3})
     wa, wb = Wire("a", 0), Wire("b", 0)
-    wires = RObject((wa, wb))
-    state = Diagram.build(EMPTY, [(0, WordBox("M", wires))])
-    swapped = Diagram.build(EMPTY, [(0, WordBox("M", wires)), (0, Swap(wa, wb))])
+    wires = (wa, wb)
+    state = Diagram.build((), [(0, WordBox("M", wires))])
+    swapped = Diagram.build((), [(0, WordBox("M", wires)), (0, Swap(wa, wb))])
     lex = Lexicon(dims, seed=9)
     m = evaluate(state, dims, lex).array
     mt = evaluate(swapped, dims, Lexicon(dims, seed=9)).array

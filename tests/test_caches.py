@@ -18,12 +18,12 @@ from discoccg import ccgtypes, ingest, rules, semantics
 from discoccg.cli import JobConfig, run
 from discoccg.corpus import corpus_text
 from discoccg.ccgtypes import Atom, Backward, Forward, TypeParseError, parse_type
-from discoccg.diagram import DEFAULT_ATOM_MAP, EMPTY, Diagram, RObject, WordBox
+from discoccg.diagram import DEFAULT_ATOM_MAP, Diagram, WordBox
 from discoccg.functor import DEFAULT_CONTEXT, LoweringContext, lower
 from discoccg.ingest import IngestError, ingest_tree, read_derivations, read_json
 from discoccg.rewrite import normalize
 from discoccg.semantics import DimAssignment, Lexicon, evaluate, semantically_equal
-from tests.sentences import cross_serial, left_fc_chain, right_branching
+from tests.sentences import cross_serial, left_fc_chain, parse_object, right_branching
 
 CACHES = (ingest._stripped_type, ingest._has_conj, ingest._rule_label, rules._applied,
           bc._rule_term, bc.to_str, DEFAULT_CONTEXT.f_obj, DEFAULT_CONTEXT.rule_image,
@@ -94,13 +94,13 @@ def test_contexts_never_see_each_others_objects(corpus):
         lowered = {id(ctx): [lower(t, ctx) for t in terms] for ctx in order}
         assert lowered[id(default)] == cold_default
         assert lowered[id(custom)] == cold_custom
-    assert LoweringContext().f_obj(Atom("NP")) == RObject.parse("n")
+    assert LoweringContext().f_obj(Atom("NP")) == parse_object("n")
     assert LoweringContext(dict(custom_map)).f_obj(Atom("NP")) \
-        == RObject.parse("np")
+        == parse_object("np")
 
 
 def test_stacks_are_keyed_by_every_value_and_read_only():
-    word = WordBox("likes", RObject.parse("n.r s n.l"))
+    word = WordBox("likes", parse_object("n.r s n.l"))
     dims = ((), 2)
     base = semantics._seeded_stack((1, 2), dims, False, word)
     assert semantics._seeded_stack((1, 2), ((), 2), False, word) is base
@@ -121,18 +121,18 @@ def test_stacks_are_keyed_by_every_value_and_read_only():
     # each seed's slice is that seed's lexicon tensor
     for i, seed in enumerate((1, 2)):
         lex = Lexicon(DimAssignment({}, 2), seed=seed)
-        assert np.array_equal(base[i], lex.tensor_for("likes", word.wires).array)
+        assert np.array_equal(base[i], lex.tensor_for("likes", word.cod).array)
 
 
 def test_only_small_words_are_memoized():
     # at dimension 2, 10 legs are 1024 entries per lexicon and 11 are 2048
-    small, large = (WordBox("w", RObject.parse(" ".join(["n"] * k))) for k in (10, 11))
+    small, large = (WordBox("w", parse_object(" ".join(["n"] * k))) for k in (10, 11))
     dims = DimAssignment({}, 2)
     semantics._seeded_stack.cache_clear()
     for word in (small, large):
-        d = Diagram.build(EMPTY, [(0, word)])
+        d = Diagram.build((), [(0, word)])
         for out, seed in zip(evaluate(d, dims, [Lexicon(dims, 7), Lexicon(dims, 8)]), (7, 8)):
-            drawn = Lexicon(dims, seed).tensor_for(word.label, word.wires).array
+            drawn = Lexicon(dims, seed).tensor_for(word.label, word.cod).array
             assert np.array_equal(out.array, drawn)
     info = semantics._seeded_stack.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
@@ -163,7 +163,7 @@ def test_one_structure_shares_a_plan_but_not_tensors(corpus_diagrams):
     for d in (d1, d2):
         subject, verb, obj = [g for _, g in d.layers if isinstance(g, WordBox)]
         for lex, tensor in zip(lexicons, evaluate(d, dims, lexicons)):
-            expected = np.einsum("a,asc,c->s", *(lex.tensor_for(w.label, w.wires).array
+            expected = np.einsum("a,asc,c->s", *(lex.tensor_for(w.label, w.cod).array
                                                   for w in (subject, verb, obj)))
             assert np.allclose(tensor.array, expected)
     assert not np.allclose(evaluate(d1, dims, lexicons[0]).array,

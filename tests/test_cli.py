@@ -12,6 +12,7 @@ import discoccg
 from discoccg import cli
 from discoccg.cli import JobConfig, STATS_COLUMNS, build_parser, main, run
 from discoccg.corpus import corpus_text
+from discoccg.semantics import DimAssignment
 from tests.sentences import (
     coordination, cross_serial, deep_json, left_fc_chain, np_shift_two_word_primary,
     right_branching,
@@ -862,7 +863,7 @@ def test_empty_check_semantics_spec_checks_with_the_default_dimension(
 
     monkeypatch.setattr(cli, "semantically_equal", check)
     assert main(["--in", _one_sentence(tmp_path), "--check-semantics", ""]) == 0
-    assert checked == [cli.DimAssignment({}, 2)]
+    assert checked == [DimAssignment({}, 2)]
 
 
 @pytest.mark.parametrize("spec", ["=3", "n=2,=3"])
@@ -882,7 +883,7 @@ def test_dims_keys_and_values_are_stripped(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "semantically_equal", check)
     assert main(["--in", _one_sentence(tmp_path), "--check-semantics", "n = 3, * = 4"]) == 0
-    assert checked == [cli.DimAssignment({"n": 3}, 4)]
+    assert checked == [DimAssignment({"n": 3}, 4)]
 
 
 @pytest.mark.parametrize("spec, entry, key", [

@@ -6,19 +6,19 @@ from hypothesis import strategies as st
 
 from discoccg.ccgtypes import Atom, parse_type
 from discoccg.diagram import (
-    Cap, Cup, Diagram, DiagramError, EMPTY, RObject, Swap, Wire, WordBox,
-    compose, diagram_from_json, diagram_to_json, tensor, well_formed,
+    Cap, Cup, Diagram, DiagramError, Swap, Wire, WordBox, compose, diagram_from_json,
+    diagram_to_json, left_adjoint, obj_str, right_adjoint, tensor, well_formed,
 )
 from discoccg.functor import DEFAULT_CONTEXT
-from tests.sentences import cross_serial, raw_diagram
+from tests.sentences import cross_serial, parse_object, raw_diagram
 
 t = parse_type
-n = RObject.parse("n")
+n = parse_object("n")
 
 
 def test_f_object_transitive_verb():
     # order-3 tensor: n.r s n.l
-    assert DEFAULT_CONTEXT.f_obj(t("(S\\NP)/NP")) == RObject.parse("n.r s n.l")
+    assert DEFAULT_CONTEXT.f_obj(t("(S\\NP)/NP")) == parse_object("n.r s n.l")
 
 
 def test_f_object_atom():
@@ -26,7 +26,7 @@ def test_f_object_atom():
 
 
 def test_f_object_type_raised():
-    assert DEFAULT_CONTEXT.f_obj(t("S/(S\\NP)")) == RObject.parse("s s.l n")
+    assert DEFAULT_CONTEXT.f_obj(t("S/(S\\NP)")) == parse_object("s s.l n")
 
 
 from tests.test_types import types  # noqa: E402
@@ -43,30 +43,30 @@ def _manual_f(ty):
     from discoccg.ccgtypes import Forward
     amap = {"NP": "n", "S": "s", "PP": "p"}
     if isinstance(ty, Atom):
-        return RObject((Wire(amap.get(ty.name, ty.name), 0),))
+        return (Wire(amap.get(ty.name, ty.name), 0),)
     if isinstance(ty, Forward):
         res, arg = _manual_f(ty.result), _manual_f(ty.argument)
-        return RObject(res.wires + tuple(Wire(w.base, w.z - 1) for w in reversed(arg.wires)))
+        return res + tuple(Wire(w.base, w.z - 1) for w in reversed(arg))
     arg, res = _manual_f(ty.argument), _manual_f(ty.result)
-    return RObject(tuple(Wire(w.base, w.z + 1) for w in reversed(arg.wires)) + res.wires)
+    return tuple(Wire(w.base, w.z + 1) for w in reversed(arg)) + res
 
 
 wires = st.builds(Wire, st.sampled_from(["n", "s", "p", "N"]), st.integers(-3, 3))
-robjects = st.builds(lambda ws: RObject(tuple(ws)), st.lists(wires, max_size=5))
+robjects = st.builds(tuple, st.lists(wires, max_size=5))
 
 
 @settings(max_examples=200)
 @given(robjects)
 def test_adjoints_cancel(x):
-    assert x.r.l == x
-    assert x.l.r == x
+    assert left_adjoint(right_adjoint(x)) == x
+    assert right_adjoint(left_adjoint(x)) == x
 
 
 @settings(max_examples=200)
 @given(robjects, robjects)
 def test_adjoint_contravariance(a, b):
-    assert (a @ b).r == b.r @ a.r
-    assert (a @ b).l == b.l @ a.l
+    assert right_adjoint(a + b) == right_adjoint(b) + right_adjoint(a)
+    assert left_adjoint(a + b) == left_adjoint(b) + left_adjoint(a)
 
 
 def test_winding_bound_enforced():
@@ -98,7 +98,7 @@ def test_generator_boundaries_are_built_at_construction(kind):
     fresh = _twin(gen)
     stored = {"dom", "cod"} & vars(fresh).keys()   # before any read
     assert stored == {name for name, wires in (("dom", dom), ("cod", cod)) if wires != "1"}
-    assert (str(fresh.dom), str(fresh.cod)) == (dom, cod)
+    assert (obj_str(fresh.dom), obj_str(fresh.cod)) == (dom, cod)
 
 
 @pytest.mark.parametrize("kind", GENERATORS)
@@ -122,7 +122,7 @@ def test_generator_json_is_unchanged(kind):
     import json as j
 
     gen, dom, _, _, payload = GENERATORS[kind]
-    d = Diagram.build(RObject.parse("" if dom == "1" else dom), [(0, gen)])
+    d = Diagram.build(parse_object("" if dom == "1" else dom), [(0, gen)])
     assert j.loads(diagram_to_json(d))["layers"] == [{"offset": 0, "gen": payload}]
     assert diagram_from_json(diagram_to_json(d)) == d
 
@@ -130,13 +130,13 @@ def test_generator_json_is_unchanged(kind):
 def test_cup_winding_legality():
     # cups connect (z, z+1) only; (z, z) and (z, z+2) cannot be expressed
     cup = Cup("n", 0)
-    assert cup.dom == RObject((Wire("n", 0), Wire("n", 1)))
-    assert Cup("n", -1).dom == RObject.parse("n.l n")
+    assert cup.dom == (Wire("n", 0), Wire("n", 1))
+    assert Cup("n", -1).dom == parse_object("n.l n")
 
 
 def test_snake_composes():
     cap_part = Diagram.build(n, [(0, Cap("n", -1))])
-    assert cap_part.cod == RObject.parse("n n.l n")
+    assert cap_part.cod == parse_object("n n.l n")
     cup_part = Diagram.build(cap_part.cod, [(1, Cup("n", -1))])
     snake = compose(cap_part, cup_part)
     assert snake.dom == n and snake.cod == n
@@ -145,31 +145,31 @@ def test_snake_composes():
 
 
 def test_identity_compose():
-    d = Diagram.build(EMPTY, [(0, WordBox("Alice", n))])
-    assert compose(Diagram.id(EMPTY), d) == d
+    d = Diagram.build((), [(0, WordBox("Alice", n))])
+    assert compose(Diagram.id(()), d) == d
     assert compose(d, Diagram.id(n)) == d
 
 
 def test_compose_boundary_mismatch_lists_both():
-    d = Diagram.build(EMPTY, [(0, WordBox("Alice", n))])
+    d = Diagram.build((), [(0, WordBox("Alice", n))])
     with pytest.raises(DiagramError) as err:
         compose(d, d)
     assert "cod" in str(err.value) and "dom" in str(err.value)
 
 
 def test_tensor_of_words():
-    alice = Diagram.build(EMPTY, [(0, WordBox("Alice", n))])
-    likes = Diagram.build(EMPTY, [(0, WordBox("likes", RObject.parse("n.r s n.l")))])
+    alice = Diagram.build((), [(0, WordBox("Alice", n))])
+    likes = Diagram.build((), [(0, WordBox("likes", parse_object("n.r s n.l")))])
     both = tensor(alice, likes)
-    assert both.cod == RObject.parse("n n.r s n.l")
+    assert both.cod == parse_object("n n.r s n.l")
     assert both.layers == ((0, WordBox("Alice", n)),
-                           (1, WordBox("likes", RObject.parse("n.r s n.l"))))
+                           (1, WordBox("likes", parse_object("n.r s n.l"))))
 
 
 def test_tensor_identity():
-    d = Diagram.build(EMPTY, [(0, WordBox("Alice", n))])
-    assert tensor(d, Diagram.id(EMPTY)) == d
-    assert tensor(Diagram.id(EMPTY), d) == d
+    d = Diagram.build((), [(0, WordBox("Alice", n))])
+    assert tensor(d, Diagram.id(())) == d
+    assert tensor(Diagram.id(()), d) == d
 
 
 diagram_states = st.lists(
@@ -185,9 +185,9 @@ def test_tensor_associative(xs, ys, zs):
         layers = []
         pos = 0
         for label, ws in spec:
-            layers.append((pos, WordBox(label, RObject(tuple(ws)))))
+            layers.append((pos, WordBox(label, tuple(ws))))
             pos += len(ws)
-        return Diagram.build(EMPTY, layers)
+        return Diagram.build((), layers)
     d1, d2, d3 = mk(xs), mk(ys), mk(zs)
     assert tensor(tensor(d1, d2), d3) == tensor(d1, tensor(d2, d3))
 
@@ -198,7 +198,7 @@ def test_well_formed_on_golden(corpus_diagrams):
 
 
 def test_well_formed_empty_diagram():
-    assert well_formed(Diagram(EMPTY, EMPTY, ())) == []
+    assert well_formed(Diagram((), (), ())) == []
 
 
 def test_well_formed_catches_offset_mutation(corpus_diagrams):
@@ -251,7 +251,7 @@ def _reference_json(d):
 
     def gen(g):
         if isinstance(g, WordBox):
-            return {"kind": "word", "label": g.label, "cod": [wire(w) for w in g.wires]}
+            return {"kind": "word", "label": g.label, "cod": [wire(w) for w in g.cod]}
         if isinstance(g, Swap):
             return {"kind": "swap", "w1": wire(g.w1), "w2": wire(g.w2)}
         return {"kind": "cup" if isinstance(g, Cup) else "cap", "base": g.base, "z": g.z}
@@ -263,8 +263,8 @@ def _reference_json(d):
 
 def test_json_text_is_what_json_dumps_writes(corpus_diagrams):
     odd = Wire('q"\\é', 0)
-    labels = Diagram.build(RObject((odd,)), [
-        (1, WordBox('say "hi"\\n\u00e9\u2028\x01\U0001F600', RObject((odd.r,)))),
+    labels = Diagram.build((odd,), [
+        (1, WordBox('say "hi"\\n\u00e9\u2028\x01\U0001F600', (odd.r,))),
         (0, Cup(odd.base, 0)), (0, Cap(odd.base, -1)), (0, Swap(odd, odd.l))])
     cases = [*corpus_diagrams.values(), raw_diagram(cross_serial(4)), labels]
     assert cases[-2].count(Swap) and corpus_diagrams["alice-likes-bob-raised"].count(Cap)
@@ -284,15 +284,15 @@ def test_json_detects_cod_mismatch(corpus_diagrams):
 
 _BAD_LAYERS = {
     "negative-offset": (
-        RObject.parse("n"),
-        [(0, WordBox("a", RObject.parse("s"))), (-1, Cup("n", 0))],
+        parse_object("n"),
+        [(0, WordBox("a", parse_object("s"))), (-1, Cup("n", 0))],
         "layer 1: cup(n, n.r) at offset -1 does not fit boundary s n"),
     "overhang": (
-        RObject.parse("n n.r"),
+        parse_object("n n.r"),
         [(1, Cup("n", 0))],
         "layer 0: cup(n, n.r) at offset 1 does not fit boundary n n.r"),
     "type-mismatch": (
-        RObject.parse("s n.l"),
+        parse_object("s n.l"),
         [(0, WordBox("b", n)), (1, Cup("n", 0))],
         "layer 1: cup(n, n.r) expects n n.r, boundary has s n.l at offset 1"),
 }
@@ -308,14 +308,14 @@ def test_boundary_walk_error_messages(case):
 
 
 def test_well_formed_final_boundary_message():
-    d = Diagram(EMPTY, RObject.parse("s"), (
-        (0, WordBox("a", RObject.parse("n s.l"))), (2, WordBox("b", RObject.parse("s")))))
+    d = Diagram((), parse_object("s"), (
+        (0, WordBox("a", parse_object("n s.l"))), (2, WordBox("b", parse_object("s")))))
     assert well_formed(d) == ["final boundary n s.l s does not match cod s"]
 
 
 def test_json_stored_cod_mismatch_message():
     import json as j
-    d = Diagram.build(EMPTY, [(0, WordBox("a", n)), (1, WordBox("b", RObject.parse("n.r s"))),
+    d = Diagram.build((), [(0, WordBox("a", n)), (1, WordBox("b", parse_object("n.r s"))),
                               (0, Cup("n", 0))])
     payload = j.loads(diagram_to_json(d))
     payload["cod"] = [{"base": "n", "z": 0}]
@@ -363,7 +363,7 @@ def test_json_reader_names_the_pointer_of_a_malformed_payload(case):
     import json as j
     text, mutate, message = _BAD_JSON[case]
     if text is None:
-        d = Diagram.build(EMPTY, [(0, WordBox("a", n)), (1, WordBox("b", RObject.parse("n.r s"))),
+        d = Diagram.build((), [(0, WordBox("a", n)), (1, WordBox("b", parse_object("n.r s"))),
                                   (0, Cup("n", 0))])
         payload = j.loads(diagram_to_json(d))
         mutate(payload)
@@ -375,4 +375,39 @@ def test_json_reader_names_the_pointer_of_a_malformed_payload(case):
 
 def test_boundaries_follow_the_layers():
     d = Diagram.build(n, [(1, Cap("n", 0)), (0, Cup("n", 0))])
-    assert [str(b) for b in d.boundaries()] == ["n", "n n.r n", "n"]
+    assert [obj_str(b) for b in d.boundaries()] == ["n", "n n.r n", "n"]
+
+
+# --- messages and keys that print an object -------------------------------------
+
+def test_compose_boundary_mismatch_message():
+    d = Diagram.build(parse_object(""), [(0, WordBox("Alice", n))])
+    with pytest.raises(DiagramError) as exc:
+        compose(d, d)
+    assert str(exc.value) == "compose boundary mismatch: cod n vs dom 1"
+    with pytest.raises(DiagramError) as exc:
+        compose(Diagram.id(n), Diagram.id(parse_object("n.r s n.l")))
+    assert str(exc.value) == "compose boundary mismatch: cod n vs dom n.r s n.l"
+
+
+def test_diagrams_equal_boundary_mismatch_message():
+    from discoccg.rewrite import diagrams_equal
+
+    d = Diagram.build(parse_object(""), [(0, WordBox("a", parse_object("n.r s")))])
+    with pytest.raises(DiagramError) as exc:
+        diagrams_equal(d, Diagram.id(n))
+    assert str(exc.value) == "boundary mismatch: [1] -> [n.r s] vs [n] -> [n]"
+
+
+@pytest.mark.parametrize("spec, text", [("", "id(1)"), ("n.r s n.l", "id(n.r s n.l)")])
+def test_identity_prints_its_object(spec, text):
+    assert str(Diagram.id(parse_object(spec))) == text
+
+
+@pytest.mark.parametrize("label, spec, text", [
+    ("likes", "n.r s n.l", "likes:n.r s n.l"), ("Alice", "n", "Alice:n"), ("a", "", "a:1"),
+    ("x", "s.l.l p.r.r", "x:s.l.l p.r.r")])
+def test_word_box_prints_its_codomain(label, spec, text):
+    # the text is the tie-break key of the normal form's layer order
+    # (``rewrite._layer_key``), so it decides normal forms
+    assert str(WordBox(label, parse_object(spec))) == text

@@ -8,15 +8,15 @@ import pytest
 from discoccg import biclosed as bc
 from discoccg.ccgtypes import Backward, parse_type
 from discoccg.diagram import (
-    Cap, Cup, Diagram, RObject, Swap, WordBox, cap_block, crossed_image, cup_block,
-    well_formed,
+    Cap, Cup, Diagram, Swap, WordBox, cap_block, crossed_image, cup_block, left_adjoint,
+    obj_str, right_adjoint, well_formed,
 )
 from discoccg.functor import (
     DEFAULT_CONTEXT, LoweringContext, LoweringError, lower, verify_functor_laws,
 )
 from discoccg.ingest import ingest_tree, read_json
 from discoccg.rules import FA
-from tests.sentences import right_branching, right_branching_derivation
+from tests.sentences import parse_object, right_branching, right_branching_derivation
 
 t = parse_type
 
@@ -24,19 +24,19 @@ t = parse_type
 def test_alice_likes_bob_golden_layers(corpus_diagrams):
     d = corpus_diagrams["alice-likes-bob"]
     assert d.layers == (
-        (0, WordBox("Alice", RObject.parse("n"))),
-        (1, WordBox("likes", RObject.parse("n.r s n.l"))),
-        (4, WordBox("Bob", RObject.parse("n"))),
+        (0, WordBox("Alice", parse_object("n"))),
+        (1, WordBox("likes", parse_object("n.r s n.l"))),
+        (4, WordBox("Bob", parse_object("n"))),
         (3, Cup("n", -1)),
         (0, Cup("n", 0)),
     )
-    assert d.cod == RObject.parse("s")
+    assert d.cod == parse_object("s")
 
 
 def test_single_word_box():
     term = bc.word("Alice", t("NP"))
     d = lower(term)
-    assert d.layers == ((0, WordBox("Alice", RObject.parse("n"))),)
+    assert d.layers == ((0, WordBox("Alice", parse_object("n"))),)
 
 
 def test_np_shift_swap_count(corpus_diagrams):
@@ -51,17 +51,18 @@ def test_bruce_structure(corpus_diagrams):
     d = corpus_diagrams["bruce-puts-on-his-hat"]
     assert d.count(Cap) == 1
     assert d.count(Swap) == 4
-    assert d.cod == RObject.parse("s")
+    assert d.cod == parse_object("s")
 
 
 def test_crossed_image_layers():
     # FCX on s n.l | n.r n: swap n.l past n.r, cup n.l n, swap s past n.r
-    n, s = RObject.parse("n"), RObject.parse("s")
+    n, s = parse_object("n"), parse_object("s")
+    nl, nr = left_adjoint(n), right_adjoint(n)
     assert crossed_image("FCX", s, n, n, 0) == [
-        (1, Swap(n.l[0], n.r[0])), (2, Cup("n", -1)), (0, Swap(s[0], n.r[0]))]
+        (1, Swap(nl[0], nr[0])), (2, Cup("n", -1)), (0, Swap(s[0], nr[0]))]
     # BCX on n n.l | n.r s, its mirror
     assert crossed_image("BCX", s, n, n, 0) == [
-        (1, Swap(n.l[0], n.r[0])), (0, Cup("n", 0)), (0, Swap(n.l[0], s[0]))]
+        (1, Swap(nl[0], nr[0])), (0, Cup("n", 0)), (0, Swap(nl[0], s[0]))]
 
 
 @pytest.mark.parametrize("trailing", [(), ("PP",), ("PP", "S\\NP")],
@@ -83,7 +84,7 @@ def test_crossed_image_is_the_lowering_of_a_cross_box(direction, trailing):
 def test_declarative_sentences_end_on_s(corpus, corpus_diagrams):
     for ident, d in corpus.items():
         if d.cat == t("S"):
-            assert corpus_diagrams[ident].cod == RObject.parse("s"), ident
+            assert corpus_diagrams[ident].cod == parse_object("s"), ident
 
 
 def test_swaps_iff_crossed_rules(corpus, corpus_diagrams):
@@ -113,7 +114,7 @@ def test_wire_conservation(corpus_diagrams):
 def test_atom_map_override():
     ctx = LoweringContext({"NP": "q", "S": "s", "PP": "p"})
     term = bc.word("Alice", t("NP"))
-    assert lower(term, ctx).cod == RObject.parse("q")
+    assert lower(term, ctx).cod == parse_object("q")
 
 
 def test_atom_map_injectivity_checked():
@@ -129,7 +130,7 @@ def test_atom_map_bases_are_atom_names(base):
 
 def test_n_distinct_from_np(corpus_diagrams):
     d = corpus_diagrams["big-bad-wolf-left"]
-    assert d.cod == RObject.parse("N")
+    assert d.cod == parse_object("N")
 
 
 def test_curry_square_fa_sample():
@@ -143,7 +144,7 @@ def test_identity_sample():
     reports = verify_functor_laws([term])
     assert reports == []
     d = lower(term)
-    assert d.layers == () and d.dom == RObject.parse("n.r s")
+    assert d.layers == () and d.dom == parse_object("n.r s")
 
 
 def test_functor_laws_across_corpus(corpus_terms):
@@ -197,22 +198,22 @@ def _bend(term, inner):
     if term.kind == "curry-r":
         b = f_obj(bc.factors(term.inner.dom)[-1])
         rest = inner.dom[:len(inner.dom) - len(b)]
-        assert rest @ b == inner.dom
+        assert rest + b == inner.dom
         return Diagram.build(rest, cap_block(b, len(rest)) + list(inner.layers))
     if term.kind == "curry-l":
         a = f_obj(bc.factors(term.inner.dom)[0])
         assert inner.dom[:len(a)] == a
-        return Diagram.build(inner.dom[len(a):], cap_block(a.r, 0)
+        return Diagram.build(inner.dom[len(a):], cap_block(right_adjoint(a), 0)
                              + [(o + len(a), g) for o, g in inner.layers])
     if term.kind == "uncurry-r":
         b = f_obj(term.inner.cod.argument)
-        assert inner.cod[len(inner.cod) - len(b):] == b.l
-        return Diagram.build(inner.dom @ b, list(inner.layers)
+        assert inner.cod[len(inner.cod) - len(b):] == left_adjoint(b)
+        return Diagram.build(inner.dom + b, list(inner.layers)
                              + cup_block(b, len(inner.cod) - len(b)))
     a = f_obj(term.inner.cod.argument)
-    assert inner.cod[:len(a)] == a.r
-    return Diagram.build(a @ inner.dom, [(o + len(a), g) for o, g in inner.layers]
-                         + cup_block(a.r, 0))
+    assert inner.cod[:len(a)] == right_adjoint(a)
+    return Diagram.build(a + inner.dom, [(o + len(a), g) for o, g in inner.layers]
+                         + cup_block(right_adjoint(a), 0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,7 +263,7 @@ def test_lowering_needs_no_recursion():
         sys.setrecursionlimit(limit)
     d = lower(bc.lower_derivation(derivation))
     assert well_formed(d) == []
-    assert len(d.dom) == 0 and d.cod == RObject.parse("s")
+    assert len(d.dom) == 0 and d.cod == parse_object("s")
     assert d.count(WordBox) == 2048 + 4
 
 
@@ -272,7 +273,7 @@ def test_deep_derivation_lowers_prints_and_maps_at_the_default_limit():
     assert bc.to_sexpr(term).count("(word ") == 4096 + 4
     d = lower(term)
     assert well_formed(d) == []
-    assert len(d.dom) == 0 and d.cod == RObject.parse("s")
+    assert len(d.dom) == 0 and d.cod == parse_object("s")
     assert d.count(WordBox) == 4096 + 4
 
 
@@ -298,7 +299,7 @@ def test_word_wound_too_far_is_named(place):
 
 def test_word_wound_to_the_limit_lowers():
     d = lower(bc.word("w", t(wound(6))))
-    assert str(d.cod) == "s s.l.l s.l.l.l.l n.l.l.l.l.l.l s.l.l.l.l.l s.l.l.l s.l"
+    assert obj_str(d.cod) == "s s.l.l s.l.l.l.l n.l.l.l.l.l.l s.l.l.l.l.l s.l.l.l s.l"
 
 
 def test_lowering_well_formed_everywhere(corpus_diagrams):

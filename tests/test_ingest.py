@@ -13,16 +13,15 @@ from discoccg import ingest
 from discoccg.biclosed import lower_derivation, to_sexpr
 from discoccg.ccgtypes import Atom, Backward, Forward, parse_type
 from discoccg.ingest import (
-    IngestError, RawLeaf, RawNode, derivation_to_json, ingest_tree, read_ccgbank,
-    read_derivations, read_json,
+    IngestError, derivation_to_json, ingest_tree, read_ccgbank, read_derivations, read_json,
 )
 from discoccg.rules import (
     BA, FA, Binary, Leaf, RuleError, RuleLabel, TypeOps, Unary, Violation, apply_rule, combine,
     children, echo, flat_path, leaves, validate,
 )
 from tests.sentences import (
-    bracketed, coordination, deep_json, left_fc_chain, random_derivation, right_branching,
-    right_branching_derivation, unary_chain,
+    bracketed, coordination, deep_json, leaf, left_fc_chain, node, random_derivation,
+    right_branching, right_branching_derivation, unary_chain,
 )
 
 t = parse_type
@@ -41,13 +40,13 @@ FIG1 = {"rule": "BA", "type": "S", "children": [
 
 def test_read_json_fig1():
     raw = read_json(json.dumps(FIG1))
-    assert isinstance(raw, RawNode)
-    assert len(raw.children) == 2
-    assert raw.children[0] == RawLeaf("Alice", "NP")
+    assert raw.keys() == {"rule", "type", "children"}
+    assert len(raw["children"]) == 2
+    assert raw["children"][0] == leaf("Alice", "NP")
 
 
 def test_read_json_single_leaf():
-    assert read_json(b'{"word":"Alice","type":"NP"}') == RawLeaf("Alice", "NP")
+    assert read_json(b'{"word":"Alice","type":"NP"}') == leaf("Alice", "NP")
 
 
 def test_rule_names_fold_case():
@@ -236,12 +235,12 @@ def test_first_malformed_node_in_document_order_is_reported():
 
 @pytest.mark.parametrize("raw, message", [
     # a child's fault is reported before its parent's arity
-    (RawNode("FA", "S", (RawLeaf("a", "NP"),)), "FA needs 2 children at node root"),
-    (RawNode("FA", "S", (RawLeaf("", "NP"),)), "empty word at node 0"),
+    (node("FA", "S", leaf("a", "NP")), "FA needs 2 children at node root"),
+    (node("FA", "S", leaf("", "NP")), "empty word at node 0"),
     # no children: no leaf, though no child is walked either
-    (RawNode("FA", "S", ()), "FA needs 2 children at node root"),
-    (RawNode("FTR:S", "S/(S\\NP)", ()), "FTR:S needs 1 children at node root"),
-    (RawNode("UNARY", "S", ()), "UNARY needs exactly one child at node root"),
+    (node("FA", "S"), "FA needs 2 children at node root"),
+    (node("FTR:S", "S/(S\\NP)"), "FTR:S needs 1 children at node root"),
+    (node("UNARY", "S"), "UNARY needs exactly one child at node root"),
 ])
 def test_rule_node_arity_is_checked(raw, message):
     with pytest.raises(IngestError) as exc:
@@ -341,9 +340,9 @@ def test_passes_idempotent_and_order_preserving():
 
 
 def _raw_words(raw):
-    if isinstance(raw, RawLeaf):
-        return [raw.word]
-    return [w for kid in raw.children for w in _raw_words(kid)]
+    if "word" in raw:
+        return [raw["word"]]
+    return [w for kid in raw["children"] for w in _raw_words(kid)]
 
 
 # --- ccgbank-flavored text -------------------------------------------------------
@@ -351,6 +350,14 @@ def _raw_words(raw):
 def test_ccgbank_reader_matches_json():
     text = "(BA S (LEX NP Alice) (FA S\\NP (LEX (S\\NP)/NP likes) (LEX NP Bob)))"
     assert read_ccgbank(text) == read_json(json.dumps(FIG1))
+    # both readers give the interchange node itself; dict equality recurses,
+    # so the random trees stay shallow
+    from discoccg.corpus import corpus_text
+    rng = random.Random(3)
+    trees = [entry["tree"] for entry in json.loads(corpus_text())]
+    trees += [random_derivation(rng, 6) for _ in range(200)]
+    for tree in trees:
+        assert read_ccgbank(bracketed(tree)) == read_json(json.dumps(tree)) == tree
 
 
 def test_ccgbank_reader_multiword_leaf_and_target():
@@ -501,7 +508,7 @@ def test_too_deep_list_is_split_outside_strings():
     tricky = {"word": "a,]}[{\\\"", "type": "NP"}
     entries = list(read_derivations(f"[{json.dumps(tricky)}, {deep}, 7]", "json",
                                     collect_errors=True))
-    assert entries[0] == ("s0", RawLeaf("a,]}[{\\\"", "NP"))
+    assert entries[0] == ("s0", leaf("a,]}[{\\\"", "NP"))
     assert "nested too deeply" in str(entries[1][1])
     assert "expected an object at /2" in str(entries[2][1])
     # a malformed list still rejects the whole file
@@ -748,33 +755,33 @@ class _RefNode:
 
 def _ref_resolve(raw, path, ops):
     uf, ctr = ops.uf, ops.ctr
-    if isinstance(raw, RawLeaf):
-        t = ingest._parse_type(raw.type_str, path)
-        return _RefNode(raw.word, None, [], ingest._fresh(t, ctr), path, t)
-    kind, degree, target = ingest._parse_rule(raw.rule_str, path)
-    declared = ingest._parse_type(raw.type_str, path)
+    if "word" in raw:
+        t = ingest._parse_type(raw["type"], path)
+        return _RefNode(raw["word"], None, [], ingest._fresh(t, ctr), path, t)
+    kind, degree, target = ingest._parse_rule(raw["rule"], path)
+    declared = ingest._parse_type(raw["type"], path)
     if kind == "LEX":
         raise IngestError("LEX on an internal node")
     if kind == "UNARY":
-        if len(raw.children) != 1:
+        if len(raw["children"]) != 1:
             raise IngestError("UNARY arity")
-        child = _ref_resolve(raw.children[0], (path, 0), ops)
+        child = _ref_resolve(raw["children"][0], (path, 0), ops)
         target_id = uf.find(child.itype.idx)
         repl = ingest._fresh(declared, ctr)
         _ref_substitute_tree(child, target_id, repl, uf)
         _ref_recheck(child)
         return child
     if kind == "CONJ":
-        if len(raw.children) != 2:
+        if len(raw["children"]) != 2:
             raise IngestError("CONJ arity")
-        kids = [_ref_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
+        kids = [_ref_resolve(k, (path, i), ops) for i, k in enumerate(raw["children"])]
         return _RefNode(None, RuleLabel("CONJ"), kids, ingest._fresh(declared, ctr),
                         path, declared)
     try:
         rule = RuleLabel(kind, degree=degree, target=target)
     except ValueError:
         raise IngestError("bad label") from None
-    kids = [_ref_resolve(k, (path, i), ops) for i, k in enumerate(raw.children)]
+    kids = [_ref_resolve(k, (path, i), ops) for i, k in enumerate(raw["children"])]
     if len(kids) != rule.arity:
         raise IngestError("arity")
     try:
@@ -852,7 +859,7 @@ def unary_trees(draw, max_depth=4):
     second retyping undoes the first), FA/BA/FC/BC, FTR on raised
     categories and CONJ on ``X\\X``; half of them then have one declared
     type changed."""
-    def node(cat, depth, undo=None):
+    def grow(cat, depth, undo=None):
         kinds = ["leaf"]
         if depth < max_depth:
             kinds += ["UNARY", "FA", "BA"]
@@ -862,30 +869,30 @@ def unary_trees(draw, max_depth=4):
         kind = draw(st.sampled_from(kinds))
         here, deeper = cat.to_slash(), depth + 1
         if kind == "leaf":
-            return RawLeaf(draw(st.sampled_from(["w", "x", "y"])), here)
+            return leaf(draw(st.sampled_from(["w", "x", "y"])), here)
         if kind == "UNARY":
             below = draw(_cats if undo is None else st.one_of(st.just(undo), _cats))
-            return RawNode("UNARY", here, (node(below, deeper, cat),))
+            return node("UNARY", here, grow(below, deeper, cat))
         if kind == "FA":
             y = draw(st.one_of(_cats, st.sampled_from(ATOMS).map(lambda a: Backward(a, cat))))
-            return RawNode("FA", here, (node(Forward(cat, y), deeper), node(y, deeper)))
+            return node("FA", here, grow(Forward(cat, y), deeper), grow(y, deeper))
         if kind == "BA":
             y = draw(st.one_of(_cats, st.just(cat)))
-            return RawNode("BA", here, (node(y, deeper), node(Backward(y, cat), deeper)))
+            return node("BA", here, grow(y, deeper), grow(Backward(y, cat), deeper))
         if kind == "FC":
             y = draw(_cats)
-            return RawNode("FC", here, (node(Forward(cat.result, y), deeper),
-                                        node(Forward(y, cat.argument), deeper)))
+            return node("FC", here, grow(Forward(cat.result, y), deeper),
+                        grow(Forward(y, cat.argument), deeper))
         if kind == "BC":
             y = draw(_cats)
-            return RawNode("BC", here, (node(Backward(cat.argument, y), deeper),
-                                        node(Backward(y, cat.result), deeper)))
+            return node("BC", here, grow(Backward(cat.argument, y), deeper),
+                        grow(Backward(y, cat.result), deeper))
         if kind == "FTR":
-            return RawNode(f"FTR:{cat.result.to_slash()}", here,
-                           (node(cat.argument.argument, deeper),))
-        return RawNode("CONJ", here, (RawLeaf("and", "conj"), node(cat.result, deeper)))
+            return node(f"FTR:{cat.result.to_slash()}", here,
+                        grow(cat.argument.argument, deeper))
+        return node("CONJ", here, leaf("and", "conj"), grow(cat.result, deeper))
 
-    tree = node(draw(_cats), 0)
+    tree = grow(draw(_cats), 0)
     if draw(st.booleans()):
         paths = list(_node_paths(tree, ()))
         path = draw(st.sampled_from(paths))
@@ -897,18 +904,16 @@ def unary_trees(draw, max_depth=4):
 
 def _node_paths(raw, path):
     yield path
-    for i, kid in enumerate(getattr(raw, "children", ())):
+    for i, kid in enumerate(raw.get("children", ())):
         yield from _node_paths(kid, path + (i,))
 
 
 def _retype_at(raw, path, type_str):
     if not path:
-        if isinstance(raw, RawLeaf):
-            return RawLeaf(raw.word, type_str)
-        return RawNode(raw.rule_str, type_str, raw.children)
-    kids = list(raw.children)
+        return {**raw, "type": type_str}
+    kids = list(raw["children"])
     kids[path[0]] = _retype_at(kids[path[0]], path[1:], type_str)
-    return RawNode(raw.rule_str, raw.type_str, tuple(kids))
+    return {**raw, "children": kids}
 
 
 def _verdict(ingest_fn, raw):
@@ -940,9 +945,9 @@ def test_retyping_undone_by_an_enclosing_one_is_still_rejected():
 def _unary_chain(k):
     """``a0 ... a(k-1) wolf`` with every FA result retyped N -> NP, so each
     UNARY node sits above the previous one."""
-    noun = RawLeaf("wolf", "NP")
+    noun = leaf("wolf", "NP")
     for i in reversed(range(k)):
-        noun = RawNode("UNARY", "NP", (RawNode("FA", "N", (RawLeaf(f"a{i}", "N/NP"), noun)),))
+        noun = node("UNARY", "NP", node("FA", "N", leaf(f"a{i}", "N/NP"), noun))
     return noun
 
 
@@ -963,15 +968,33 @@ def test_nested_unary_chain_work_is_linear(monkeypatch):
     small, large = work(100), work(200)
     assert small > 0 and large <= 2.1 * small
 
+    # each retyping derefs its child's type past every binding below it,
+    # so the bindings it passes must be followed once, not once per level
+    finds = {"n": 0}
+
+    def counted_find(self, a, _orig=ingest._UnionFind.find):
+        finds["n"] += 1
+        return _orig(self, a)
+
+    monkeypatch.setattr(ingest._UnionFind, "find", counted_find)
+
+    def find_calls(k):
+        finds["n"] = 0
+        ingest_tree(unary_chain(k))
+        return finds["n"]
+
+    small, large = find_calls(750), find_calls(1500)
+    assert small > 0 and large <= 2.1 * small, (small, large)
+
 
 def _rb_chain(k):
     """``the a0 ... a(k-1) wolf likes Bob`` as a raw tree: an FA chain k deep."""
-    noun = RawLeaf("wolf", "N")
+    noun = leaf("wolf", "N")
     for i in reversed(range(k)):
-        noun = RawNode("FA", "N", (RawLeaf(f"a{i}", "N/N"), noun))
-    subject = RawNode("FA", "NP", (RawLeaf("the", "NP/N"), noun))
-    verb_phrase = RawNode("FA", "S\\NP", (RawLeaf("likes", "(S\\NP)/NP"), RawLeaf("Bob", "NP")))
-    return RawNode("BA", "S", (subject, verb_phrase))
+        noun = node("FA", "N", leaf(f"a{i}", "N/N"), noun)
+    subject = node("FA", "NP", leaf("the", "NP/N"), noun)
+    verb_phrase = node("FA", "S\\NP", leaf("likes", "(S\\NP)/NP"), leaf("Bob", "NP"))
+    return node("BA", "S", subject, verb_phrase)
 
 
 def test_ingest_allocation_grows_linearly():
@@ -993,6 +1016,10 @@ def test_json_reading_allocation_grows_linearly():
     """Each child's JSON pointer is a linked pair, spelled out only in a
     message, so reading a chain holds no string per level of its depth."""
     def peak(obj):
+        # the walk's pairs would first come from the interpreter's free list
+        # of 2-tuples, which tracemalloc does not see; emptied, it hides no
+        # more of a short chain's memory than of a long one's
+        spare = [(i, None) for i in range(4096)]   # noqa: F841
         tracemalloc.start()
         try:
             ingest._raw_node(obj, "/0")

@@ -1,6 +1,6 @@
 import re
 
-from discoccg.diagram import Diagram, EMPTY
+from discoccg.diagram import Diagram
 from discoccg.render import Layout, render_svg, render_tikz
 from discoccg.rewrite import planarize
 
@@ -20,7 +20,7 @@ def test_one_layout_draws_both_formats(corpus_diagrams):
 
 
 def test_empty_diagram():
-    empty = Diagram(EMPTY, EMPTY, ())
+    empty = Diagram((), (), ())
     assert render_tikz(empty) == "\\begin{tikzpicture}\n\\end{tikzpicture}\n"
     svg = render_svg(empty).decode()
     assert svg.startswith("<svg") and svg.endswith("</svg>")
@@ -77,10 +77,10 @@ def test_np_shift_crossings_before_and_after_planarize(corpus_diagrams):
 
 
 def test_tikz_escapes_special_characters_once():
-    from discoccg.diagram import RObject, WordBox
+    from discoccg.diagram import Wire, WordBox
 
     label = "a\\b {c} x^2~y 5% $ # & _"
-    d = Diagram.build(EMPTY, [(0, WordBox(label, RObject.parse("n")))])
+    d = Diagram.build((), [(0, WordBox(label, (Wire("n"),)))])
     tikz = render_tikz(d)
     assert ("a\\textbackslash{}b \\{c\\} x\\textasciicircum{}2\\textasciitilde{}y "
             "5\\% \\$ \\# \\& \\_") in tikz

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from discoccg import semantics
 from discoccg.diagram import (
-    Cap, Cup, Diagram, EMPTY, RObject, Swap, Wire, WordBox,
+    Cap, Cup, Diagram, Swap, Wire, WordBox,
 )
 from discoccg.rewrite import normalize, planarize
 from discoccg.semantics import (
     DimAssignment, Lexicon, SemanticsError, Tensor, evaluate, fnv1a64,
     semantically_equal, splitmix64, unit_interval,
 )
-from tests.sentences import cross_serial, raw_diagram, right_branching
+from tests.sentences import cross_serial, parse_object, raw_diagram, right_branching
 
 DIMS = DimAssignment({}, 2)
 
@@ -52,7 +52,7 @@ def test_unit_interval_range_and_vector():
 
 def test_lexicon_frozen_entry():
     lex = Lexicon(DIMS, seed=42)
-    t = lex.tensor_for("alice", RObject.parse("n"))
+    t = lex.tensor_for("alice", parse_object("n"))
     assert t.array.tolist() == pytest.approx(
         [0.442663638516138, -0.5751187306527834])
 
@@ -62,7 +62,7 @@ def test_lexicon_frozen_entry():
 def test_lexicon_draw_is_the_scalar_stream(seed, complex_field):
     # the draw mixes every state at once; entry i is the i-th output of the
     # scalar generator, real parts first, then imaginary parts
-    cod = RObject.parse("n " * 10 + "s.l")
+    cod = parse_object("n " * 10 + "s.l")
     lex = Lexicon(DimAssignment({"s": 3}, 2), seed=seed, complex_field=complex_field)
     got = lex.tensor_for("w", cod).array
     state = (seed ^ fnv1a64(f"w|{semantics._signature(cod)}".encode())) & ((1 << 64) - 1)
@@ -79,14 +79,14 @@ def test_lexicon_draw_is_the_scalar_stream(seed, complex_field):
 def test_lexicon_deterministic_and_order_independent():
     lex1 = Lexicon(DIMS, seed=9)
     lex2 = Lexicon(DIMS, seed=9)
-    a1 = lex1.tensor_for("a", RObject.parse("n"))
-    _ = lex2.tensor_for("b", RObject.parse("s"))
-    a2 = lex2.tensor_for("a", RObject.parse("n"))
+    a1 = lex1.tensor_for("a", parse_object("n"))
+    _ = lex2.tensor_for("b", parse_object("s"))
+    a2 = lex2.tensor_for("a", parse_object("n"))
     assert np.array_equal(a1.array, a2.array)
 
 
 def test_lexicon_user_supplied_entry_and_shape_check():
-    wires = RObject.parse("n")
+    wires = parse_object("n")
     good = Tensor((Wire("n", 0),), (2,), np.array([1.0, 2.0]))
     lex = Lexicon(DIMS, entries={("v", tuple(wires)): good})
     assert np.array_equal(lex.tensor_for("v", wires).array, good.array)
@@ -98,8 +98,8 @@ def test_lexicon_user_supplied_entry_and_shape_check():
 
 def test_lexicon_distinguishes_cod():
     lex = Lexicon(DIMS, seed=9)
-    t1 = lex.tensor_for("w", RObject.parse("n"))
-    t2 = lex.tensor_for("w", RObject.parse("n.r"))
+    t1 = lex.tensor_for("w", parse_object("n"))
+    t2 = lex.tensor_for("w", parse_object("n.r"))
     assert not np.array_equal(t1.array, t2.array)
 
 
@@ -115,11 +115,11 @@ def _brute_force(d: Diagram, dims: DimAssignment, lex: Lexicon) -> np.ndarray:
     for offset, gen in d.layers:
         if isinstance(gen, WordBox):
             ids = []
-            for w in gen.wires:
+            for w in gen.cod:
                 i = next(next_id)
                 wire_dims[i] = dims.of(w)
                 ids.append(i)
-            factors.append((gen.label, tuple(ids), lex.tensor_for(gen.label, gen.wires)))
+            factors.append((gen.label, tuple(ids), lex.tensor_for(gen.label, gen.cod)))
             boundary[offset:offset] = ids
         elif isinstance(gen, Cup):
             a, b = boundary[offset], boundary[offset + 1]
@@ -163,7 +163,7 @@ def _brute_force(d: Diagram, dims: DimAssignment, lex: Lexicon) -> np.ndarray:
 
 
 def _word(label, spec):
-    wires = RObject.parse(spec)
+    wires = parse_object(spec)
     return (0, WordBox(label, wires))
 
 
@@ -180,9 +180,9 @@ def test_alice_likes_bob_matches_matrix_chain(corpus_diagrams):
     d = corpus_diagrams["alice-likes-bob"]
     lex = Lexicon(DIMS, seed=31)
     out = evaluate(d, DIMS, lex).array
-    alice = lex.tensor_for("Alice", RObject.parse("n")).array
-    likes = lex.tensor_for("likes", RObject.parse("n.r s n.l")).array
-    bob = lex.tensor_for("Bob", RObject.parse("n")).array
+    alice = lex.tensor_for("Alice", parse_object("n")).array
+    likes = lex.tensor_for("likes", parse_object("n.r s n.l")).array
+    bob = lex.tensor_for("Bob", parse_object("n")).array
     expected = np.zeros(2)
     for k in range(2):
         for i in range(2):
@@ -202,18 +202,18 @@ def test_brute_force_agrees_on_crossed_and_raised(corpus_diagrams):
 
 
 def test_lone_word_box_evaluates_to_its_tensor():
-    d = Diagram.build(EMPTY, [_word("M", "n s")])
+    d = Diagram.build((), [_word("M", "n s")])
     lex = Lexicon(DIMS, seed=1)
     out = evaluate(d, DIMS, lex)
-    assert np.array_equal(out.array, lex.tensor_for("M", RObject.parse("n s")).array)
+    assert np.array_equal(out.array, lex.tensor_for("M", parse_object("n s")).array)
 
 
 def test_swap_is_transpose_exact():
     dims = DimAssignment({"a": 2, "b": 3})
     wa, wb = Wire("a", 0), Wire("b", 0)
-    state = Diagram.build(EMPTY, [(0, WordBox("M", RObject((wa, wb))))])
+    state = Diagram.build((), [(0, WordBox("M", (wa, wb)))])
     swapped = Diagram.build(
-        EMPTY, [(0, WordBox("M", RObject((wa, wb)))), (0, Swap(wa, wb))])
+        (), [(0, WordBox("M", (wa, wb))), (0, Swap(wa, wb))])
     lex = Lexicon(dims, seed=123)
     m = evaluate(state, dims, lex).array
     mt = evaluate(swapped, dims, lex).array
@@ -225,22 +225,22 @@ def test_swap_is_transpose_exact():
 @given(st.integers(0, 2 ** 32), st.integers(1, 5))
 def test_snake_identity_action_exact(seed, dim):
     dims = DimAssignment({"n": dim})
-    d = Diagram.build(EMPTY, [
-        (0, WordBox("v", RObject.parse("n"))),
+    d = Diagram.build((), [
+        (0, WordBox("v", parse_object("n"))),
         (1, Cap("n", 0)),
         (0, Cup("n", 0)),
     ])
     lex = Lexicon(dims, seed=seed)
     out = evaluate(d, dims, lex).array
-    vec = lex.tensor_for("v", RObject.parse("n")).array
+    vec = lex.tensor_for("v", parse_object("n")).array
     assert np.array_equal(out, vec)  # identity matrices keep this exact
 
 
 def test_double_swap_is_identity_exact():
     wa, wb = Wire("n", 0), Wire("s", 0)
-    base = Diagram.build(EMPTY, [(0, WordBox("M", RObject((wa, wb))))])
-    double = Diagram.build(EMPTY, [
-        (0, WordBox("M", RObject((wa, wb)))),
+    base = Diagram.build((), [(0, WordBox("M", (wa, wb)))])
+    double = Diagram.build((), [
+        (0, WordBox("M", (wa, wb))),
         (0, Swap(wa, wb)),
         (0, Swap(wb, wa)),
     ])
@@ -251,8 +251,8 @@ def test_double_swap_is_identity_exact():
 
 def test_tensor_evaluates_to_outer_product():
     from discoccg.diagram import tensor
-    d1 = Diagram.build(EMPTY, [_word("u", "n")])
-    d2 = Diagram.build(EMPTY, [_word("v", "s s.l")])
+    d1 = Diagram.build((), [_word("u", "n")])
+    d2 = Diagram.build((), [_word("v", "s s.l")])
     lex = Lexicon(DIMS, seed=4)
     whole = evaluate(tensor(d1, d2), DIMS, lex).array
     u = evaluate(d1, DIMS, Lexicon(DIMS, seed=4)).array
@@ -261,14 +261,14 @@ def test_tensor_evaluates_to_outer_product():
 
 
 def test_evaluate_rejects_open_inputs():
-    d = Diagram.id(RObject.parse("n"))
+    d = Diagram.id(parse_object("n"))
     with pytest.raises(SemanticsError):
         evaluate(d, DIMS, Lexicon(DIMS))
 
 
 def test_complex_field_flag():
     lex = Lexicon(DIMS, seed=5, complex_field=True)
-    d = Diagram.build(EMPTY, [_word("M", "n")])
+    d = Diagram.build((), [_word("M", "n")])
     out = evaluate(d, DIMS, lex)
     assert np.iscomplexobj(out.array)
 
@@ -283,7 +283,7 @@ def test_semantic_equality_tolerance(corpus_diagrams):
 @pytest.mark.parametrize("dim", [1, 2, 3, 5])
 def test_closed_loop_is_its_dimension(dim):
     n, nr = Wire("n", 0), Wire("n", 1)
-    d = Diagram.build(EMPTY, [(0, Cap("n", 0)), (0, Swap(nr, n)), (0, Cup("n", 0))])
+    d = Diagram.build((), [(0, Cap("n", 0)), (0, Swap(nr, n)), (0, Cup("n", 0))])
     dims = DimAssignment({"n": dim})
     out = evaluate(d, dims, Lexicon(dims)).array
     assert out.shape == () and out == dim
@@ -292,18 +292,18 @@ def test_closed_loop_is_its_dimension(dim):
 
 def test_bare_cap_is_identity_matrix():
     dims = DimAssignment({"n": 3})
-    d = Diagram.build(EMPTY, [(0, Cap("n", 0))])
+    d = Diagram.build((), [(0, Cap("n", 0))])
     assert np.array_equal(evaluate(d, dims, Lexicon(dims)).array, np.eye(3))
 
 
 def test_word_with_joined_legs_is_its_trace():
     dims = DimAssignment({"n": 3, "s": 2})
     lex = Lexicon(dims, seed=11)
-    square = Diagram.build(EMPTY, [_word("M", "n n.r"), (0, Cup("n", 0))])
-    m = lex.tensor_for("M", RObject.parse("n n.r")).array
+    square = Diagram.build((), [_word("M", "n n.r"), (0, Cup("n", 0))])
+    m = lex.tensor_for("M", parse_object("n n.r")).array
     assert np.allclose(evaluate(square, dims, lex).array, np.trace(m), rtol=0, atol=1e-12)
-    partial = Diagram.build(EMPTY, [_word("T", "s n n.r"), (1, Cup("n", 0))])
-    t = lex.tensor_for("T", RObject.parse("s n n.r")).array
+    partial = Diagram.build((), [_word("T", "s n n.r"), (1, Cup("n", 0))])
+    t = lex.tensor_for("T", parse_object("s n n.r")).array
     out = evaluate(partial, dims, lex).array
     assert np.allclose(out, np.einsum("sii->s", t), rtol=0, atol=1e-12)
     assert np.allclose(out, _brute_force(partial, dims, lex), rtol=0, atol=1e-12)
@@ -311,12 +311,12 @@ def test_word_with_joined_legs_is_its_trace():
 
 def test_complex_field_through_a_cap():
     lex = Lexicon(DIMS, seed=5, complex_field=True)
-    d = Diagram.build(EMPTY, [_word("v", "n"), (1, Cap("n", 0))])
+    d = Diagram.build((), [_word("v", "n"), (1, Cap("n", 0))])
     out = evaluate(d, DIMS, lex).array
-    v = lex.tensor_for("v", RObject.parse("n")).array
+    v = lex.tensor_for("v", parse_object("n")).array
     assert np.iscomplexobj(out)
     assert np.array_equal(out, np.multiply.outer(v, np.eye(2)))
-    snake = Diagram.build(EMPTY, [_word("v", "n"), (1, Cap("n", 0)), (0, Cup("n", 0))])
+    snake = Diagram.build((), [_word("v", "n"), (1, Cap("n", 0)), (0, Cup("n", 0))])
     assert np.array_equal(evaluate(snake, DIMS, lex).array, v)
 
 
@@ -331,7 +331,7 @@ def test_mixed_dims_match_brute_force(corpus_diagrams):
 
 
 def test_lexicon_draws_are_shared_and_read_only():
-    cod = RObject.parse("n s")
+    cod = parse_object("n s")
     t1 = Lexicon(DIMS, seed=3).tensor_for("w", cod)
     t2 = Lexicon(DIMS, seed=3).tensor_for("w", cod)
     assert np.array_equal(t1.array, t2.array)
@@ -397,7 +397,7 @@ def test_batched_check_agrees_with_per_seed_loop_on_long_sentences(tree):
 
 
 def test_semantic_check_with_no_seeds_is_true():
-    malformed = Diagram(EMPTY, RObject.parse("s"), ((0, WordBox("a", RObject.parse("n"))),))
+    malformed = Diagram((), parse_object("s"), ((0, WordBox("a", parse_object("n"))),))
     assert semantically_equal(malformed, malformed, DIMS, [])
 
 
@@ -408,10 +408,15 @@ def test_codomain_mismatch_raises_before_contracting(monkeypatch):
         raise AssertionError("evaluate was called")
 
     monkeypatch.setattr(semantics, "evaluate", fail)
-    d1 = Diagram.build(EMPTY, [_word("u", "n")])
-    d2 = Diagram.build(EMPTY, [_word("u", "s")])
-    with pytest.raises(SemanticsError, match="codomain mismatch"):
+    d1 = Diagram.build((), [_word("u", "n")])
+    d2 = Diagram.build((), [_word("u", "s")])
+    with pytest.raises(SemanticsError) as exc:
         semantically_equal(d1, d2, DIMS, SEEDS)
+    assert str(exc.value) == "codomain mismatch: n vs s"
+    with pytest.raises(SemanticsError) as exc:
+        semantically_equal(Diagram.id(parse_object("")), Diagram.build(
+            parse_object(""), [_word("v", "n.r s")]), DIMS, SEEDS)
+    assert str(exc.value) == "codomain mismatch: 1 vs n.r s"
 
 
 def test_repeated_seeds(corpus_diagrams):
@@ -424,10 +429,10 @@ def test_repeated_seeds(corpus_diagrams):
 
 
 def test_different_diagrams_compare_unequal():
-    swapped = Diagram.build(EMPTY, [_word("M", "n n"), (0, Swap(Wire("n"), Wire("n")))])
-    plain = Diagram.build(EMPTY, [_word("M", "n n")])
+    swapped = Diagram.build((), [_word("M", "n n"), (0, Swap(Wire("n"), Wire("n")))])
+    plain = Diagram.build((), [_word("M", "n n")])
     assert not semantically_equal(plain, swapped, DIMS, SEEDS)
-    other = Diagram.build(EMPTY, [_word("N", "n n")])
+    other = Diagram.build((), [_word("N", "n n")])
     assert not semantically_equal(plain, other, DIMS, SEEDS)
     # one differing seed is enough
     assert not _per_seed_equal(plain, swapped, DIMS, [0])
@@ -455,7 +460,7 @@ def _stack_lookups():
 def _drawn(lex, d):
     """``evaluate`` written out for a one-word diagram: its word's tensor."""
     (word,) = [g for _, g in d.layers]
-    return lex.tensor_for(word.label, word.wires).array
+    return lex.tensor_for(word.label, word.cod).array
 
 
 def test_fresh_lexicons_share_stacks_and_others_leave_them(corpus_diagrams):
@@ -468,14 +473,14 @@ def test_fresh_lexicons_share_stacks_and_others_leave_them(corpus_diagrams):
     assert all(np.array_equal(a.array, b.array) for a, b in zip(first, again))
     # a lexicon that has drawn before holds entries, so it draws for itself
     used = Lexicon(DIMS, 3)
-    used.tensor_for("unused", RObject.parse("n"))
+    used.tensor_for("unused", parse_object("n"))
     third = evaluate(d, DIMS, [used, Lexicon(DIMS, 4)])
     assert _stack_lookups() == (3, 3)
     assert all(np.array_equal(a.array, b.array) for a, b in zip(first, third))
 
 
 def test_pre_seeded_entry_is_used():
-    d = Diagram.build(EMPTY, [_word("v", "n")])
+    d = Diagram.build((), [_word("v", "n")])
     entry = Tensor(tuple(d.cod), (2,), np.array([1.0, 2.0]))
     lex = Lexicon(DIMS, 5, entries={("v", tuple(d.cod)): entry})
     lookups = _stack_lookups()
@@ -493,7 +498,7 @@ def test_lexicon_subclass_draws_are_honoured():
             shape = tuple(map(self.dims.of, cod))
             return Tensor(tuple(cod), shape, np.ones(shape))
 
-    d = Diagram.build(EMPTY, [_word("v", "n s")])
+    d = Diagram.build((), [_word("v", "n s")])
     lookups = _stack_lookups()
     one = evaluate(d, DIMS, Ones(DIMS, 1))
     assert isinstance(one, Tensor) and np.array_equal(one.array, np.ones((2, 2)))
@@ -503,7 +508,7 @@ def test_lexicon_subclass_draws_are_honoured():
 
 
 def test_lexicons_of_other_dims_or_fields_evaluate_each_by_its_own():
-    d = Diagram.build(EMPTY, [_word("v", "n")])
+    d = Diagram.build((), [_word("v", "n")])
     other_dims = DimAssignment({"s": 3}, 2)   # the same shape for ``n``
     lookups = _stack_lookups()
     real, other = evaluate(d, DIMS, [Lexicon(DIMS, 1), Lexicon(other_dims, 2)])

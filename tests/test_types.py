@@ -9,7 +9,7 @@ from discoccg import ingest
 from discoccg.ccgtypes import (
     Atom, Backward, Forward, TypeParseError, parse_type, strip_features,
 )
-from discoccg.diagram import EMPTY, DiagramError, RObject, Wire
+from discoccg.diagram import DiagramError, Wire, left_adjoint, right_adjoint
 from discoccg.functor import LoweringContext
 
 NP, N, S, PP = Atom("NP"), Atom("N"), Atom("S"), Atom("PP")
@@ -177,14 +177,14 @@ def _ref_has_conj(t):
 
 def _ref_f_obj(o, atom_map):
     if isinstance(o, Atom):
-        return RObject((Wire(atom_map.get(o.name, o.name), 0),))
+        return (Wire(atom_map.get(o.name, o.name), 0),)
     if isinstance(o, Forward):
-        return _ref_f_obj(o.result, atom_map) @ _ref_f_obj(o.argument, atom_map).l
+        return _ref_f_obj(o.result, atom_map) + left_adjoint(_ref_f_obj(o.argument, atom_map))
     if isinstance(o, Backward):
-        return _ref_f_obj(o.argument, atom_map).r @ _ref_f_obj(o.result, atom_map)
-    out = EMPTY
+        return right_adjoint(_ref_f_obj(o.argument, atom_map)) + _ref_f_obj(o.result, atom_map)
+    out = ()
     for p in bc.factors(o):
-        out = out @ _ref_f_obj(p, atom_map)
+        out = out + _ref_f_obj(p, atom_map)
     return out
 
 
